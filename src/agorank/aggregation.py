@@ -13,8 +13,10 @@ in the tiebreak trace so the consensus is auditable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Sequence
@@ -42,7 +44,9 @@ class RuleConfig:
 
     ``kemeny_exact_limit`` caps the pool size for exhaustive Kemeny search;
     larger pools fall back to a Borda-seeded adjacent-swap hill climb with
-    ``kemeny_search_iters`` total passes and seeded restarts.
+    ``kemeny_search_iters`` total passes and seeded restarts.  The restart
+    order is a fixed function of (``seed``, pool size): the k-th restart
+    reorders the pool the same way in every call with that seed and size.
     """
 
     rule: Rule = Rule.BORDA
@@ -67,6 +71,12 @@ class PairwiseTally:
 
     def margin(self, a: str, b: str) -> float:
         return self.support[a][b] - self.support[b][a]
+
+    @functools.cached_property
+    def against(self) -> dict[str, dict[str, float]]:
+        """Transposed support: against[a][b] = support[b][a], built on first use."""
+        support = self.support
+        return {a: {b: support[b][a] for b in self.pool} for a in self.pool}
 
 
 def pairwise_tally(profile: PreferenceProfile, use_weights: bool = True) -> PairwiseTally:
@@ -275,11 +285,12 @@ def kemeny_distance(ranking: Sequence[str], tally: PairwiseTally) -> float:
     preferring b over a; this equals the weighted Kendall distance summed
     over ballots under truncation semantics.
     """
-    support = tally.support
+    against = tally.against
     total = 0.0
     for i, a in enumerate(ranking):
+        row = against[a]
         for b in ranking[i + 1 :]:
-            total += support[b][a]
+            total += row[b]
     return total
 
 
@@ -301,8 +312,12 @@ def _kemeny_exact(
     return best, best_dist, n_min
 
 
-def _climb(order: list[str], support: Mapping[str, Mapping[str, float]], budget: int) -> int:
-    """Adjacent-swap hill climb in place; returns passes consumed."""
+def _climb(order: list[str], ahead: Mapping[str, set[str]], budget: int) -> int:
+    """Adjacent-swap hill climb in place; returns passes consumed.
+
+    ``ahead[a]`` holds the items a strict weighted majority ranks above a;
+    a pair (a, b) swaps when b is one of them.
+    """
     used = 0
     improved = True
     while improved and used < budget:
@@ -310,29 +325,66 @@ def _climb(order: list[str], support: Mapping[str, Mapping[str, float]], budget:
         used += 1
         for i in range(len(order) - 1):
             a, b = order[i], order[i + 1]
-            if support[a][b] < support[b][a]:
+            if b in ahead[a]:
                 order[i], order[i + 1] = b, a
                 improved = True
     return used
+
+
+class _RestartSchedule:
+    """The shuffles a fresh ``random.Random(seed)`` makes of n-item lists.
+
+    Fisher-Yates picks its swap positions without reading the list, so the
+    k-th ``rng.shuffle(x)`` always turns x into ``[x[p] for p in orders[k]]``.
+    Orders are drawn on first use and kept; ``orders`` only ever grows.
+    An order is stored as bytes, a quarter of a tuple's size, whenever its
+    positions fit in one byte.
+    """
+
+    def __init__(self, seed: int, n: int):
+        self._rng = random.Random(seed)
+        self._n = n
+        self._lock = threading.Lock()
+        self.orders: list[Sequence[int]] = []
+
+    def order(self, k: int) -> Sequence[int]:
+        orders = self.orders
+        if k >= len(orders):
+            with self._lock:
+                while k >= len(orders):
+                    order = list(range(self._n))
+                    self._rng.shuffle(order)
+                    orders.append(bytes(order) if self._n <= 256 else tuple(order))
+        return orders[k]
+
+
+# one schedule per (seed, pool size), each holding at most kemeny_search_iters orders
+@functools.lru_cache(maxsize=64)
+def _restart_schedule(seed: int, n: int) -> _RestartSchedule:
+    return _RestartSchedule(seed, n)
 
 
 def _kemeny_heuristic(
     profile: PreferenceProfile, config: RuleConfig, tally: PairwiseTally
 ) -> tuple[tuple[str, ...], float]:
     current = list(rule_borda(profile, config).consensus)
-    rng = random.Random(config.seed)
+    schedule = _restart_schedule(config.seed, len(current))
+    support = tally.support
+    ahead = {a: {b for b in tally.pool if support[b][a] > support[a][b]} for a in tally.pool}
     budget = config.kemeny_search_iters
+    restarts = 0
     best: tuple[str, ...] | None = None
     best_dist = float("inf")
     while budget > 0:
-        budget -= _climb(current, tally.support, budget)
+        budget -= _climb(current, ahead, budget)
         d = kemeny_distance(current, tally)
         key = tuple(current)
         if d < best_dist or (d == best_dist and best is not None and key < best):
             best = key
             best_dist = d
         if budget > 0:
-            rng.shuffle(current)
+            current = [current[p] for p in schedule.order(restarts)]
+            restarts += 1
     assert best is not None
     return best, best_dist
 

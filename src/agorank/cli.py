@@ -16,7 +16,7 @@ import time
 from dataclasses import replace
 
 from . import dataio
-from .aggregation import Rule, RuleConfig
+from .aggregation import Rule
 from .errors import AgorankError, NoActiveAgents, SchemaError
 from .metrics import build_report
 from .orchestrator import run_stream
@@ -77,15 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rule_config_for(base: RuleConfig, rule: Rule) -> RuleConfig:
-    return replace(base, rule=rule)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = dataio.load_scenario(args.scenario, seed_override=args.seed)
     rule_config = scenario.rule_config
     if args.rule is not None:
-        rule_config = _rule_config_for(rule_config, dataio.parse_rule_name(args.rule))
+        rule_config = replace(rule_config, rule=dataio.parse_rule_name(args.rule))
     outcomes, _ = run_stream(
         scenario.queries,
         scenario.agents,
@@ -126,7 +122,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             scenario.agents,
             scenario.catalog,
             scenario.policy,
-            _rule_config_for(scenario.rule_config, rule),
+            replace(scenario.rule_config, rule=rule),
             parallel=args.parallel_agents,
             adapter_url=args.adapter_url,
         )
