@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
+import numpy as np
+
 from . import adapter
 from .errors import AgorankError
-from .metrics import METRIC_CODOMAIN, MetricId
+from .metrics import METRIC_CODOMAIN, MetricId, relevance_scores
 from .model import Ballot, Catalog, Query, StakeholderRole
 
 
@@ -88,20 +90,17 @@ def generate_relevance(query: Query, catalog: Catalog, k: int) -> Ballot:
 
     Items violating any query constraint are excluded; survivors are ranked
     by descending score (zero-score items retained), ties by id.  The ballot
-    may be empty if every item is filtered out.
+    may be empty if every item is filtered out.  Scores come from
+    ``metrics.relevance_scores``, a left-to-right sum in
+    ``preference_weights`` order, the same scores ``relevance_map`` grades
+    with.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scored: list[tuple[float, str]] = []
-    for item in catalog.items_sorted():
-        if not all(c.satisfied_by(item) for c in query.constraints):
-            continue
-        score = sum(
-            w for cat, w in query.preference_weights.items() if cat in item.categories
-        )
-        scored.append((score, item.id))
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    ranking = tuple(item_id for _, item_id in scored[:k])
+    feasible, score = relevance_scores(query, catalog)
+    kept = np.flatnonzero(feasible)
+    order = kept[np.argsort(-score[kept], kind="stable")[:k]]
+    ranking = tuple(catalog.ids[i] for i in order.tolist())
     if not ranking:
         justification = "all items violate the query constraints"
     else:
@@ -126,10 +125,10 @@ def generate_provider_exposure(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ordered = sorted(
-        catalog.items_sorted(), key=lambda it: (ledger.get(it.provider_id), it.id)
-    )
-    ranking = tuple(item.id for item in ordered[:k])
+    provider_exposure = np.array([ledger.get(p) for p in catalog.providers], dtype=float)
+    exposure = provider_exposure[catalog.columns.provider_codes]
+    order = np.argsort(exposure, kind="stable")[:k]
+    ranking = tuple(catalog.ids[i] for i in order.tolist())
     if ranking:
         top_provider = catalog.provider_of(ranking[0])
         justification = (
@@ -148,11 +147,10 @@ def generate_popularity_mitigation(query: Query, catalog: Catalog, k: int) -> Ba
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scored = sorted(
-        catalog.items_sorted(),
-        key=lambda it: (-((1.0 - it.popularity) + it.sustainability), it.id),
-    )
-    ranking = tuple(item.id for item in scored[:k])
+    columns = catalog.columns
+    score = (1.0 - columns.popularity) + columns.sustainability
+    order = np.argsort(-score, kind="stable")[:k]
+    ranking = tuple(catalog.ids[i] for i in order.tolist())
     if ranking:
         mean_pop = sum(catalog[i].popularity for i in ranking) / len(ranking)
         justification = f"mean popularity of slate: {mean_pop:.6f}"

@@ -225,21 +225,45 @@ def l_half_balance(per_agent_fairness: Sequence[float]) -> float:
     return sum(math.sqrt(f) for f in per_agent_fairness) ** 2
 
 
+def relevance_scores(query: Query, catalog: Catalog) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint feasibility and preference score of every item, in id order.
+
+    This is the one place relevance is scored.  An item is feasible when it
+    satisfies every query constraint.  Its score is the sum of the weights of
+    the query categories it carries, added left to right in
+    ``preference_weights`` order starting from 0.0, so each value is the
+    float that a plain Python loop over the weights gives (and that
+    ``sum()`` gave up to Python 3.11; from 3.12 ``sum()`` compensates
+    rounding and may differ in the last bit).  Scores are computed for
+    infeasible items too; callers decide what those mean.
+    """
+    columns = catalog.columns
+    feasible = np.ones(len(catalog), dtype=bool)
+    for constraint in query.constraints:
+        values = columns.constraint_values(constraint.attribute)
+        if values is None:
+            feasible[:] = False
+        elif constraint.direction == "<=":
+            feasible &= values <= constraint.value
+        else:
+            feasible &= values >= constraint.value
+    score = np.zeros(len(catalog))
+    for cat, w in query.preference_weights.items():
+        incidence = columns.incidence.get(cat)
+        if incidence is not None:
+            score += np.where(incidence, w, 0.0)
+    return feasible, score
+
+
 def relevance_map(query: Query, catalog: Catalog) -> dict[str, float]:
     """Graded query relevance per item: preference-weight dot product.
 
     Items violating any query constraint get relevance 0 regardless of
-    category overlap.
+    category overlap.  Scores come from ``relevance_scores``, a left-to-right
+    sum in ``preference_weights`` order.
     """
-    rel: dict[str, float] = {}
-    for item in catalog.items_sorted():
-        if not all(c.satisfied_by(item) for c in query.constraints):
-            rel[item.id] = 0.0
-            continue
-        rel[item.id] = sum(
-            w for cat, w in query.preference_weights.items() if cat in item.categories
-        )
-    return rel
+    feasible, score = relevance_scores(query, catalog)
+    return dict(zip(catalog.ids, np.where(feasible, score, 0.0).tolist()))
 
 
 def category_distributions(

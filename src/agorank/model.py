@@ -9,7 +9,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateItemId,
@@ -56,8 +59,38 @@ class Item:
         object.__setattr__(self, "attributes", dict(self.attributes))
 
 
+@dataclass(frozen=True)
+class CatalogColumns:
+    """Item fields as numpy arrays in catalog id order, for whole-catalog scans.
+
+    ``incidence[c][i]`` is True when item i carries category c;
+    ``attributes[a][i]`` is NaN when item i has no attribute a, so that every
+    comparison with it is False; ``provider_codes[i]`` indexes
+    ``Catalog.providers``.
+    """
+
+    incidence: Mapping[str, np.ndarray]
+    popularity: np.ndarray
+    sustainability: np.ndarray
+    attributes: Mapping[str, np.ndarray]
+    provider_codes: np.ndarray
+
+    def constraint_values(self, attribute: str) -> np.ndarray | None:
+        """The column ``Constraint.satisfied_by`` reads, None if no item has it."""
+        if attribute == "popularity":
+            return self.popularity
+        if attribute == "sustainability":
+            return self.sustainability
+        return self.attributes.get(attribute)
+
+
 class Catalog:
-    """Immutable id-indexed collection of items with a provider index."""
+    """Immutable id-indexed collection of items with a provider index.
+
+    ``columns`` is derived from the items on first use and then kept; that is
+    sound only because neither the catalog nor its items change after
+    construction.
+    """
 
     def __init__(self, items: Iterable[Item]):
         self._items: dict[str, Item] = {}
@@ -68,6 +101,7 @@ class Catalog:
             self._items[item.id] = item
             by_provider.setdefault(item.provider_id, []).append(item.id)
         self._provider_index = {p: tuple(sorted(ids)) for p, ids in by_provider.items()}
+        self._providers = tuple(sorted(self._provider_index))
         self._sorted_ids = tuple(sorted(self._items))
 
     def __len__(self) -> int:
@@ -86,7 +120,49 @@ class Catalog:
 
     @property
     def providers(self) -> tuple[str, ...]:
-        return tuple(sorted(self._provider_index))
+        """All provider ids, sorted ascending."""
+        return self._providers
+
+    @cached_property
+    def columns(self) -> CatalogColumns:
+        """Numpy columns of the items in id order, built on first access."""
+        items = self.items_sorted()
+        n = len(items)
+        category_rows: dict[str, list[int]] = {}
+        attribute_cells: dict[str, tuple[list[int], list[float]]] = {}
+        for i, item in enumerate(items):
+            for cat in item.categories:
+                category_rows.setdefault(cat, []).append(i)
+            for name, value in item.attributes.items():
+                rows, values = attribute_cells.setdefault(name, ([], []))
+                rows.append(i)
+                values.append(value)
+        incidence = {}
+        for cat, rows in category_rows.items():
+            incidence[cat] = np.zeros(n, dtype=bool)
+            incidence[cat][rows] = True
+        attributes = {}
+        for name, (rows, values) in attribute_cells.items():
+            attributes[name] = np.full(n, np.nan)
+            attributes[name][rows] = values
+        code_of = {p: c for c, p in enumerate(self._providers)}
+        columns = CatalogColumns(
+            incidence=incidence,
+            popularity=np.array([it.popularity for it in items], dtype=float),
+            sustainability=np.array([it.sustainability for it in items], dtype=float),
+            attributes=attributes,
+            provider_codes=np.array([code_of[it.provider_id] for it in items], dtype=np.intp),
+        )
+        # every caller shares these arrays, so none may write to them
+        for array in (
+            *incidence.values(),
+            *attributes.values(),
+            columns.popularity,
+            columns.sustainability,
+            columns.provider_codes,
+        ):
+            array.flags.writeable = False
+        return columns
 
     def items_sorted(self) -> list[Item]:
         return [self._items[i] for i in self._sorted_ids]

@@ -295,7 +295,8 @@ def process_query(
     # exposure state as it stands after this query's recommendations
     t0 = time.perf_counter()
     exposure_after = ledger.exposure.as_mapping()
-    for provider, credit in exposure_delta(final_list, catalog).items():
+    delta = exposure_delta(final_list, catalog)
+    for provider, credit in delta.items():
         exposure_after[provider] = exposure_after.get(provider, 0.0) + credit
     achieved_map: dict[str, float | None] = {}
     regret_map: dict[str, float] = {}
@@ -314,7 +315,7 @@ def process_query(
         stage_calls["evaluate"] += 1
     stage_seconds["evaluate"] = time.perf_counter() - t0
 
-    for provider, credit in exposure_delta(final_list, catalog).items():
+    for provider, credit in delta.items():
         ledger.exposure.add(provider, credit)
     ledger.queries_processed += 1
 

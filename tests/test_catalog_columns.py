@@ -1,0 +1,238 @@
+"""The columnar relevance scan and ballot orders against their per-item loop form.
+
+The ``_reference_*`` functions are frozen copies of the per-item Python loops
+that ``metrics.relevance_map`` and the built-in agents ran before the catalog
+gained numpy columns.  The one change to the copies: the score is an explicit
+left-to-right ``total += w`` loop instead of ``sum()``, so the reference does
+not depend on how the interpreter sums floats.  Ballots must match exactly and
+relevance values bit for bit.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from agorank import dataio
+from agorank.agents import (
+    ExposureLedger,
+    generate_popularity_mitigation,
+    generate_provider_exposure,
+    generate_relevance,
+)
+from agorank.metrics import relevance_map
+from agorank.model import Ballot, Catalog, Constraint, Item, Query
+
+
+def _reference_score(query: Query, item: Item) -> float:
+    total = 0.0
+    for cat, w in query.preference_weights.items():
+        if cat in item.categories:
+            total += w
+    return total
+
+
+def _reference_relevance_map(query: Query, catalog: Catalog) -> dict[str, float]:
+    rel: dict[str, float] = {}
+    for item in catalog.items_sorted():
+        if not all(c.satisfied_by(item) for c in query.constraints):
+            rel[item.id] = 0.0
+            continue
+        rel[item.id] = _reference_score(query, item)
+    return rel
+
+
+def _reference_relevance(query: Query, catalog: Catalog, k: int) -> Ballot:
+    scored: list[tuple[float, str]] = []
+    for item in catalog.items_sorted():
+        if not all(c.satisfied_by(item) for c in query.constraints):
+            continue
+        score = _reference_score(query, item)
+        scored.append((score, item.id))
+    scored.sort(key=lambda t: (-t[0], t[1]))
+    ranking = tuple(item_id for _, item_id in scored[:k])
+    if not ranking:
+        justification = "all items violate the query constraints"
+    else:
+        top = catalog[ranking[0]]
+        matched = sorted(
+            c for c in top.categories if query.preference_weights.get(c, 0.0) > 0
+        )
+        if matched:
+            justification = f"top pick {top.id} matches: {', '.join(matched)}"
+        else:
+            justification = f"top pick {top.id} matches no weighted category"
+    return Ballot(agent_id="", ranking=ranking, justification=justification)
+
+
+def _reference_provider_exposure(
+    query: Query, catalog: Catalog, ledger: ExposureLedger, k: int
+) -> Ballot:
+    ordered = sorted(
+        catalog.items_sorted(), key=lambda it: (ledger.get(it.provider_id), it.id)
+    )
+    ranking = tuple(item.id for item in ordered[:k])
+    if ranking:
+        top_provider = catalog.provider_of(ranking[0])
+        justification = (
+            f"promoting provider {top_provider} "
+            f"(cumulative exposure {ledger.get(top_provider):.6f})"
+        )
+    else:
+        justification = "catalog is empty"
+    return Ballot(agent_id="", ranking=ranking, justification=justification)
+
+
+def _reference_popularity_mitigation(query: Query, catalog: Catalog, k: int) -> Ballot:
+    scored = sorted(
+        catalog.items_sorted(),
+        key=lambda it: (-((1.0 - it.popularity) + it.sustainability), it.id),
+    )
+    ranking = tuple(item.id for item in scored[:k])
+    if ranking:
+        mean_pop = sum(catalog[i].popularity for i in ranking) / len(ranking)
+        justification = f"mean popularity of slate: {mean_pop:.6f}"
+    else:
+        justification = "catalog is empty"
+    return Ballot(agent_id="", ranking=ranking, justification=justification)
+
+
+def _assert_same_relevance(got: dict[str, float], want: dict[str, float]) -> None:
+    assert list(got) == list(want)
+    assert [float(v).hex() for v in got.values()] == [float(v).hex() for v in want.values()]
+
+
+# a few shared values make ties and constraint boundaries likely; 1/3 and 0.1
+# have no finite binary expansion, so their sums round
+_SHARED = (0.0, 0.1, 1 / 3, 0.5, 2 / 3, 1.0)
+_UNIT = st.one_of(st.sampled_from(_SHARED), st.floats(min_value=0.0, max_value=1.0))
+_ANY = st.one_of(
+    st.sampled_from(_SHARED + (50.0,)),
+    st.floats(allow_nan=False, min_value=-1e6, max_value=1e6),
+)
+_WEIGHT = st.one_of(
+    st.sampled_from((0.0, -0.0, 0.1, 0.2, 1 / 3, 1 / 7, 1.0)),
+    st.floats(min_value=0.0, max_value=10.0),
+)
+_CATEGORIES = ("art", "food", "nature", "sea")
+_PROVIDERS = ("pa", "pb", "pc", "pd")
+_ATTRIBUTES = ("price", "rating", "popularity")
+
+
+@st.composite
+def _items(draw) -> list[Item]:
+    ids = draw(
+        st.lists(
+            st.text(alphabet="abXY09-", min_size=1, max_size=4),
+            min_size=1,
+            max_size=30,
+            unique=True,
+        )
+    )
+    return [
+        Item(
+            id=item_id,
+            provider_id=draw(st.sampled_from(_PROVIDERS)),
+            categories=draw(st.frozensets(st.sampled_from(_CATEGORIES))),
+            popularity=draw(_UNIT),
+            sustainability=draw(_UNIT),
+            # any attribute may be missing; "popularity" here is not the field
+            attributes=draw(st.dictionaries(st.sampled_from(_ATTRIBUTES), _ANY)),
+        )
+        for item_id in ids
+    ]
+
+
+@st.composite
+def _queries(draw) -> Query:
+    # "unknown" and "zz" are an attribute and a category no item has
+    cats = draw(st.lists(st.sampled_from(_CATEGORIES + ("zz",)), unique=True))
+    constraints = draw(
+        st.lists(
+            st.builds(
+                Constraint,
+                st.sampled_from(_ATTRIBUTES + ("sustainability", "unknown")),
+                st.sampled_from(("<=", ">=")),
+                _ANY,
+            ),
+            max_size=3,
+        )
+    )
+    return Query(
+        id="q",
+        preference_weights={c: draw(_WEIGHT) for c in cats},
+        constraints=tuple(constraints),
+    )
+
+
+_LEDGERS = st.dictionaries(
+    st.sampled_from(_PROVIDERS),
+    st.sampled_from((0.0, 1.0, 1 / 3, 0.6309297535714575, 1.5)),
+).map(ExposureLedger)
+
+
+@settings(max_examples=300, deadline=None)
+@given(items=_items(), query=_queries(), ledger=_LEDGERS, extra=st.integers(-11, 3))
+def test_columnar_scans_match_the_per_item_loops(items, query, ledger, extra):
+    catalog = Catalog(items)
+    k = max(1, len(items) + extra)  # from 1 up to 3 more than the catalog holds
+    _assert_same_relevance(
+        relevance_map(query, catalog), _reference_relevance_map(query, catalog)
+    )
+    assert generate_relevance(query, catalog, k) == _reference_relevance(query, catalog, k)
+    assert generate_provider_exposure(query, catalog, ledger, k) == (
+        _reference_provider_exposure(query, catalog, ledger, k)
+    )
+    assert generate_popularity_mitigation(query, catalog, k) == (
+        _reference_popularity_mitigation(query, catalog, k)
+    )
+
+
+def test_all_infeasible_query():
+    catalog = Catalog(
+        [
+            Item(id="a", provider_id="p", categories={"art"}, attributes={"price": 5.0}),
+            Item(id="b", provider_id="p", categories={"art"}),
+        ]
+    )
+    query = Query(
+        id="q",
+        preference_weights={"art": 1.0},
+        constraints=(Constraint("price", ">=", 10.0),),
+    )
+    ballot = generate_relevance(query, catalog, 5)
+    assert ballot == _reference_relevance(query, catalog, 5)
+    assert ballot.ranking == ()
+    _assert_same_relevance(relevance_map(query, catalog), {"a": 0.0, "b": 0.0})
+
+
+def test_bundled_scenarios_match_the_per_item_loops():
+    for name in ("builtin:tourism", "builtin:synthetic-200"):
+        scenario = dataio.load_scenario(name)
+        catalog = scenario.catalog
+        ledger = ExposureLedger({p: float(i % 3) for i, p in enumerate(catalog.providers)})
+        for query in scenario.queries:
+            k = 3 * query.top_n
+            _assert_same_relevance(
+                relevance_map(query, catalog), _reference_relevance_map(query, catalog)
+            )
+            assert generate_relevance(query, catalog, k) == (
+                _reference_relevance(query, catalog, k)
+            )
+            assert generate_provider_exposure(query, catalog, ledger, k) == (
+                _reference_provider_exposure(query, catalog, ledger, k)
+            )
+            assert generate_popularity_mitigation(query, catalog, k) == (
+                _reference_popularity_mitigation(query, catalog, k)
+            )
+
+
+def test_columns_are_built_on_first_use_only():
+    catalog = Catalog([Item(id="a", provider_id="p", categories={"art"})])
+    assert "columns" not in vars(catalog)
+    scenario = dataio.load_scenario("builtin:synthetic-200")
+    assert "columns" not in vars(scenario.catalog)
+    columns = scenario.catalog.columns
+    assert scenario.catalog.columns is columns
+    assert not columns.popularity.flags.writeable
+    assert not columns.incidence[next(iter(columns.incidence))].flags.writeable
