@@ -21,7 +21,7 @@ import logging
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .agents import AgentObjective, AgentSpec
 from .aggregation import Rule, RuleConfig
@@ -47,6 +47,7 @@ from .model import (
 from .orchestrator import ActivationMode, ActivationPolicy, QueryOutcome
 
 log = logging.getLogger("agorank")
+T = TypeVar("T")
 
 CATALOG_CSV_FIELDS = ("id", "provider_id", "categories", "popularity", "sustainability", "description")
 INTERACTION_CSV_FIELDS = ("user_id", "item_id", "rating", "timestamp")
@@ -109,15 +110,6 @@ class Scenario:
     seed: int
 
 
-def _parse_unit_float(raw: str, field: str, line: int) -> float:
-    if raw is None or raw == "":
-        return 0.5
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise MalformedRecord(f"{field} {raw!r} is not a number", line) from exc
-
-
 def load_catalog(path: str | Path) -> Catalog:
     """Load a catalog from CSV or JSON (picked by file suffix).
 
@@ -144,26 +136,12 @@ def _load_catalog_csv(path: Path) -> Catalog:
                 f"missing columns: {', '.join(sorted(missing_cols))}", 1
             )
         for line, row in enumerate(reader, start=2):
-            if row.get("id") in (None, ""):
-                raise MissingRequiredField(f"line {line}: missing id")
-            if row.get("provider_id") in (None, ""):
-                raise MissingRequiredField(f"line {line}: missing provider_id")
-            raw_cats = row.get("categories") or ""
-            categories = frozenset(c.strip() for c in raw_cats.split(";") if c.strip())
-            try:
-                item = Item(
-                    id=row["id"],
-                    provider_id=row["provider_id"],
-                    categories=categories,
-                    popularity=_parse_unit_float(row.get("popularity"), "popularity", line),
-                    sustainability=_parse_unit_float(
-                        row.get("sustainability"), "sustainability", line
-                    ),
-                    description=row.get("description") or "",
-                )
-            except ValueError as exc:
-                raise MalformedRecord(str(exc), line) from exc
-            items.append(item)
+            # blank cells are left out so the record defaults apply
+            rec = {f: row[f] for f in CATALOG_CSV_FIELDS if row.get(f)}
+            rec["categories"] = [
+                c.strip() for c in rec.get("categories", "").split(";") if c.strip()
+            ]
+            items.append(_item_from_obj(rec, f"line {line}", line))
     return Catalog(items)
 
 
@@ -175,66 +153,68 @@ def _load_catalog_json(path: Path) -> Catalog:
             raise MalformedRecord(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, list):
         raise MalformedRecord("catalog JSON must be a list of items")
-    items: list[Item] = []
-    for i, rec in enumerate(payload):
-        if not isinstance(rec, dict):
-            raise MalformedRecord(f"item {i} is not an object")
-        if not rec.get("id"):
-            raise MissingRequiredField(f"item {i}: missing id")
-        if not rec.get("provider_id"):
-            raise MissingRequiredField(f"item {i}: missing provider_id")
-        try:
-            items.append(
-                Item(
-                    id=rec["id"],
-                    provider_id=rec["provider_id"],
-                    categories=frozenset(rec.get("categories", ())),
-                    popularity=float(rec.get("popularity", 0.5)),
-                    sustainability=float(rec.get("sustainability", 0.5)),
-                    attributes={
-                        k: float(v) for k, v in (rec.get("attributes") or {}).items()
-                    },
-                    description=rec.get("description", ""),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise MalformedRecord(f"item {i}: {exc}") from exc
-    return Catalog(items)
+    return Catalog([_item_from_obj(rec, f"item {i}") for i, rec in enumerate(payload)])
+
+
+def _unit_float(rec: Mapping[str, object], key: str) -> float:
+    raw = rec.get(key, 0.5)
+    try:
+        return float(raw)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} {raw!r} is not a number") from None
+
+
+def _item_from_obj(rec: object, where: str, line: int | None = None) -> Item:
+    """Decode one item record; both catalog loaders build every item here.
+
+    ``where`` names the record in messages.  A CSV row also passes its
+    ``line``, which ``MalformedRecord`` carries and prints itself.
+    """
+    if not isinstance(rec, dict):
+        raise MalformedRecord(f"{where} is not an object")
+    for key in ("id", "provider_id"):
+        if not rec.get(key):
+            raise MissingRequiredField(f"{where}: missing {key}")
+    try:
+        return Item(
+            id=_expect_str(rec["id"], "id"),
+            provider_id=_expect_str(rec["provider_id"], "provider_id"),
+            categories=frozenset(_expect_str_list(rec.get("categories", []), "categories")),
+            popularity=_unit_float(rec, "popularity"),
+            sustainability=_unit_float(rec, "sustainability"),
+            attributes=_parse_number_map(rec.get("attributes") or {}, "attributes"),
+            description=_expect_str(rec.get("description", ""), "description"),
+        )
+    except (SchemaError, ValueError) as exc:
+        raise MalformedRecord(str(exc) if line else f"{where}: {exc}", line) from exc
+
+
+def _item_to_obj(item: Item) -> dict:
+    """The one record of an item: ``export_catalog`` writes it, ``catalog_hash`` hashes it."""
+    return {
+        "id": item.id,
+        "provider_id": item.provider_id,
+        "categories": sorted(item.categories),
+        "popularity": item.popularity,
+        "sustainability": item.sustainability,
+        "attributes": dict(sorted(item.attributes.items())),
+        "description": item.description,
+    }
 
 
 def export_catalog(catalog: Catalog, path: str | Path) -> None:
     """Write a catalog back out (CSV or JSON by suffix); loaders round-trip it."""
     path = Path(path)
+    records = [_item_to_obj(item) for item in catalog.items_sorted()]
     if path.suffix.lower() == ".json":
-        records = []
-        for item in catalog.items_sorted():
-            records.append(
-                {
-                    "id": item.id,
-                    "provider_id": item.provider_id,
-                    "categories": sorted(item.categories),
-                    "popularity": item.popularity,
-                    "sustainability": item.sustainability,
-                    "attributes": dict(sorted(item.attributes.items())),
-                    "description": item.description,
-                }
-            )
         path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         return
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CATALOG_CSV_FIELDS)
-        for item in catalog.items_sorted():
-            writer.writerow(
-                [
-                    item.id,
-                    item.provider_id,
-                    ";".join(sorted(item.categories)),
-                    repr(item.popularity),
-                    repr(item.sustainability),
-                    item.description,
-                ]
-            )
+        # the csv module writes floats with repr(), so they round-trip exactly
+        writer = csv.DictWriter(fh, CATALOG_CSV_FIELDS, extrasaction="ignore")
+        writer.writeheader()
+        for rec in records:
+            writer.writerow({**rec, "categories": ";".join(rec["categories"])})
 
 
 def load_interactions(
@@ -258,8 +238,8 @@ def load_interactions(
             if not user or not item:
                 raise MalformedRecord("missing user_id or item_id", line)
             try:
-                rating = float(row.get("rating", ""))
-            except ValueError as exc:
+                rating = float(row.get("rating"))  # a short row leaves None here
+            except (TypeError, ValueError) as exc:
                 raise MalformedRecord(f"rating {row.get('rating')!r} is not a number", line) from exc
             raw_ts = row.get("timestamp") or ""
             try:
@@ -377,6 +357,10 @@ def _expect_str(v: object, path: str) -> str:
     return v
 
 
+def _expect_str_list(v: object, path: str) -> list[str]:
+    return [_expect_str(s, f"{path}[{i}]") for i, s in enumerate(_expect_list(v, path))]
+
+
 def _expect_number(v: object, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{path}: expected a number")
@@ -389,15 +373,62 @@ def _expect_int(v: object, path: str) -> int:
     return v
 
 
-def _parse_constraint(raw: object, path: str) -> Constraint:
-    obj = _expect_dict(raw, path)
-    attribute = _expect_str(obj.get("attribute"), f"{path}.attribute")
-    direction = _expect_str(obj.get("direction"), f"{path}.direction")
-    value = _expect_number(obj.get("value"), f"{path}.value")
+def _expect_bool(v: object, path: str) -> bool:
+    if not isinstance(v, bool):
+        raise SchemaError(f"{path}: expected a boolean")
+    return v
+
+
+def _construct(cls: Callable[..., T], path: str, **fields: object) -> T:
+    """Build a validated record, reporting its ``ValueError`` at ``path``."""
     try:
-        return Constraint(attribute=attribute, direction=direction, value=value)
+        return cls(**fields)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _optional_fields(
+    obj: dict, path: str, table: Mapping[str, Callable[[object, str], object]]
+) -> dict[str, object]:
+    """Check and collect the keys of ``table`` that ``obj`` sets."""
+    return {key: expect(obj[key], f"{path}.{key}") for key, expect in table.items() if key in obj}
+
+
+_POLICY_FIELDS = {
+    "fairness_threshold": _expect_number,
+    "window": _expect_int,
+    "compatibility_min": _expect_number,
+}
+_RULE_FIELDS = {
+    "use_weights": _expect_bool,
+    "kemeny_exact_limit": _expect_int,
+    "kemeny_search_iters": _expect_int,
+    "seed": _expect_int,
+}
+
+
+def _parse_number_map(raw: object, path: str) -> dict[str, float]:
+    """Decode a string-to-number object: query and persona weights, item attributes."""
+    return {
+        _expect_str(k, f"{path} key"): _expect_number(v, f"{path}.{k}")
+        for k, v in _expect_dict(raw, path).items()
+    }
+
+
+def _parse_constraint(raw: object, path: str) -> Constraint:
+    obj = _expect_dict(raw, path)
+    return _construct(
+        Constraint,
+        path,
+        attribute=_expect_str(obj.get("attribute"), f"{path}.attribute"),
+        direction=_expect_str(obj.get("direction"), f"{path}.direction"),
+        value=_expect_number(obj.get("value"), f"{path}.value"),
+    )
+
+
+def _parse_constraints(raw: object, path: str) -> tuple[Constraint, ...]:
+    entries = _expect_list(raw, path)
+    return tuple(_parse_constraint(c, f"{path}[{i}]") for i, c in enumerate(entries))
 
 
 def _parse_agent(raw: object, path: str) -> AgentSpec:
@@ -421,23 +452,18 @@ def _parse_agent(raw: object, path: str) -> AgentSpec:
     target = _expect_number(obj.get("objective_target"), f"{path}.objective_target")
     params_raw = obj.get("params", {})
     params = _expect_dict(params_raw, f"{path}.params") if params_raw else {}
-    tags_raw = obj.get("compatibility_tags", [])
-    tags = [
-        _expect_str(t, f"{path}.compatibility_tags[{i}]")
-        for i, t in enumerate(_expect_list(tags_raw, f"{path}.compatibility_tags"))
-    ]
-    try:
-        return AgentSpec(
-            agent_id=agent_id,
-            role=role,
-            objective=objective,
-            objective_metric=metric,
-            objective_target=target,
-            params=params,
-            compatibility_tags=frozenset(tags),
-        )
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    tags = _expect_str_list(obj.get("compatibility_tags", []), f"{path}.compatibility_tags")
+    return _construct(
+        AgentSpec,
+        path,
+        agent_id=agent_id,
+        role=role,
+        objective=objective,
+        objective_metric=metric,
+        objective_target=target,
+        params=params,
+        compatibility_tags=frozenset(tags),
+    )
 
 
 def _parse_policy(raw: object, path: str) -> ActivationPolicy:
@@ -450,21 +476,9 @@ def _parse_policy(raw: object, path: str) -> ActivationPolicy:
         mode = ActivationMode(mode_str)
     except ValueError:
         raise SchemaError(f"{path}.mode: unknown mode {mode_str!r}") from None
-    kwargs: dict[str, object] = {"mode": mode}
-    if "fairness_threshold" in obj:
-        kwargs["fairness_threshold"] = _expect_number(
-            obj["fairness_threshold"], f"{path}.fairness_threshold"
-        )
-    if "window" in obj:
-        kwargs["window"] = _expect_int(obj["window"], f"{path}.window")
-    if "compatibility_min" in obj:
-        kwargs["compatibility_min"] = _expect_number(
-            obj["compatibility_min"], f"{path}.compatibility_min"
-        )
-    try:
-        return ActivationPolicy(**kwargs)  # type: ignore[arg-type]
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    return _construct(
+        ActivationPolicy, path, mode=mode, **_optional_fields(obj, path, _POLICY_FIELDS)
+    )
 
 
 def parse_rule_name(name: str) -> Rule:
@@ -482,91 +496,66 @@ def _parse_rule(raw: object, path: str, default_seed: int) -> RuleConfig:
     obj = _expect_dict(raw, path)
     name = _expect_str(obj.get("name"), f"{path}.name")
     rule = parse_rule_name(name)
-    kwargs: dict[str, object] = {"rule": rule, "seed": default_seed}
-    if "use_weights" in obj:
-        if not isinstance(obj["use_weights"], bool):
-            raise SchemaError(f"{path}.use_weights: expected a boolean")
-        kwargs["use_weights"] = obj["use_weights"]
-    if "kemeny_exact_limit" in obj:
-        kwargs["kemeny_exact_limit"] = _expect_int(
-            obj["kemeny_exact_limit"], f"{path}.kemeny_exact_limit"
-        )
-    if "kemeny_search_iters" in obj:
-        kwargs["kemeny_search_iters"] = _expect_int(
-            obj["kemeny_search_iters"], f"{path}.kemeny_search_iters"
-        )
-    if "seed" in obj:
-        kwargs["seed"] = _expect_int(obj["seed"], f"{path}.seed")
-    try:
-        return RuleConfig(**kwargs)  # type: ignore[arg-type]
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    kwargs = {"seed": default_seed, **_optional_fields(obj, path, _RULE_FIELDS)}
+    return _construct(RuleConfig, path, rule=rule, **kwargs)
 
 
 def _parse_query(raw: object, path: str, catalog: Catalog) -> Query:
+    """Decode a query: a scenario's ``queries[i]`` or a saved outcome's ``query``."""
     obj = _expect_dict(raw, path)
     qid = _expect_str(obj.get("id"), f"{path}.id")
     text = _expect_str(obj.get("text", ""), f"{path}.text")
-    weights_raw = _expect_dict(obj.get("preference_weights", {}), f"{path}.preference_weights")
-    weights = {
-        _expect_str(k, f"{path}.preference_weights key"): _expect_number(
-            v, f"{path}.preference_weights.{k}"
-        )
-        for k, v in weights_raw.items()
-    }
-    constraints = tuple(
-        _parse_constraint(c, f"{path}.constraints[{i}]")
-        for i, c in enumerate(_expect_list(obj.get("constraints", []), f"{path}.constraints"))
-    )
-    history_raw = _expect_list(obj.get("user_history", []), f"{path}.user_history")
-    history = []
-    for i, h in enumerate(history_raw):
-        item_id = _expect_str(h, f"{path}.user_history[{i}]")
+    weights = _parse_number_map(obj.get("preference_weights", {}), f"{path}.preference_weights")
+    constraints = _parse_constraints(obj.get("constraints", []), f"{path}.constraints")
+    history = _expect_str_list(obj.get("user_history", []), f"{path}.user_history")
+    for i, item_id in enumerate(history):
         if item_id not in catalog:
             raise SchemaError(f"{path}.user_history[{i}]: unknown item {item_id!r}")
-        history.append(item_id)
-    top_n = obj.get("top_n", 5)
-    try:
-        return Query(
-            id=qid,
-            text=text,
-            preference_weights=weights,
-            constraints=constraints,
-            user_history=tuple(history),
-            top_n=_expect_int(top_n, f"{path}.top_n"),
-        )
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    top_n = _expect_int(obj.get("top_n", 5), f"{path}.top_n")
+    return _construct(
+        Query,
+        path,
+        id=qid,
+        text=text,
+        preference_weights=weights,
+        constraints=constraints,
+        user_history=tuple(history),
+        top_n=top_n,
+    )
+
+
+def _query_to_obj(query: Query) -> dict:
+    return {
+        "id": query.id,
+        "text": query.text,
+        "preference_weights": dict(query.preference_weights),
+        "constraints": [
+            {"attribute": c.attribute, "direction": c.direction, "value": c.value}
+            for c in query.constraints
+        ],
+        "user_history": list(query.user_history),
+        "top_n": query.top_n,
+    }
 
 
 def _parse_persona(raw: object, path: str) -> PersonaParams:
     obj = _expect_dict(raw, path)
     text = _expect_str(obj.get("persona_text"), f"{path}.persona_text")
-    weights_raw = _expect_dict(obj.get("category_weights"), f"{path}.category_weights")
-    weights = {
-        _expect_str(k, f"{path}.category_weights key"): _expect_number(
-            v, f"{path}.category_weights.{k}"
-        )
-        for k, v in weights_raw.items()
-    }
-    templates = tuple(
-        _parse_constraint(c, f"{path}.constraint_templates[{i}]")
-        for i, c in enumerate(
-            _expect_list(obj.get("constraint_templates", []), f"{path}.constraint_templates")
-        )
+    weights = _parse_number_map(obj.get("category_weights"), f"{path}.category_weights")
+    templates = _parse_constraints(
+        obj.get("constraint_templates", []), f"{path}.constraint_templates"
     )
     count = _expect_int(obj.get("query_count"), f"{path}.query_count")
     top_n = _expect_int(obj.get("top_n", 5), f"{path}.top_n")
-    try:
-        return PersonaParams(
-            persona_text=text,
-            category_weights=weights,
-            constraint_templates=templates,
-            query_count=count,
-            top_n=top_n,
-        )
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    return _construct(
+        PersonaParams,
+        path,
+        persona_text=text,
+        category_weights=weights,
+        constraint_templates=templates,
+        query_count=count,
+        top_n=top_n,
+    )
 
 
 def builtin_scenario_path(alias: str) -> Path:
@@ -699,12 +688,7 @@ def _round6(value: object) -> object:
 
 
 def _fmt6(value: float | None) -> str:
-    if value is None:
-        return ""
-    r = round(value, 6)
-    if r == 0:
-        r = 0.0
-    return f"{r:.6f}"
+    return "" if value is None else f"{_round6(value):.6f}"
 
 
 def _report_payload(
@@ -843,35 +827,9 @@ def write_report(
 
 def catalog_hash(catalog: Catalog) -> str:
     """Content hash of a catalog, for pinning outcomes to their data."""
-    records = []
-    for item in catalog.items_sorted():
-        records.append(
-            {
-                "id": item.id,
-                "provider_id": item.provider_id,
-                "categories": sorted(item.categories),
-                "popularity": item.popularity,
-                "sustainability": item.sustainability,
-                "attributes": dict(sorted(item.attributes.items())),
-                "description": item.description,
-            }
-        )
+    records = [_item_to_obj(item) for item in catalog.items_sorted()]
     blob = json.dumps(records, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
-
-
-def _query_to_obj(query: Query) -> dict:
-    return {
-        "id": query.id,
-        "text": query.text,
-        "preference_weights": dict(query.preference_weights),
-        "constraints": [
-            {"attribute": c.attribute, "direction": c.direction, "value": c.value}
-            for c in query.constraints
-        ],
-        "user_history": list(query.user_history),
-        "top_n": query.top_n,
-    }
 
 
 def _outcome_to_obj(outcome: QueryOutcome) -> dict:
@@ -905,6 +863,41 @@ def _outcome_to_obj(outcome: QueryOutcome) -> dict:
     }
 
 
+def _outcome_from_obj(obj: dict, path: str, catalog: Catalog) -> QueryOutcome:
+    """Decode one saved outcome; its query is checked like a scenario query."""
+    query = _parse_query(obj["query"], f"{path}.query", catalog)
+    agg = obj["aggregate"]
+    return QueryOutcome(
+        query_id=query.id,
+        final_list=tuple(obj["final_list"]),
+        per_agent_ballots=tuple(
+            Ballot(
+                agent_id=b["agent_id"],
+                ranking=tuple(b["ranking"]),
+                justification=b.get("justification"),
+                weight=b["weight"],
+            )
+            for b in obj["ballots"]
+        ),
+        aggregate=AggregateResult(
+            rule=agg["rule"],
+            consensus=tuple(agg["consensus"]),
+            influence=dict(agg["influence"]),
+            tiebreak_trace=tuple(
+                TieEvent(e["description"], e["resolution"])
+                for e in agg.get("tiebreak_trace", [])
+            ),
+            scores=dict(agg.get("scores", {})),
+        ),
+        skipped_agents=dict(obj.get("skipped_agents", {})),
+        justifications=dict(obj.get("justifications", {})),
+        query=query,
+        per_agent_achieved=dict(obj.get("per_agent_achieved", {})),
+        per_agent_regret=dict(obj.get("per_agent_regret", {})),
+        stage_calls=dict(obj.get("stage_calls", {})),
+    )
+
+
 def save_outcomes(
     outcomes: Sequence[QueryOutcome],
     catalog: Catalog,
@@ -928,20 +921,6 @@ def save_outcomes(
     )
 
 
-def _obj_to_query(obj: dict) -> Query:
-    return Query(
-        id=obj["id"],
-        text=obj.get("text", ""),
-        preference_weights=obj.get("preference_weights", {}),
-        constraints=tuple(
-            Constraint(c["attribute"], c["direction"], c["value"])
-            for c in obj.get("constraints", [])
-        ),
-        user_history=tuple(obj.get("user_history", [])),
-        top_n=obj.get("top_n", 5),
-    )
-
-
 def load_outcomes(
     path: str | Path, catalog: Catalog
 ) -> tuple[list[QueryOutcome], str, str]:
@@ -950,7 +929,8 @@ def load_outcomes(
     Returns (outcomes, scenario_name, rule_name).
 
     Raises:
-        SchemaError: unreadable/invalid file, or catalog hash mismatch.
+        SchemaError: unreadable/invalid file, catalog hash mismatch, or a
+            query that breaks the scenario-query rules.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -966,41 +946,10 @@ def load_outcomes(
                 "catalog hash mismatch: outcomes were recorded against a "
                 f"different catalog (recorded {expected[:12]}…, current {actual[:12]}…)"
             )
-        outcomes = []
-        for obj in doc["outcomes"]:
-            agg = obj["aggregate"]
-            outcomes.append(
-                QueryOutcome(
-                    query_id=obj["query"]["id"],
-                    final_list=tuple(obj["final_list"]),
-                    per_agent_ballots=tuple(
-                        Ballot(
-                            agent_id=b["agent_id"],
-                            ranking=tuple(b["ranking"]),
-                            justification=b.get("justification"),
-                            weight=b["weight"],
-                        )
-                        for b in obj["ballots"]
-                    ),
-                    aggregate=AggregateResult(
-                        rule=agg["rule"],
-                        consensus=tuple(agg["consensus"]),
-                        influence=dict(agg["influence"]),
-                        tiebreak_trace=tuple(
-                            TieEvent(e["description"], e["resolution"])
-                            for e in agg.get("tiebreak_trace", [])
-                        ),
-                        scores=dict(agg.get("scores", {})),
-                    ),
-                    skipped_agents=dict(obj.get("skipped_agents", {})),
-                    justifications=dict(obj.get("justifications", {})),
-                    query=_obj_to_query(obj["query"]),
-                    per_agent_achieved=dict(obj.get("per_agent_achieved", {})),
-                    per_agent_regret=dict(obj.get("per_agent_regret", {})),
-                    stage_calls=dict(obj.get("stage_calls", {})),
-                    stage_seconds={},
-                )
-            )
+        outcomes = [
+            _outcome_from_obj(obj, f"outcomes[{i}]", catalog)
+            for i, obj in enumerate(doc["outcomes"])
+        ]
         return outcomes, doc.get("scenario", ""), doc.get("rule", "")
     except SchemaError:
         raise

@@ -167,8 +167,6 @@ class QueryOutcome:
     ``skipped_agents`` covers both policy skips and mid-pipeline drops, with
     reasons.  ``per_agent_achieved``/``per_agent_regret`` cover every
     configured agent, voting or not: monitoring is decoupled from voting.
-    ``stage_seconds`` is in-memory diagnostics only and is never serialized
-    (reports must be byte-reproducible).
     """
 
     query_id: str
@@ -181,7 +179,6 @@ class QueryOutcome:
     per_agent_achieved: Mapping[str, float | None]
     per_agent_regret: Mapping[str, float]
     stage_calls: Mapping[str, int]
-    stage_seconds: Mapping[str, float]
 
 
 def _generate_all(
@@ -236,22 +233,18 @@ def process_query(
     """
     if len(catalog) == 0:
         raise ValueError("catalog must be non-empty")
-    stage_seconds = {"generate": 0.0, "ground": 0.0, "aggregate": 0.0, "evaluate": 0.0}
     stage_calls = {"generate": 0, "ground": 0, "aggregate": 0, "evaluate": 0}
 
     active, skipped = select_agents(query, specs, ledger, policy)
     k = candidate_count_policy(query.top_n)
 
-    t0 = time.perf_counter()
     raw_results = _generate_all(
         active, query, catalog, ledger.exposure, k, adapter_url, parallel
     )
-    stage_seconds["generate"] = time.perf_counter() - t0
     stage_calls["generate"] = len(active)
 
     ballots: list[Ballot] = []
     justifications: dict[str, str] = {}
-    t0 = time.perf_counter()
     for agent_id in sorted(raw_results):
         raw = raw_results[agent_id]
         state = ledger.agent_states[agent_id]
@@ -278,22 +271,18 @@ def process_query(
         ballots.append(replace(grounded, weight=new_state.reliability_weight))
         if grounded.justification is not None:
             justifications[agent_id] = grounded.justification
-    stage_seconds["ground"] = time.perf_counter() - t0
 
     if not ballots:
         raise NoActiveAgents("every active agent was dropped during this query")
 
-    t0 = time.perf_counter()
     profile = PreferenceProfile.from_ballots(ballots)
     result = aggregate(profile, rule_config)
-    stage_seconds["aggregate"] = time.perf_counter() - t0
     stage_calls["aggregate"] = 1
 
     final_list = result.consensus[: query.top_n]
 
     # monitoring covers every configured agent, voting or not, against the
     # exposure state as it stands after this query's recommendations
-    t0 = time.perf_counter()
     exposure_after = ledger.exposure.as_mapping()
     delta = exposure_delta(final_list, catalog)
     for provider, credit in delta.items():
@@ -313,7 +302,6 @@ def process_query(
         regret_map[spec.agent_id] = regret
         ledger.push_regret(spec.agent_id, regret)
         stage_calls["evaluate"] += 1
-    stage_seconds["evaluate"] = time.perf_counter() - t0
 
     for provider, credit in delta.items():
         ledger.exposure.add(provider, credit)
@@ -330,7 +318,6 @@ def process_query(
         per_agent_achieved=achieved_map,
         per_agent_regret=regret_map,
         stage_calls=stage_calls,
-        stage_seconds=stage_seconds,
     )
     return outcome, ledger
 

@@ -205,6 +205,22 @@ class TestEvaluate:
         assert proc.returncode == 2
         assert "hash mismatch" in proc.stderr
 
+    def test_unknown_history_item_exits_2(self, tmp_path):
+        saved = tmp_path / "outcomes.json"
+        agorank(
+            "run", "--scenario", "builtin:tourism", "--out", str(tmp_path / "orig"),
+            "--save-outcomes", str(saved),
+        )
+        doc = json.loads(saved.read_text(encoding="utf-8"))
+        doc["outcomes"][0]["query"]["user_history"] = ["nope"]
+        saved.write_text(json.dumps(doc), encoding="utf-8")
+        proc = agorank(
+            "evaluate", "--scenario", "builtin:tourism",
+            "--out", str(tmp_path / "replay"), "--outcomes", str(saved),
+        )
+        assert proc.returncode == 2
+        assert "error: outcomes[0].query.user_history[0]: unknown item 'nope'" in proc.stderr
+
     def test_missing_outcomes_file(self, tmp_path):
         proc = agorank(
             "evaluate", "--scenario", "builtin:tourism",

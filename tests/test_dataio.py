@@ -1,6 +1,9 @@
 import json
+import string
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from agorank.aggregation import Rule
 from agorank.dataio import (
@@ -29,8 +32,8 @@ from agorank.errors import (
     UnknownRule,
 )
 from agorank.metrics import build_report
-from agorank.model import Catalog, Constraint, Item
-from agorank.orchestrator import ActivationMode, run_stream
+from agorank.model import AggregateResult, Catalog, Constraint, Item, Query
+from agorank.orchestrator import ActivationMode, QueryOutcome, run_stream
 
 CSV_HEADER = "id,provider_id,categories,popularity,sustainability,description\n"
 
@@ -153,6 +156,28 @@ class TestLoadCatalogJson:
         with pytest.raises(MissingRequiredField):
             load_catalog(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("categories", "beach;food"),
+            ("categories", ["beach", 3]),
+            ("attributes", ["price"]),
+            ("attributes", {"price": "cheap"}),
+            ("id", 7),
+            ("provider_id", ["p1"]),
+            ("description", None),
+        ],
+    )
+    def test_mistyped_field_names_item(self, tmp_path, field, value):
+        good = {"id": "i0", "provider_id": "p1"}
+        path = tmp_path / "catalog.json"
+        path.write_text(
+            json.dumps([good, {"id": "i1", "provider_id": "p1", field: value}]),
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRecord, match=rf"^item 1: {field}"):
+            load_catalog(path)
+
 
 class TestExportCatalog:
     CATALOG = Catalog(
@@ -222,6 +247,12 @@ class TestLoadInteractions:
         path = self.write(tmp_path, ",i1,5.0,2024-01-01T10:00:00\n")
         with pytest.raises(MalformedRecord):
             load_interactions(path, self.CATALOG)
+
+    def test_short_row_reports_line(self, tmp_path):
+        path = self.write(tmp_path, "u1,i1,5.0,2024-01-01T10:00:00\nu1,i2\n")
+        with pytest.raises(MalformedRecord) as err:
+            load_interactions(path, self.CATALOG)
+        assert err.value.line == 3
 
 
 class TestGenerateCatalog:
@@ -607,3 +638,94 @@ class TestCatalogHash:
         a = Catalog([Item(id="a", provider_id="p1", popularity=0.5)])
         b = Catalog([Item(id="a", provider_id="p1", popularity=0.6)])
         assert catalog_hash(a) != catalog_hash(b)
+
+
+# round trips through the one codec per record
+
+_TEXT = st.text(string.ascii_letters + string.digits + " ,;\"'\n-é", max_size=12)
+_NAME = st.text(string.ascii_lowercase + "-_", min_size=1, max_size=8)
+_UNIT = st.floats(0.0, 1.0)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _items(draw, with_attributes):
+    return Item(
+        id=draw(st.text(string.ascii_letters + string.digits + "-_ ,é", min_size=1, max_size=8)),
+        provider_id=draw(_NAME),
+        categories=frozenset(draw(st.lists(_NAME, max_size=4))),
+        popularity=draw(_UNIT),
+        sustainability=draw(_UNIT),
+        attributes=draw(st.dictionaries(_NAME, _FINITE, max_size=3)) if with_attributes else {},
+        description=draw(_TEXT),
+    )
+
+
+def _catalogs(with_attributes):
+    items = st.lists(_items(with_attributes), max_size=6, unique_by=lambda i: i.id)
+    return items.map(Catalog)
+
+
+_ROUNDTRIP = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@_ROUNDTRIP
+@given(catalog=_catalogs(with_attributes=True))
+def test_catalog_json_roundtrip(tmp_path, catalog):
+    path = tmp_path / "catalog.json"
+    export_catalog(catalog, path)
+    loaded = load_catalog(path)
+    assert loaded.items_sorted() == catalog.items_sorted()
+    assert catalog_hash(loaded) == catalog_hash(catalog)
+
+
+@_ROUNDTRIP
+@given(catalog=_catalogs(with_attributes=False))
+def test_catalog_csv_roundtrip(tmp_path, catalog):
+    path = tmp_path / "catalog.csv"
+    export_catalog(catalog, path)
+    loaded = load_catalog(path)
+    assert loaded.items_sorted() == catalog.items_sorted()
+    assert catalog_hash(loaded) == catalog_hash(catalog)
+
+
+_HISTORY_CATALOG = Catalog([Item(id=f"h{i}", provider_id="p") for i in range(4)])
+
+
+@st.composite
+def _queries(draw):
+    return Query(
+        id=draw(_TEXT.filter(bool)),
+        text=draw(_TEXT),
+        preference_weights=draw(st.dictionaries(_NAME, st.floats(0.0, 10.0), max_size=4)),
+        constraints=tuple(
+            Constraint(draw(_NAME), draw(st.sampled_from(["<=", ">="])), draw(_FINITE))
+            for _ in range(draw(st.integers(0, 3)))
+        ),
+        user_history=tuple(draw(st.lists(st.sampled_from(_HISTORY_CATALOG.ids), max_size=3))),
+        top_n=draw(st.integers(1, 50)),
+    )
+
+
+@_ROUNDTRIP
+@given(query=_queries())
+def test_query_outcome_roundtrip(tmp_path, query):
+    outcome = QueryOutcome(
+        query_id=query.id,
+        final_list=(),
+        per_agent_ballots=(),
+        aggregate=AggregateResult("borda", (), {}, (), {}),
+        skipped_agents={},
+        justifications={},
+        query=query,
+        per_agent_achieved={},
+        per_agent_regret={},
+        stage_calls={},
+    )
+    path = tmp_path / "outcomes.json"
+    save_outcomes([outcome], _HISTORY_CATALOG, path, "s", "borda")
+    loaded, _, _ = load_outcomes(path, _HISTORY_CATALOG)
+    assert loaded[0].query == query
+    assert loaded == [outcome]
