@@ -137,9 +137,12 @@ def _load_catalog_csv(path: Path) -> Catalog:
             )
         for line, row in enumerate(reader, start=2):
             # blank cells are left out so the record defaults apply
-            rec = {f: row[f] for f in CATALOG_CSV_FIELDS if row.get(f)}
+            rec: dict[str, object] = {f: row[f] for f in CATALOG_CSV_FIELDS if row.get(f)}
+            for key in ("popularity", "sustainability"):
+                if key in rec:
+                    rec[key] = _csv_number(row[key], key, line)
             rec["categories"] = [
-                c.strip() for c in rec.get("categories", "").split(";") if c.strip()
+                c.strip() for c in (row.get("categories") or "").split(";") if c.strip()
             ]
             items.append(_item_from_obj(rec, f"line {line}", line))
     return Catalog(items)
@@ -156,12 +159,11 @@ def _load_catalog_json(path: Path) -> Catalog:
     return Catalog([_item_from_obj(rec, f"item {i}") for i, rec in enumerate(payload)])
 
 
-def _unit_float(rec: Mapping[str, object], key: str) -> float:
-    raw = rec.get(key, 0.5)
+def _csv_number(cell: str, key: str, line: int) -> float:
     try:
-        return float(raw)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} {raw!r} is not a number") from None
+        return float(cell)
+    except ValueError:
+        raise MalformedRecord(f"{key} {cell!r} is not a number", line) from None
 
 
 def _item_from_obj(rec: object, where: str, line: int | None = None) -> Item:
@@ -180,8 +182,8 @@ def _item_from_obj(rec: object, where: str, line: int | None = None) -> Item:
             id=_expect_str(rec["id"], "id"),
             provider_id=_expect_str(rec["provider_id"], "provider_id"),
             categories=frozenset(_expect_str_list(rec.get("categories", []), "categories")),
-            popularity=_unit_float(rec, "popularity"),
-            sustainability=_unit_float(rec, "sustainability"),
+            popularity=_expect_number(rec.get("popularity", 0.5), "popularity"),
+            sustainability=_expect_number(rec.get("sustainability", 0.5), "sustainability"),
             attributes=_parse_number_map(rec.get("attributes") or {}, "attributes"),
             description=_expect_str(rec.get("description", ""), "description"),
         )

@@ -3,12 +3,16 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agorank.adapter import (
     ENV_URL,
     build_request,
     fnv1a64,
+    fnv1a64_many,
     mock_serve,
     parse_response,
     request_external,
@@ -46,6 +50,34 @@ class TestFnv1a64:
 
     def test_stays_64_bit(self):
         assert fnv1a64(b"some much longer input string" * 10) < 1 << 64
+
+
+# ids that stress the padded byte matrix: non-ASCII, empty, NUL-terminated
+_IDS = st.one_of(
+    st.text(max_size=12),
+    st.text(max_size=6).map(lambda s: s + "\x00"),
+    st.sampled_from(["", "a", "a\x00", "é", "item-00042"]),
+)
+
+
+@st.composite
+def _candidate_ids(draw):
+    """Candidate ids with duplicates, in no particular order."""
+    ids = draw(st.lists(_IDS, max_size=16))
+    if ids:
+        ids += draw(st.lists(st.sampled_from(ids), max_size=4))
+    return draw(st.permutations(ids))
+
+
+class TestFnv1a64Many:
+    @settings(max_examples=200, deadline=None)
+    @given(prefix=st.text(max_size=6), ids=_candidate_ids(), suffix=st.text(max_size=6))
+    def test_matches_scalar_hash(self, prefix, ids, suffix):
+        middles = [i.encode("utf-8") for i in ids]
+        hashes = fnv1a64_many(prefix.encode("utf-8"), middles, suffix.encode("utf-8"))
+        assert hashes.dtype == np.uint64
+        expected = [fnv1a64((prefix + i + suffix).encode("utf-8")) for i in ids]
+        assert hashes.tolist() == expected
 
 
 class TestResolveEndpoint:
@@ -141,6 +173,53 @@ class TestMock:
         first = request_external(external_spec(endpoint="mock://"), QUERY, ITEMS, 3)
         second = request_external(external_spec(endpoint="mock://"), QUERY, ITEMS, 3)
         assert first.ranking == second.ranking
+
+
+def _reference_mock_serve(request_body: bytes) -> bytes:
+    """The scalar mock as first written: one fnv1a64 call and a full sort."""
+    req = json.loads(request_body.decode("utf-8"))
+    query_id = req["query_id"]
+    persona = req["persona"]
+    k = req["k"]
+    keyed = sorted(
+        (
+            (fnv1a64((query_id + c["id"] + persona).encode("utf-8")), c["id"])
+            for c in req["candidates"]
+        ),
+    )
+    items = [item_id for _, item_id in keyed[:k]]
+    body = {
+        "items": items,
+        "justification": f"mock hash ranking over {len(req['candidates'])} candidates",
+    }
+    return json.dumps(body, sort_keys=True).encode("utf-8")
+
+
+def _mock_request(query_id, persona, ids, k):
+    candidates = [{"id": i, "description": f"about {i}"} for i in ids]
+    body = {"query_id": query_id, "query_text": "t", "persona": persona,
+            "candidates": candidates, "k": k}
+    return json.dumps(body, sort_keys=True).encode("utf-8")
+
+
+class TestMockMatchesScalarRanking:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        query_id=st.text(max_size=6),
+        persona=st.text(max_size=6),
+        ids=_candidate_ids(),
+        data=st.data(),
+    )
+    def test_same_bytes(self, query_id, persona, ids, data):
+        k = data.draw(st.integers(1, len(ids) + 3))
+        request = _mock_request(query_id, persona, ids, k)
+        assert mock_serve(request) == _reference_mock_serve(request)
+
+    def test_zero_candidates(self):
+        request = _mock_request("q7", "px", [], 3)
+        assert mock_serve(request) == (
+            b'{"items": [], "justification": "mock hash ranking over 0 candidates"}'
+        )
 
 
 class _Handler(BaseHTTPRequestHandler):

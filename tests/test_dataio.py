@@ -100,6 +100,12 @@ class TestLoadCatalogCsv:
             load_catalog(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("cell, value", [("0.25", 0.25), ("1", 1.0), ("1e-1", 0.1)])
+    def test_number_cells_parse(self, tmp_path, cell, value):
+        path = self.write(tmp_path, CSV_HEADER + f"i1,p1,,{cell},{cell},\n")
+        item = load_catalog(path)["i1"]
+        assert (item.popularity, item.sustainability) == (value, value)
+
     def test_out_of_range_popularity(self, tmp_path):
         path = self.write(tmp_path, CSV_HEADER + "i1,p1,,1.5,0.5,\n")
         with pytest.raises(MalformedRecord):
@@ -176,6 +182,26 @@ class TestLoadCatalogJson:
             encoding="utf-8",
         )
         with pytest.raises(MalformedRecord, match=rf"^item 1: {field}"):
+            load_catalog(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("popularity", True),
+            ("popularity", "0.25"),
+            ("popularity", None),
+            ("sustainability", False),
+            ("sustainability", "0.25"),
+        ],
+    )
+    def test_score_must_be_a_number(self, tmp_path, field, value):
+        path = tmp_path / "catalog.json"
+        path.write_text(
+            json.dumps([{"id": "i0", "provider_id": "p1"},
+                        {"id": "i1", "provider_id": "p1", field: value}]),
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRecord, match=rf"^item 1: {field}: expected a number$"):
             load_catalog(path)
 
 
