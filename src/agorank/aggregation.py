@@ -19,7 +19,9 @@ import random
 import threading
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import NoCandidates
 from .model import (
@@ -47,6 +49,9 @@ class RuleConfig:
     ``kemeny_search_iters`` total passes and seeded restarts.  The restart
     order is a fixed function of (``seed``, pool size): the k-th restart
     reorders the pool the same way in every call with that seed and size.
+    The search climbs every restart first and then prices all the local
+    optima together; it returns the least (distance, ids) over every optimum
+    it visited.
     """
 
     rule: Rule = Rule.BORDA
@@ -283,7 +288,9 @@ def kemeny_distance(ranking: Sequence[str], tally: PairwiseTally) -> float:
 
     Each ordered pair (a before b) in the ranking costs the weight of ballots
     preferring b over a; this equals the weighted Kendall distance summed
-    over ballots under truncation semantics.
+    over ballots under truncation semantics.  This is the scalar reference:
+    ``_kemeny_distances`` prices many rankings at once with the same
+    additions in this same order, so both give equal floats.
     """
     against = tally.against
     total = 0.0
@@ -294,29 +301,38 @@ def kemeny_distance(ranking: Sequence[str], tally: PairwiseTally) -> float:
     return total
 
 
-def _kemeny_exact(
-    pool: tuple[str, ...], tally: PairwiseTally
-) -> tuple[tuple[str, ...], float, int]:
-    best: tuple[str, ...] | None = None
-    best_dist = float("inf")
-    n_min = 0
-    for perm in itertools.permutations(sorted(pool)):
-        d = kemeny_distance(perm, tally)
-        if d < best_dist:
-            best = perm
-            best_dist = d
-            n_min = 1
-        elif d == best_dist:
-            n_min += 1
-    assert best is not None
-    return best, best_dist, n_min
+# terms priced per block: the index and term arrays of a block hold at most
+# this many elements each, whatever the pool size or the pass budget
+_PRICE_TERMS = 1 << 16
 
 
-def _climb(order: list[str], ahead: Mapping[str, set[str]], budget: int) -> int:
+def _kemeny_distances(rows: np.ndarray, against: np.ndarray) -> np.ndarray:
+    """``kemeny_distance`` of each row of positions, equal bit for bit.
+
+    The terms ``against[r[i], r[j]]`` are gathered in the scalar loop's
+    row-major (i, j > i) order and added one pair at a time to a running
+    total that starts at 0.0, so each row gets the same IEEE additions in
+    the same order.  A reduction (``np.sum``, ``@``) would reassociate them.
+    """
+    m = rows.shape[1]
+    first, second = np.triu_indices(m, 1)
+    # one flat index into against per (pair, row): a single take, not a 2-D gather
+    positions = np.ascontiguousarray(rows.T)
+    flat = (positions * m)[first]
+    flat += positions[second]
+    terms = against.take(flat)
+    dist = np.zeros(len(rows))
+    for term in terms:
+        dist += term
+    return dist
+
+
+def _climb(order: list[int], ahead: Sequence[set[int]], budget: int) -> int:
     """Adjacent-swap hill climb in place; returns passes consumed.
 
-    ``ahead[a]`` holds the items a strict weighted majority ranks above a;
-    a pair (a, b) swaps when b is one of them.
+    ``order`` holds item positions.  ``ahead[a]`` holds the positions of the
+    items a strict weighted majority ranks above item a; a pair (a, b) swaps
+    when b is one of them.
     """
     used = 0
     improved = True
@@ -364,38 +380,103 @@ def _restart_schedule(seed: int, n: int) -> _RestartSchedule:
     return _RestartSchedule(seed, n)
 
 
+def _local_optima(
+    order: list[int], ahead: Sequence[set[int]], schedule: _RestartSchedule, budget: int
+) -> Iterator[list[int]]:
+    """Climb, then restart from the schedule's next reordering, until the budget is spent.
+
+    Each optimum is yielded as its own list; no later step mutates it.
+    """
+    restarts = 0
+    while budget > 0:
+        budget -= _climb(order, ahead, budget)
+        yield order
+        if budget > 0:
+            order = [order[p] for p in schedule.order(restarts)]
+            restarts += 1
+
+
+def _least_ranking(
+    rows: Iterable[Sequence[int]], items: Sequence[str], tally: PairwiseTally
+) -> tuple[list[int], int]:
+    """The least (distance, positions) over the rows, and how many share that distance.
+
+    Positions index ``items``, which is sorted, so comparing positions
+    compares ids.  Rows are priced in blocks of at most ``_PRICE_TERMS``
+    terms as they arrive, and the best is carried from block to block; this
+    equals scanning them one by one with
+    ``d < best_dist or (d == best_dist and row < best)``.
+    """
+    m = len(items)
+    support = tally.support
+    against = np.array([[support[b][a] for b in items] for a in items], dtype=np.float64)
+    size = max(1, _PRICE_TERMS // max(1, m * (m - 1) // 2))
+    pending = iter(rows)
+    best: list[int] | None = None
+    best_dist = float("inf")
+    n_min = 0
+    while chunk := list(itertools.islice(pending, size)):
+        flat = itertools.chain.from_iterable(chunk)
+        block = np.fromiter(flat, dtype=np.intp, count=len(chunk) * m).reshape(len(chunk), m)
+        dist = _kemeny_distances(block, against)
+        low = dist.min()
+        if low > best_dist:
+            continue
+        tied = block[dist == low]
+        least = min(tied.tolist())
+        if low < best_dist:
+            best, best_dist, n_min = least, low, len(tied)
+        else:
+            best, n_min = min(best, least), n_min + len(tied)
+    assert best is not None
+    return best, n_min
+
+
+def _kemeny_exact(
+    pool: tuple[str, ...], tally: PairwiseTally
+) -> tuple[tuple[str, ...], float, int]:
+    """Price every permutation of the sorted pool.
+
+    Permutations come in lexicographic order, so the least optimum is also
+    the first one a scan meets.  ``n_min`` counts the permutations at the
+    minimum distance.
+    """
+    items = tuple(sorted(pool))
+    best, n_min = _least_ranking(itertools.permutations(range(len(items))), items, tally)
+    consensus = tuple(items[p] for p in best)
+    return consensus, kemeny_distance(consensus, tally), n_min
+
+
 def _kemeny_heuristic(
     profile: PreferenceProfile, config: RuleConfig, tally: PairwiseTally
 ) -> tuple[tuple[str, ...], float]:
-    current = list(rule_borda(profile, config).consensus)
-    schedule = _restart_schedule(config.seed, len(current))
+    """Climb every restart first, then price all the local optima together.
+
+    No climb or restart reads a distance, so the restarts run as a scan would
+    run them; the pick is the least (distance, ids) over every optimum visited.
+    """
+    items = tuple(sorted(tally.pool))
+    position = {item: p for p, item in enumerate(items)}
     support = tally.support
-    ahead = {a: {b for b in tally.pool if support[b][a] > support[a][b]} for a in tally.pool}
-    budget = config.kemeny_search_iters
-    restarts = 0
-    best: tuple[str, ...] | None = None
-    best_dist = float("inf")
-    while budget > 0:
-        budget -= _climb(current, ahead, budget)
-        d = kemeny_distance(current, tally)
-        key = tuple(current)
-        if d < best_dist or (d == best_dist and best is not None and key < best):
-            best = key
-            best_dist = d
-        if budget > 0:
-            current = [current[p] for p in schedule.order(restarts)]
-            restarts += 1
-    assert best is not None
-    return best, best_dist
+    ahead = [{position[b] for b in items if support[b][a] > support[a][b]} for a in items]
+    start = [position[item] for item in rule_borda(profile, config).consensus]
+    schedule = _restart_schedule(config.seed, len(items))
+    optima = _local_optima(start, ahead, schedule, config.kemeny_search_iters)
+    best, _ = _least_ranking(optima, items, tally)
+    consensus = tuple(items[p] for p in best)
+    return consensus, kemeny_distance(consensus, tally)
 
 
 def rule_kemeny(profile: PreferenceProfile, config: RuleConfig) -> AggregateResult:
     """Kendall-distance minimization, exact up to the configured pool size.
 
-    Exact search scans permutations in lexicographic order and keeps the
+    Exact search prices permutations in lexicographic order and keeps the
     first strict minimizer, so ties resolve to the lexicographically least
     optimum.  Larger pools use the seeded local search and are tagged
-    "kemeny-heuristic" in the result.
+    "kemeny-heuristic" in the result: it climbs every restart first, then
+    prices the local optima together and keeps the least (distance, ids)
+    over all of them.  Both searches price rankings in blocks with the
+    additions of ``kemeny_distance``, the scalar reference, in its order.
     """
     tally = pairwise_tally(profile, config.use_weights)
     pool = tally.pool

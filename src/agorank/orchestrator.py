@@ -341,7 +341,7 @@ def run_stream(
         )
         wall = time.perf_counter() - t0
         voted = sorted({b.agent_id for b in outcome.per_agent_ballots})
-        log.info(
+        log.debug(
             "query %s: agents=%s rule=%s wall=%.4fs",
             query.id,
             ",".join(voted),

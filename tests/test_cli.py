@@ -29,9 +29,10 @@ class TestRun:
         proc = agorank(
             "run", "--scenario", "builtin:tourism", "--out", str(tmp_path / "rep")
         )
-        # per-query progress goes to stderr, leaving stdout parseable
+        # logs go to stderr, leaving stdout parseable; per-query lines are DEBUG only
         assert "INFO" not in proc.stdout
-        assert "query q1" in proc.stderr
+        assert "INFO total wall time" in proc.stderr
+        assert "query q1" not in proc.stderr
         assert "wrote" in proc.stdout
 
     def test_rule_override(self, tmp_path):

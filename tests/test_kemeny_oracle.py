@@ -1,26 +1,33 @@
-"""The Kemeny local search against a frozen copy of its loop-and-shuffle form.
+"""The Kemeny searches against frozen copies of their one-at-a-time form.
 
-``_reference_heuristic`` re-seeds ``random.Random`` and shuffles in place on
-every call, and ``_reference_distance`` reads ``support`` directly: both are
-the plain form that ``aggregation._kemeny_heuristic`` and
-``aggregation.kemeny_distance`` must match bit for bit, whatever restart
-orders other calls have already drawn.
+``_reference_heuristic`` re-seeds ``random.Random``, shuffles in place and
+prices each local optimum as it reaches it; ``_reference_exact`` prices each
+permutation as it scans; ``_reference_distance`` reads ``support`` directly.
+They are the plain form that ``aggregation._kemeny_heuristic``,
+``aggregation._kemeny_exact``, ``aggregation.kemeny_distance`` and the batch
+pricer ``aggregation._kemeny_distances`` must match bit for bit, whatever
+restart orders other calls have already drawn and wherever the pricing
+blocks split the rankings.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 import threading
+import tracemalloc
 from typing import Mapping, Sequence
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agorank import aggregation
 from agorank.aggregation import PairwiseTally, RuleConfig, pairwise_tally, rule_borda
-from agorank.model import Ballot, PreferenceProfile
+from agorank.model import Ballot, PreferenceProfile, candidate_pool
 
 
 def _reference_distance(ranking: Sequence[str], tally: PairwiseTally) -> float:
@@ -67,6 +74,24 @@ def _reference_heuristic(
     return best, best_dist
 
 
+def _reference_exact(
+    pool: tuple[str, ...], tally: PairwiseTally
+) -> tuple[tuple[str, ...], float, int]:
+    best: tuple[str, ...] | None = None
+    best_dist = float("inf")
+    n_min = 0
+    for perm in itertools.permutations(sorted(pool)):
+        d = _reference_distance(perm, tally)
+        if d < best_dist:
+            best = perm
+            best_dist = d
+            n_min = 1
+        elif d == best_dist:
+            n_min += 1
+    assert best is not None
+    return best, best_dist, n_min
+
+
 # non-dyadic weights: p/q with odd q > 1 never has a finite binary expansion
 _WEIGHTS = st.one_of(
     st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
@@ -104,12 +129,14 @@ def truncated_profiles(draw, min_pool=9, max_pool=20):
 
 
 _SEEDS = st.integers(min_value=0, max_value=2**32)
-_ITERS = st.integers(min_value=1, max_value=1000)
+_ITERS = st.integers(min_value=1, max_value=3000)
+# terms per pricing block: 1 prices each ranking alone, the default spans most calls
+_BLOCK_TERMS = st.sampled_from([1, 500, 5000, aggregation._PRICE_TERMS])
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    profile=truncated_profiles(),
+    profile=truncated_profiles(min_pool=3, max_pool=30),
     seed=_SEEDS,
     iters=_ITERS,
     warm=st.lists(
@@ -117,22 +144,23 @@ _ITERS = st.integers(min_value=1, max_value=1000)
         min_size=1,
         max_size=3,
     ),
+    terms=_BLOCK_TERMS,
 )
-def test_heuristic_matches_reference_cold_and_warm(profile, seed, iters, warm):
-    config = RuleConfig(kemeny_search_iters=iters, seed=seed)
+def test_heuristic_matches_reference_cold_and_warm(profile, seed, iters, warm, terms):
+    config = RuleConfig(kemeny_exact_limit=2, kemeny_search_iters=iters, seed=seed)
     expected = _reference_heuristic(profile, config, pairwise_tally(profile))
+    with mock.patch.object(aggregation, "_PRICE_TERMS", terms):
+        aggregation._restart_schedule.cache_clear()
+        assert aggregation._kemeny_heuristic(profile, config, pairwise_tally(profile)) == expected
 
-    aggregation._restart_schedule.cache_clear()
-    assert aggregation._kemeny_heuristic(profile, config, pairwise_tally(profile)) == expected
-
-    # other (seed, pool size) pairs draw their own orders first
-    for other, other_seed, other_iters in warm:
-        other_config = RuleConfig(kemeny_search_iters=other_iters, seed=other_seed)
-        aggregation._kemeny_heuristic(other, other_config, pairwise_tally(other))
-    tally = pairwise_tally(profile)
-    assert aggregation._kemeny_heuristic(profile, config, tally) == expected
-    # and on the same tally again, with its transposed rows already built
-    assert aggregation._kemeny_heuristic(profile, config, tally) == expected
+        # other (seed, pool size) pairs draw their own orders first
+        for other, other_seed, other_iters in warm:
+            other_config = RuleConfig(kemeny_search_iters=other_iters, seed=other_seed)
+            aggregation._kemeny_heuristic(other, other_config, pairwise_tally(other))
+        tally = pairwise_tally(profile)
+        assert aggregation._kemeny_heuristic(profile, config, tally) == expected
+        # and on the same tally again, with its transposed rows already built
+        assert aggregation._kemeny_heuristic(profile, config, tally) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -141,6 +169,123 @@ def test_distance_matches_reference(profile, data):
     tally = pairwise_tally(profile)
     ranking = data.draw(st.permutations(profile.pool))
     assert aggregation.kemeny_distance(ranking, tally) == _reference_distance(ranking, tally)
+
+
+@settings(max_examples=100, deadline=None)
+@given(profile=truncated_profiles(min_pool=3, max_pool=30), data=st.data())
+def test_batch_distances_match_reference(profile, data):
+    tally = pairwise_tally(profile)
+    items = sorted(profile.pool)
+    distinct = data.draw(st.lists(st.permutations(range(len(items))), min_size=1, max_size=6))
+    # repeated rows, as restarts that climb to the same optimum give
+    rows = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40))
+    against = np.array([[tally.support[b][a] for b in items] for a in items])
+    got = aggregation._kemeny_distances(np.array(rows, dtype=np.intp), against)
+    assert [d.hex() for d in got.tolist()] == [
+        _reference_distance([items[p] for p in row], tally).hex() for row in rows
+    ]
+
+
+@pytest.mark.parametrize("terms", [1, aggregation._PRICE_TERMS])
+@pytest.mark.parametrize("weight", [1.0, 1 / 3])
+def test_equal_distance_optima_pick_the_least_ids(weight, terms):
+    # three chains d>c, b>a, f>e that no ballot orders against each other:
+    # every interleaving is a local optimum at the same distance, the Borda
+    # start (b, d, f, a, c, e) among them, and (b, a, d, c, f, e) is the least
+    ballots = [
+        Ballot(agent, chain, weight=weight)
+        for agent, chain in [("x", ("d", "c")), ("y", ("b", "a")), ("z", ("f", "e"))]
+    ]
+    profile = PreferenceProfile.from_ballots(ballots)
+    tally = pairwise_tally(profile)
+    config = RuleConfig(kemeny_exact_limit=2, kemeny_search_iters=200, seed=0)
+    # one optimum per block, or all of them in one
+    with mock.patch.object(aggregation, "_PRICE_TERMS", terms):
+        best, dist = aggregation._kemeny_heuristic(profile, config, tally)
+    assert (best, dist) == _reference_heuristic(profile, config, tally)
+    assert best == ("b", "a", "d", "c", "f", "e")
+
+
+def test_zero_weight_profile_picks_the_least_optimum_visited():
+    # influence_loo builds such a profile when only zero-weight ballots remain
+    ballots = (
+        Ballot("a", tuple(f"i{j:02d}" for j in range(12)), weight=0.0),
+        Ballot("b", ("i05", "i01", "i14"), weight=0.0),
+    )
+    profile = PreferenceProfile(ballots=ballots, pool=candidate_pool(ballots))
+    tally = pairwise_tally(profile)
+    for iters, seed in [(1, 0), (7, 3), (2000, 11)]:
+        # every distance is 0.0, so only the id order of the optima decides
+        config = RuleConfig(kemeny_exact_limit=2, kemeny_search_iters=iters, seed=seed)
+        best, dist = aggregation._kemeny_heuristic(profile, config, tally)
+        assert (best, dist) == _reference_heuristic(profile, config, tally)
+        assert dist == 0.0
+
+
+@st.composite
+def exact_profiles(draw):
+    """Profiles of 2-7 items: cyclic or not, truncated, tied, zero-weighted."""
+    items = [f"i{j}" for j in range(draw(st.integers(min_value=2, max_value=7)))]
+    if draw(st.booleans()):
+        # rotations of one order: every item beats the next, a majority cycle
+        base = draw(st.permutations(items))
+        rankings = [base[k:] + base[:k] for k in range(len(base))]
+    else:
+        rankings = [
+            draw(st.permutations(items))[: draw(st.integers(min_value=1, max_value=len(items)))]
+            for _ in range(draw(st.integers(min_value=1, max_value=5)))
+        ]
+    covered = {item for ranking in rankings for item in ranking}
+    rankings[0] = list(rankings[0]) + [item for item in items if item not in covered]
+    weights = st.one_of(_WEIGHTS, st.sampled_from([0.0, 0.5, 1.0]))
+    ballots = tuple(
+        Ballot(f"a{k}", tuple(r), weight=draw(weights)) for k, r in enumerate(rankings)
+    )
+    # bare constructor: all weights may be zero
+    return PreferenceProfile(ballots=ballots, pool=candidate_pool(ballots))
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile=exact_profiles(), terms=_BLOCK_TERMS)
+def test_exact_matches_reference(profile, terms):
+    tally = pairwise_tally(profile)
+    expected = _reference_exact(profile.pool, tally)
+    with mock.patch.object(aggregation, "_PRICE_TERMS", terms):
+        assert aggregation._kemeny_exact(profile.pool, tally) == expected
+
+
+@pytest.mark.parametrize("weights", [(0.3, 0.7, 1 / 3), (0.0, 0.0, 0.0), (0.5, 0.5, 0.5)])
+def test_exact_matches_reference_on_eight_items(weights):
+    items = [f"i{j}" for j in range(8)]
+    rankings = [items, items[3:] + items[:3], items[::-1][:5]]
+    ballots = tuple(
+        Ballot(f"a{k}", tuple(r), weight=w) for k, (r, w) in enumerate(zip(rankings, weights))
+    )
+    profile = PreferenceProfile(ballots=ballots, pool=candidate_pool(ballots))
+    tally = pairwise_tally(profile)
+    assert aggregation._kemeny_exact(profile.pool, tally) == _reference_exact(profile.pool, tally)
+
+
+def test_heuristic_memory_does_not_grow_with_the_pass_budget():
+    rng = random.Random(3)
+    items = [f"i{j:02d}" for j in range(40)]
+    ballots = []
+    for k in range(5):
+        order = items[:]
+        rng.shuffle(order)
+        ballots.append(Ballot(f"a{k}", tuple(order), weight=rng.random()))
+    profile = PreferenceProfile.from_ballots(ballots)
+    config = RuleConfig(kemeny_exact_limit=2, kemeny_search_iters=20000, seed=1)
+    tally = pairwise_tally(profile)
+    tracemalloc.start()
+    try:
+        aggregation._kemeny_heuristic(profile, config, tally)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about 700 optima of 780 pairs each: blocks of 2^16 terms peak near 1.2 MB,
+    # one block of every optimum near 9 MB
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("n", [3, 256, 257, 300])

@@ -1,7 +1,10 @@
+import logging
+
 import pytest
 
 from agorank.agents import AgentObjective, AgentSpec
 from agorank.aggregation import Rule, RuleConfig
+from agorank.dataio import load_interactions
 from agorank.errors import NoActiveAgents
 from agorank.metrics import MetricId, exposure_delta
 from agorank.model import Catalog, Constraint, Item, Query, StakeholderRole
@@ -309,3 +312,26 @@ class TestRunStream:
             RuleConfig(rule=rule),
         )
         assert all(len(o.final_list) == 3 for o in outcomes)
+
+    def test_per_query_log_is_debug_only(self, tmp_path, caplog):
+        path = tmp_path / "interactions.csv"
+        path.write_text(
+            "user_id,item_id,rating,timestamp\n"
+            "u1,trail-c,5.0,2024-01-01T10:00:00\n"
+            "u1,ghost,3.0,2024-01-02T10:00:00\n",
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.INFO, logger="agorank"):
+            load_interactions(path, CATALOG)
+            run_stream(self.queries(3), THREE_AGENTS, CATALOG, ActivationPolicy(), RuleConfig())
+        # the dropped-row warning still shows; the per-query lines do not
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.WARNING, "dropped 1 interaction rows referencing unknown items")
+        ]
+
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="agorank"):
+            run_stream(self.queries(3), THREE_AGENTS, CATALOG, ActivationPolicy(), RuleConfig())
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            "query q0", "query q1", "query q2"
+        ]
