@@ -3,7 +3,8 @@
 Wire contract (JSON bodies, UTF-8):
   request   POST <endpoint>/generate
             {"query_id", "query_text", "persona", "candidates": [{"id",
-            "description"}], "k"}
+            "description"}], "k"}, sent as exactly the bytes of
+            ``json.dumps(body, sort_keys=True)`` in UTF-8
   response  200 {"items": [str, ...], "justification": str}, items best
             first, at most k of them
 
@@ -83,16 +84,53 @@ def resolve_endpoint(spec: "AgentSpec", url_override: str | None = None) -> str:
     return endpoint
 
 
+# the last candidates sent and their encoding: a council sends the same catalog
+# with every query, so it is encoded once, not once per request.  Only the
+# encoded fields are kept, so no Item outlives its catalog here.
+_last_candidates: tuple[list[str], list[str], str] = ([], [], "[]")
+
+
+def _candidates_json(items: Sequence[Item]) -> str:
+    """``json.dumps`` of the request's candidate array, reused while the
+    candidates' ids and descriptions stay the same."""
+    global _last_candidates
+    ids = [it.id for it in items]
+    descriptions = [it.description for it in items]
+    sent_ids, sent_descriptions, encoded = _last_candidates
+    if ids != sent_ids or descriptions != sent_descriptions:
+        encoded = json.dumps(
+            [{"id": i, "description": d} for i, d in zip(ids, descriptions)],
+            sort_keys=True,
+        )
+        _last_candidates = (ids, descriptions, encoded)
+    return encoded
+
+
+_CANDIDATES_KEY = '{"candidates": '
+
+
 def build_request(spec: "AgentSpec", query: Query, items: Sequence[Item], k: int) -> bytes:
-    persona = spec.params.get("persona", "")
-    body = {
-        "query_id": query.id,
-        "query_text": query.text,
-        "persona": persona,
-        "candidates": [{"id": it.id, "description": it.description} for it in items],
-        "k": k,
-    }
-    return json.dumps(body, sort_keys=True).encode("utf-8")
+    """The request body: exactly ``json.dumps(body, sort_keys=True)`` in UTF-8.
+
+    The candidate array is encoded once and reused for as long as the same
+    ids and descriptions are sent.  ``"candidates"`` sorts before every
+    other key, so the array is spliced in where the header, dumped with an
+    empty array, opens it.  ``tests/golden/adapter_request.json`` pins the
+    bytes.
+    """
+    header = json.dumps(
+        {
+            "query_id": query.id,
+            "query_text": query.text,
+            "persona": spec.params.get("persona", ""),
+            "candidates": [],
+            "k": k,
+        },
+        sort_keys=True,
+    )
+    assert header.startswith(_CANDIDATES_KEY + "[]"), "a body key sorts before candidates"
+    rest = header[len(_CANDIDATES_KEY) + len("[]") :]
+    return (_CANDIDATES_KEY + _candidates_json(items) + rest).encode("utf-8")
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -18,6 +18,7 @@ import hashlib
 import importlib.resources
 import json
 import logging
+import weakref
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -827,11 +828,22 @@ def write_report(
 # saved outcomes
 
 
+# a catalog never changes after construction, so its hash is kept for as long
+# as the catalog itself lives
+_CATALOG_HASHES: weakref.WeakKeyDictionary[Catalog, str] = weakref.WeakKeyDictionary()
+
+
 def catalog_hash(catalog: Catalog) -> str:
-    """Content hash of a catalog, for pinning outcomes to their data."""
-    records = [_item_to_obj(item) for item in catalog.items_sorted()]
-    blob = json.dumps(records, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    """Content hash of a catalog, for pinning outcomes to their data.
+
+    Computed on the first call for each catalog and then kept.
+    """
+    digest = _CATALOG_HASHES.get(catalog)
+    if digest is None:
+        records = [_item_to_obj(item) for item in catalog.items_sorted()]
+        blob = json.dumps(records, sort_keys=True).encode("utf-8")
+        digest = _CATALOG_HASHES[catalog] = hashlib.sha256(blob).hexdigest()
+    return digest
 
 
 def _outcome_to_obj(outcome: QueryOutcome) -> dict:

@@ -32,7 +32,7 @@ from .errors import (
     EmptyAfterGrounding,
     NoActiveAgents,
 )
-from .metrics import evaluate_metric, exposure_delta, fairness_regret
+from .metrics import MetricId, evaluate_metric, exposure_delta, fairness_regret
 from .model import (
     AggregateResult,
     Ballot,
@@ -282,21 +282,27 @@ def process_query(
     final_list = result.consensus[: query.top_n]
 
     # monitoring covers every configured agent, voting or not, against the
-    # exposure state as it stands after this query's recommendations
+    # exposure state as it stands after this query's recommendations; a
+    # metric's value depends on nothing agent-specific, so agents sharing an
+    # objective metric share one evaluation
     exposure_after = ledger.exposure.as_mapping()
     delta = exposure_delta(final_list, catalog)
     for provider, credit in delta.items():
         exposure_after[provider] = exposure_after.get(provider, 0.0) + credit
+    achieved_by_metric: dict[MetricId, float | None] = {}
     achieved_map: dict[str, float | None] = {}
     regret_map: dict[str, float] = {}
     for spec in sorted(specs, key=lambda s: s.agent_id):
-        achieved = evaluate_metric(
-            spec.objective_metric, query, final_list, catalog, exposure_after
-        )
+        metric = spec.objective_metric
+        if metric not in achieved_by_metric:
+            achieved_by_metric[metric] = evaluate_metric(
+                metric, query, final_list, catalog, exposure_after
+            )
+        achieved = achieved_by_metric[metric]
         regret = (
             0.0
             if achieved is None
-            else fairness_regret(spec.objective_metric, spec.objective_target, achieved)
+            else fairness_regret(metric, spec.objective_target, achieved)
         )
         achieved_map[spec.agent_id] = achieved
         regret_map[spec.agent_id] = regret

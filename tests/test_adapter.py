@@ -2,12 +2,14 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agorank import adapter
 from agorank.adapter import (
     ENV_URL,
     build_request,
@@ -118,6 +120,85 @@ class TestRequestBody:
     def test_persona_defaults_empty(self):
         body = json.loads(build_request(external_spec(), QUERY, ITEMS, 1))
         assert body["persona"] == ""
+
+
+def _reference_build_request(spec, query, items, k) -> bytes:
+    """The encoder as first written: one ``json.dumps`` of the whole body."""
+    body = {
+        "query_id": query.id,
+        "query_text": query.text,
+        "persona": spec.params.get("persona", ""),
+        "candidates": [{"id": it.id, "description": it.description} for it in items],
+        "k": k,
+    }
+    return json.dumps(body, sort_keys=True).encode("utf-8")
+
+
+# text that JSON escapes or that looks like the body's own structure
+_WIRE_PIECES = [
+    '"', "\\", "\x00", "\x1f", "\n", "\u2028", "\U0001f600", "é", "[]",
+    '"candidates"', "}", '{"candidates": [', ", ", ": ",
+]
+_WIRE_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.lists(st.one_of(st.sampled_from(_WIRE_PIECES), st.text(max_size=2)), max_size=4).map(
+        "".join
+    ),
+)
+_WIRE_ITEMS = st.lists(
+    st.builds(lambda i, d: Item(id=i, provider_id="p", description=d),
+              _WIRE_TEXT.filter(bool), _WIRE_TEXT),
+    max_size=6,
+)
+_WIRE_REQUESTS = st.tuples(
+    st.builds(Query, id=_WIRE_TEXT.filter(bool), text=_WIRE_TEXT),
+    _WIRE_ITEMS,
+    st.integers(1, 100),
+    st.one_of(st.none(), _WIRE_TEXT),
+)
+
+
+class TestRequestBytes:
+    """``build_request`` against the one-``json.dumps`` encoder, call after call."""
+
+    @staticmethod
+    def check(query, items, k, persona):
+        spec = external_spec() if persona is None else external_spec(persona=persona)
+        got = build_request(spec, query, items, k)
+        assert got == _reference_build_request(spec, query, items, k)
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(requests=st.lists(_WIRE_REQUESTS, min_size=1, max_size=4), repeat=st.booleans())
+    def test_equals_reference_encoder(self, requests, repeat):
+        for query, items, k, persona in requests + requests[-1:] * repeat:
+            self.check(query, items, k, persona)
+
+    def test_empty_item_list(self):
+        assert self.check(QUERY, [], 1, None).startswith(b'{"candidates": [], "k": 1,')
+
+    def test_one_id_with_two_descriptions(self):
+        old = [Item(id="a", provider_id="p", description="old")]
+        new = [Item(id="a", provider_id="p", description="new")]
+        for items in (old, new, old):
+            assert items[0].description.encode() in self.check(QUERY, items, 3, None)
+
+    def test_item_list_changed_in_place(self):
+        items = list(ITEMS)
+        self.check(QUERY, items, 2, "px")
+        items[1] = Item(id="b", provider_id="p", description="changed")
+        assert b"changed" in self.check(QUERY, items, 2, "px")
+
+    def test_candidates_encoded_once_while_items_repeat(self):
+        items = [Item(id=f"i{n}", provider_id="p", description=f"d{n}") for n in range(5)]
+        queries = [Query(id=qid, text="t") for qid in ("q1", "q2", "q3")]
+        build_request(external_spec(), QUERY, ITEMS, 2)  # a different list before
+        with mock.patch.object(adapter.json, "dumps", wraps=json.dumps) as dumps:
+            bodies = [build_request(external_spec(), q, list(items), 4) for q in queries]
+        # one header per request, and the candidate array once
+        assert dumps.call_count == len(queries) + 1
+        for query, body in zip(queries, bodies):
+            assert body == _reference_build_request(external_spec(), query, items, 4)
 
 
 class TestParseResponse:

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import string
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from agorank import dataio
 from agorank.aggregation import Rule
 from agorank.dataio import (
     CATALOG_SEED_GAMMA,
@@ -664,6 +667,23 @@ class TestCatalogHash:
         a = Catalog([Item(id="a", provider_id="p1", popularity=0.5)])
         b = Catalog([Item(id="a", provider_id="p1", popularity=0.6)])
         assert catalog_hash(a) != catalog_hash(b)
+
+    def test_description_sensitive(self):
+        a = Catalog([Item(id="a", provider_id="p1", description="cove")])
+        b = Catalog([Item(id="a", provider_id="p1", description="cave")])
+        assert catalog_hash(a) != catalog_hash(b)
+
+    def test_kept_per_catalog(self):
+        catalog = generate_catalog(item_count=30, provider_count=4, seed=3)
+        records = [dataio._item_to_obj(item) for item in catalog.items_sorted()]
+        fresh = hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8")).hexdigest()
+        with mock.patch.object(dataio, "_item_to_obj", wraps=dataio._item_to_obj) as encode:
+            assert catalog_hash(catalog) == fresh
+            assert catalog_hash(catalog) == fresh
+            assert encode.call_count == len(catalog)
+            twin = generate_catalog(item_count=30, provider_count=4, seed=3)
+            assert catalog_hash(twin) == fresh
+            assert encode.call_count == 2 * len(catalog)
 
 
 # round trips through the one codec per record

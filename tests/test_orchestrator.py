@@ -1,4 +1,5 @@
 import logging
+from unittest import mock
 
 import pytest
 
@@ -6,7 +7,8 @@ from agorank.agents import AgentObjective, AgentSpec
 from agorank.aggregation import Rule, RuleConfig
 from agorank.dataio import load_interactions
 from agorank.errors import NoActiveAgents
-from agorank.metrics import MetricId, exposure_delta
+from agorank import orchestrator
+from agorank.metrics import MetricId, evaluate_metric, exposure_delta, fairness_regret
 from agorank.model import Catalog, Constraint, Item, Query, StakeholderRole
 from agorank.orchestrator import (
     ActivationMode,
@@ -223,6 +225,58 @@ class TestProcessQuery:
         with pytest.raises(ValueError):
             process_query(query(), [THREE_AGENTS[0]], Catalog([]), ledger,
                           ActivationPolicy(), RuleConfig())
+
+
+class TestSharedObjectiveMonitoring:
+    """Agents with one objective metric share its evaluation within a query."""
+
+    AGENTS = [
+        spec("traveler", AgentObjective.RELEVANCE),
+        spec("curator", AgentObjective.POPULARITY_MITIGATION, target=0.4,
+             role=StakeholderRole.THIRD_PARTY),
+        spec("providers", AgentObjective.PROVIDER_EXPOSURE,
+             metric=MetricId.GINI_EXPOSURE, target=0.3,
+             role=StakeholderRole.PROVIDER),
+        spec("ecology", AgentObjective.POPULARITY_MITIGATION,
+             metric=MetricId.POP_LIFT, target=0.1,
+             role=StakeholderRole.THIRD_PARTY),
+    ]
+    QUERIES = [
+        query("q1"),
+        query("q2", preference_weights={"beach": 1.0}),
+        query("q3", preference_weights={"market": 1.0, "food": 0.2}, top_n=2),
+    ]
+
+    def test_each_metric_once_and_every_agent_as_if_alone(self):
+        ledger = FairnessLedger([s.agent_id for s in self.AGENTS], window=10)
+        ndcg_values = set()
+        for q in self.QUERIES:
+            exposure_after = ledger.exposure.as_mapping()
+            with mock.patch.object(
+                orchestrator, "evaluate_metric", wraps=evaluate_metric
+            ) as evaluate:
+                outcome, _ = process_query(
+                    q, self.AGENTS, CATALOG, ledger, ActivationPolicy(), RuleConfig()
+                )
+            assert evaluate.call_count == 3  # NDCG, Gini exposure, PopLift
+            for provider, credit in exposure_delta(outcome.final_list, CATALOG).items():
+                exposure_after[provider] = exposure_after.get(provider, 0.0) + credit
+            achieved, regret = {}, {}
+            for s in self.AGENTS:
+                value = evaluate_metric(
+                    s.objective_metric, q, outcome.final_list, CATALOG, exposure_after
+                )
+                achieved[s.agent_id] = value
+                regret[s.agent_id] = (
+                    0.0 if value is None
+                    else fairness_regret(s.objective_metric, s.objective_target, value)
+                )
+            assert outcome.per_agent_achieved == achieved
+            assert outcome.per_agent_regret == regret
+            assert outcome.stage_calls["evaluate"] == len(self.AGENTS)
+            ndcg_values.add(achieved["traveler"])
+        # the queries must score differently for a value reused across them to show
+        assert len(ndcg_values) == len(self.QUERIES)
 
 
 class TestAdapterFailureHandling:
