@@ -3,7 +3,9 @@
 Accuracy (nDCG, recall), distributional fairness (Gini, normalized entropy),
 popularity bias (KL/JS divergence, PopLift), per-agent fairness regret, and
 the cross-agent L1/2 balance score, plus the report builder that runs the
-whole battery over a stream of query outcomes.
+whole battery over a stream of query outcomes.  The report scores nDCG and
+recall from one relevance array per outcome; ``evaluate_metric`` is the
+scalar reference for both and the path the orchestrator's monitor takes.
 
 Divergences compare category-level distributions: the historical side is the
 category frequency profile of the user's history, the recommended side is the
@@ -14,6 +16,7 @@ popularity field on both sides.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -309,8 +312,11 @@ def evaluate_metric(
 ) -> float | None:
     """Evaluate one directional metric on a final list in its query context.
 
-    Returns None when the metric's inputs do not exist (no history for the
-    divergence/popularity metrics, no exposure mass yet, degenerate support).
+    This is the scalar reference for every metric and the path the
+    orchestrator's monitor takes; ``build_report`` gets the same nDCG and
+    recall floats from ``_accuracy_at_k``.  Returns None when the metric's
+    inputs do not exist (no history for the divergence/popularity metrics, no
+    exposure mass yet, degenerate support).
     The composite metrics (fairness regret, L1/2) are not computable from a
     single list and raise UnknownMetricDirection via the direction registry.
     """
@@ -374,6 +380,38 @@ class EvaluationReport:
     runtime: Mapping[str, int] = field(default_factory=dict)
 
 
+def _accuracy_at_k(
+    query: Query, final_list: Sequence[str], catalog: Catalog
+) -> tuple[float, float]:
+    """nDCG and recall at ``query.top_n`` from one relevance array.
+
+    Gives the floats that ``evaluate_metric`` gives for NDCG and RECALL
+    without building a per-item dict: list items are found by bisection in
+    the sorted catalog ids (an unknown id gains 0.0), DCG is added left to
+    right, and the ideal top n is taken with ``np.partition`` and summed
+    with the same ``sum()`` expression as ``ndcg_at_k``.
+    """
+    feasible, score = relevance_scores(query, catalog)
+    relevance = np.where(feasible, score, 0.0)
+    ids = catalog.ids
+    k = query.top_n
+    gains: list[float] = []
+    for item in final_list[:k]:
+        j = bisect_left(ids, item)
+        gains.append(float(relevance[j]) if j < len(ids) and ids[j] == item else 0.0)
+    dcg = 0.0
+    for i, gain in enumerate(gains, start=1):
+        dcg += gain / math.log2(i + 1)
+    n = relevance.size
+    top = relevance if k >= n else np.partition(relevance, n - k)[n - k :]
+    ideal = sorted(top.tolist(), reverse=True)
+    idcg = sum(rel / math.log2(i + 1) for i, rel in enumerate(ideal, start=1))
+    ndcg = 0.0 if idcg == 0.0 else dcg / idcg
+    relevant = int(np.count_nonzero(relevance > 0))
+    recall = 0.0 if not relevant else sum(1 for g in gains if g > 0) / relevant
+    return ndcg, recall
+
+
 def exposure_delta(final_list: Sequence[str], catalog: Catalog) -> dict[str, float]:
     """Rank-discounted exposure credit per provider for one final list."""
     delta: dict[str, float] = {}
@@ -390,6 +428,8 @@ def build_report(
 ) -> EvaluationReport:
     """Run the full battery over a query stream's outcomes.
 
+    nDCG and recall come from one relevance array per outcome
+    (``_accuracy_at_k``), equal to what ``evaluate_metric`` gives for them.
     Exposure-based metrics are evaluated against the cumulative exposure
     ledger as of each query (replayed here from the final lists, so saved
     outcomes suffice).  Per-agent regrets are taken from the outcomes: they
@@ -399,8 +439,6 @@ def build_report(
         raise ValueError("outcomes must be non-empty")
     agent_ids = sorted({s.agent_id for s in specs})
     battery = (
-        MetricId.NDCG,
-        MetricId.RECALL,
         MetricId.GINI_EXPOSURE,
         MetricId.NORM_ENTROPY,
         MetricId.KL_DIV,
@@ -413,7 +451,8 @@ def build_report(
     for outcome in outcomes:
         for provider, credit in exposure_delta(outcome.final_list, catalog).items():
             exposure[provider] = exposure.get(provider, 0.0) + credit
-        values: dict[str, float] = {}
+        ndcg, recall = _accuracy_at_k(outcome.query, outcome.final_list, catalog)
+        values: dict[str, float] = {MetricId.NDCG.value: ndcg, MetricId.RECALL.value: recall}
         for metric in battery:
             v = evaluate_metric(
                 metric, outcome.query, outcome.final_list, catalog, exposure

@@ -221,6 +221,8 @@ class Query:
             raise ValueError(f"query {self.id}: top_n must be >= 1, got {self.top_n}")
         weights = dict(self.preference_weights)
         for cat, w in weights.items():
+            if not math.isfinite(w):
+                raise ValueError(f"query {self.id}: non-finite weight for category {cat!r}")
             if w < 0:
                 raise ValueError(f"query {self.id}: negative weight for category {cat!r}")
         object.__setattr__(self, "preference_weights", weights)

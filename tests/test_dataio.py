@@ -527,6 +527,16 @@ class TestLoadScenario:
         with pytest.raises(error):
             load_scenario(write_scenario(scenario_dir, doc))
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_query_weight(self, scenario_dir, literal):
+        # json.loads takes these literals, so the Query check must reject them
+        text = json.dumps(minimal_scenario_doc()).replace('"beach": 1.0', f'"beach": {literal}')
+        assert literal in text
+        path = scenario_dir / "scenario.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"queries\[0\].*non-finite weight"):
+            load_scenario(path)
+
     def test_duplicate_agent_ids(self, scenario_dir):
         doc = minimal_scenario_doc()
         doc["agents"].append(dict(doc["agents"][0]))

@@ -1,7 +1,11 @@
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from agorank import metrics
 from agorank.errors import (
     LengthMismatch,
     NotNormalized,
@@ -12,6 +16,8 @@ from agorank.errors import (
 from agorank.metrics import (
     METRIC_CODOMAIN,
     MetricId,
+    _accuracy_at_k,
+    build_report,
     category_distributions,
     divergence,
     evaluate_metric,
@@ -26,6 +32,7 @@ from agorank.metrics import (
     relevance_map,
 )
 from agorank.model import Catalog, Constraint, Item, Query
+from agorank.orchestrator import run_stream
 
 TOL = 1e-9
 
@@ -330,3 +337,133 @@ class TestEvaluateMetric:
         q = Query(id="q", top_n=1)
         with pytest.raises(UnknownMetricDirection):
             evaluate_metric(MetricId.FAIRNESS_REGRET, q, ["a"], cat, {})
+
+
+# Ids come from one pool, so the ids a final list holds that are not in the
+# catalog sort between catalog ids, where a bisection lands next to them.
+_ID_POOL = [f"i{n:02d}" for n in range(60)]
+_CATEGORIES = ["food", "market", "nature", "art"]
+# zero, dyadic and non-dyadic weights; sums of the non-dyadic ones round
+_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 1 / 3]),
+    st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+)
+
+
+@st.composite
+def _accuracy_inputs(draw):
+    size = draw(st.integers(min_value=1, max_value=40))
+    ids = draw(st.lists(st.sampled_from(_ID_POOL), min_size=size, max_size=size, unique=True))
+    items = []
+    for item_id in ids:
+        attributes = {}
+        if draw(st.booleans()):
+            attributes["price"] = draw(st.floats(min_value=0.0, max_value=100.0))
+        items.append(
+            Item(
+                id=item_id,
+                provider_id=draw(st.sampled_from(["p1", "p2", "p3"])),
+                categories=frozenset(draw(st.sets(st.sampled_from(_CATEGORIES)))),
+                popularity=draw(st.floats(min_value=0.0, max_value=1.0)),
+                attributes=attributes,
+            )
+        )
+    catalog = Catalog(items)
+    weights = draw(st.dictionaries(st.sampled_from(_CATEGORIES + ["ghost"]), _WEIGHTS))
+    # "missing" is carried by no item, so a constraint on it makes every item
+    # infeasible
+    constraints = draw(
+        st.lists(
+            st.builds(
+                Constraint,
+                st.sampled_from(["price", "popularity", "missing"]),
+                st.sampled_from(["<=", ">="]),
+                st.floats(min_value=-1.0, max_value=101.0),
+            ),
+            max_size=2,
+        )
+    )
+    top_n = draw(st.integers(min_value=1, max_value=len(catalog) + 5))
+    final_list = draw(st.lists(st.sampled_from(_ID_POOL + ["zzz"]), max_size=top_n + 5))
+    query = Query(
+        id="q", preference_weights=weights, constraints=tuple(constraints), top_n=top_n
+    )
+    return query, final_list, catalog
+
+
+def _rounding_case():
+    """Eight ideal gains whose IDCG rounds differently under pairwise summation."""
+    categories = [{"food"}, {"market"}, {"nature"}, {"art"}, {"food", "market"},
+                  {"food", "nature"}, {"food", "art"}, {"market", "nature"}]
+    catalog = Catalog(
+        Item(id=f"i{n:02d}", provider_id="p1", categories=frozenset(cats))
+        for n, cats in enumerate(categories)
+    )
+    weights = {"food": 0.1, "market": 0.2, "nature": 0.3, "art": 0.7}
+    return Query(id="q", preference_weights=weights, top_n=8), ["i03", "i00"], catalog
+
+
+def _reference_accuracy(query, final_list, catalog):
+    return (
+        evaluate_metric(MetricId.NDCG, query, final_list, catalog, {}),
+        evaluate_metric(MetricId.RECALL, query, final_list, catalog, {}),
+    )
+
+
+class TestAccuracyAtK:
+    @settings(max_examples=300, deadline=None)
+    @given(_accuracy_inputs())
+    @example(
+        (
+            Query(
+                id="q",
+                preference_weights={"food": 0.1},
+                constraints=(Constraint("missing", ">=", 0.0),),
+                top_n=2,
+            ),
+            ["a", "c"],
+            _catalog(),
+        )
+    )
+    @example((Query(id="q", preference_weights={"food": 0.3}, top_n=9), [], _catalog()))
+    @example(_rounding_case())
+    def test_equals_scalar_reference(self, case):
+        query, final_list, catalog = case
+        assert _accuracy_at_k(query, final_list, catalog) == _reference_accuracy(
+            query, final_list, catalog
+        )
+
+    def test_worked_example(self):
+        # relevance a=2 b=0 c=3, list (a, ghost, c) at k=2:
+        # dcg = 2, idcg = 3 + 2/log2(3); one of the two relevant items is hit
+        q = Query(id="q", preference_weights={"food": 2.0, "market": 1.0}, top_n=2)
+        ndcg, recall = _accuracy_at_k(q, ["a", "ghost", "c"], _catalog())
+        assert ndcg == pytest.approx(2.0 / (3.0 + 2.0 / math.log2(3)), abs=TOL)
+        assert recall == 0.5
+
+
+class TestBuildReportAccuracy:
+    @pytest.mark.parametrize("name", ["tourism", "synthetic_200"])
+    def test_one_relevance_array_per_outcome(self, name, request):
+        scenario = request.getfixturevalue(name)
+        outcomes, _ = run_stream(
+            scenario.queries, scenario.agents, scenario.catalog, scenario.policy,
+            scenario.rule_config,
+        )
+        with mock.patch.object(
+            metrics, "relevance_scores", wraps=metrics.relevance_scores
+        ) as scores, mock.patch.object(
+            metrics, "relevance_map", wraps=metrics.relevance_map
+        ) as rel_map:
+            report = build_report(outcomes, scenario.agents, scenario.catalog)
+        assert scores.call_count == len(outcomes)
+        assert rel_map.call_count == 0
+
+        with mock.patch.object(metrics, "_accuracy_at_k", _reference_accuracy):
+            reference = build_report(outcomes, scenario.agents, scenario.catalog)
+        assert report == reference
+        # key order is serialized, so it must match too
+        assert [list(q.values) for q in report.per_query] == [
+            list(q.values) for q in reference.per_query
+        ]
+        assert all(list(q.values)[:2] == ["ndcg", "recall"] for q in report.per_query)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -92,6 +93,11 @@ class TestQuery:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             Query(id="q", preference_weights={"a": -1.0})
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="non-finite"):
+            Query(id="q", preference_weights={"a": 1.0, "b": weight})
 
     def test_preference_categories_positive_only(self):
         q = Query(id="q", preference_weights={"a": 1.0, "b": 0.0})
