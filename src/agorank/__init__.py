@@ -4,6 +4,7 @@ evaluates the result for every party.
 """
 
 from .aggregation import (
+    KemenyMemo,
     PairwiseTally,
     Rule,
     RuleConfig,

@@ -148,7 +148,8 @@ def parse_response(raw: bytes, k: int) -> tuple[tuple[str, ...], str]:
         payload = json.loads(raw.decode("utf-8"), object_pairs_hook=_reject_duplicate_keys)
     except AdapterMalformed:
         raise
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
+        # too deep a nesting makes the decoder raise RecursionError
         raise AdapterMalformed(f"response is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise AdapterMalformed("response is not a JSON object")

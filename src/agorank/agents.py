@@ -18,7 +18,7 @@ import numpy as np
 from . import adapter
 from .errors import AgorankError
 from .metrics import METRIC_CODOMAIN, MetricId, relevance_scores
-from .model import Ballot, Catalog, Query, StakeholderRole
+from .model import Ballot, Catalog, Query, StakeholderRole, left_sum
 
 
 class AgentObjective(Enum):
@@ -152,7 +152,7 @@ def generate_popularity_mitigation(query: Query, catalog: Catalog, k: int) -> Ba
     order = np.argsort(-score, kind="stable")[:k]
     ranking = tuple(catalog.ids[i] for i in order.tolist())
     if ranking:
-        mean_pop = sum(catalog[i].popularity for i in ranking) / len(ranking)
+        mean_pop = left_sum(catalog[i].popularity for i in ranking) / len(ranking)
         justification = f"mean popularity of slate: {mean_pop:.6f}"
     else:
         justification = "catalog is empty"

@@ -51,7 +51,11 @@ class RuleConfig:
     reorders the pool the same way in every call with that seed and size.
     The search climbs every restart first and then prices all the local
     optima together; it returns the least (distance, ids) over every optimum
-    it visited.
+    it visited.  Within one query stream the visited optima are kept in a
+    ``KemenyMemo`` keyed by (``seed``, ``kemeny_search_iters``, pool size,
+    Borda start and strict-majority relation, both as positions); a repeat
+    of that key skips the climbs, and its optima are priced again against
+    the call's own tally.
     """
 
     rule: Rule = Rule.BORDA
@@ -317,7 +321,7 @@ def _kemeny_distances(rows: np.ndarray, against: np.ndarray) -> np.ndarray:
     m = rows.shape[1]
     first, second = np.triu_indices(m, 1)
     # one flat index into against per (pair, row): a single take, not a 2-D gather
-    positions = np.ascontiguousarray(rows.T)
+    positions = np.ascontiguousarray(rows.T, dtype=np.intp)
     flat = (positions * m)[first]
     flat += positions[second]
     terms = against.take(flat)
@@ -396,28 +400,82 @@ def _local_optima(
             restarts += 1
 
 
-def _least_ranking(
-    rows: Iterable[Sequence[int]], items: Sequence[str], tally: PairwiseTally
-) -> tuple[list[int], int]:
-    """The least (distance, positions) over the rows, and how many share that distance.
+# bytes of visited optima one KemenyMemo stores; the oldest entries go first
+_OPTIMA_MEMO_BYTES = 8 << 20
 
-    Positions index ``items``, which is sorted, so comparing positions
-    compares ids.  Rows are priced in blocks of at most ``_PRICE_TERMS``
-    terms as they arrive, and the best is carried from block to block; this
-    equals scanning them one by one with
+
+class KemenyMemo:
+    """The local optima the Kemeny restart search visited, for one query stream.
+
+    ``_local_optima`` reads only the Borda start and the strict-majority
+    relation, both as positions in the sorted pool, the restart schedule of
+    (seed, pool size) and the pass budget.  A key holds exactly these, so the
+    optima stored under it are the ones the climbs would visit again.  They
+    are stored as positions (``uint8`` up to 256 items, ``uint16`` above),
+    never as ids, distances or a pick: each call prices them against its own
+    tally.  Stored rows are capped at ``_OPTIMA_MEMO_BYTES``, oldest entries
+    evicted first; a search whose optima alone exceed the cap is not stored.
+
+    A ``FairnessLedger`` carries one memo per stream; ``aggregate`` called
+    without one makes a fresh memo for that call.  A memo is not meant to be
+    shared between threads.
+    """
+
+    def __init__(self) -> None:
+        self._rows: dict[tuple, np.ndarray] = {}
+        self.nbytes = 0
+
+    def get(self, key: tuple) -> np.ndarray | None:
+        return self._rows.get(key)
+
+    def recording(self, key: tuple, blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+        """Yield ``blocks``; once they run out, store them under ``key`` if they fit."""
+        kept: list[np.ndarray] = []
+        nbytes = 0
+        for block in blocks:
+            nbytes += block.nbytes
+            if nbytes <= _OPTIMA_MEMO_BYTES:
+                kept.append(block)
+            yield block
+        if nbytes <= _OPTIMA_MEMO_BYTES:
+            self._rows[key] = np.concatenate(kept)
+            self.nbytes += nbytes
+            while self.nbytes > _OPTIMA_MEMO_BYTES:
+                self.nbytes -= self._rows.pop(next(iter(self._rows))).nbytes
+
+
+def _block_rows(m: int) -> int:
+    """Rankings of m items per pricing block: at most ``_PRICE_TERMS`` terms."""
+    return max(1, _PRICE_TERMS // max(1, m * (m - 1) // 2))
+
+
+def _row_blocks(rows: Iterable[Sequence[int]], m: int, dtype: type) -> Iterator[np.ndarray]:
+    """Rows of m positions, gathered into 2-D blocks of ``_block_rows(m)`` rows."""
+    size = _block_rows(m)
+    pending = iter(rows)
+    while chunk := list(itertools.islice(pending, size)):
+        flat = itertools.chain.from_iterable(chunk)
+        yield np.fromiter(flat, dtype=dtype, count=len(chunk) * m).reshape(len(chunk), m)
+
+
+def _against(items: Sequence[str], tally: PairwiseTally) -> np.ndarray:
+    """against[a, b] = support[b][a], over positions in ``items``."""
+    support = tally.support
+    return np.array([[support[b][a] for b in items] for a in items], dtype=np.float64)
+
+
+def _least_ranking(blocks: Iterable[np.ndarray], against: np.ndarray) -> tuple[list[int], int]:
+    """The least (distance, positions) over the blocks' rows, and how many share that distance.
+
+    Positions index the sorted pool, so comparing positions compares ids.
+    Blocks are priced as they arrive and the best is carried from block to
+    block; this equals scanning the rows one by one with
     ``d < best_dist or (d == best_dist and row < best)``.
     """
-    m = len(items)
-    support = tally.support
-    against = np.array([[support[b][a] for b in items] for a in items], dtype=np.float64)
-    size = max(1, _PRICE_TERMS // max(1, m * (m - 1) // 2))
-    pending = iter(rows)
     best: list[int] | None = None
     best_dist = float("inf")
     n_min = 0
-    while chunk := list(itertools.islice(pending, size)):
-        flat = itertools.chain.from_iterable(chunk)
-        block = np.fromiter(flat, dtype=np.intp, count=len(chunk) * m).reshape(len(chunk), m)
+    for block in blocks:
         dist = _kemeny_distances(block, against)
         low = dist.min()
         if low > best_dist:
@@ -442,32 +500,59 @@ def _kemeny_exact(
     minimum distance.
     """
     items = tuple(sorted(pool))
-    best, n_min = _least_ranking(itertools.permutations(range(len(items))), items, tally)
+    m = len(items)
+    blocks = _row_blocks(itertools.permutations(range(m)), m, np.intp)
+    best, n_min = _least_ranking(blocks, _against(items, tally))
     consensus = tuple(items[p] for p in best)
     return consensus, kemeny_distance(consensus, tally), n_min
 
 
 def _kemeny_heuristic(
-    profile: PreferenceProfile, config: RuleConfig, tally: PairwiseTally
+    profile: PreferenceProfile,
+    config: RuleConfig,
+    tally: PairwiseTally,
+    memo: KemenyMemo | None = None,
 ) -> tuple[tuple[str, ...], float]:
     """Climb every restart first, then price all the local optima together.
 
     No climb or restart reads a distance, so the restarts run as a scan would
     run them; the pick is the least (distance, ids) over every optimum visited.
+    The optima come from ``memo`` when it holds this search's key, and are
+    priced against this call's tally either way.
     """
     items = tuple(sorted(tally.pool))
+    m = len(items)
+    against = _against(items, tally)
+    # ahead[a, b]: a strict weighted majority ranks b above a
+    ahead = against > against.T
     position = {item: p for p, item in enumerate(items)}
-    support = tally.support
-    ahead = [{position[b] for b in items if support[b][a] > support[a][b]} for a in items]
     start = [position[item] for item in rule_borda(profile, config).consensus]
-    schedule = _restart_schedule(config.seed, len(items))
-    optima = _local_optima(start, ahead, schedule, config.kemeny_search_iters)
-    best, _ = _least_ranking(optima, items, tally)
+    dtype = np.uint8 if m <= 256 else np.uint16
+    key = (
+        config.seed,
+        config.kemeny_search_iters,
+        m,
+        np.array(start, dtype=dtype).tobytes(),
+        np.packbits(ahead).tobytes(),
+    )
+    memo = KemenyMemo() if memo is None else memo
+    rows = memo.get(key)
+    if rows is None:
+        ahead_sets = [set(np.flatnonzero(row).tolist()) for row in ahead]
+        schedule = _restart_schedule(config.seed, m)
+        optima = _local_optima(start, ahead_sets, schedule, config.kemeny_search_iters)
+        blocks = memo.recording(key, _row_blocks(optima, m, dtype))
+    else:
+        size = _block_rows(m)
+        blocks = (rows[i : i + size] for i in range(0, len(rows), size))
+    best, _ = _least_ranking(blocks, against)
     consensus = tuple(items[p] for p in best)
     return consensus, kemeny_distance(consensus, tally)
 
 
-def rule_kemeny(profile: PreferenceProfile, config: RuleConfig) -> AggregateResult:
+def rule_kemeny(
+    profile: PreferenceProfile, config: RuleConfig, memo: KemenyMemo | None = None
+) -> AggregateResult:
     """Kendall-distance minimization, exact up to the configured pool size.
 
     Exact search prices permutations in lexicographic order and keeps the
@@ -475,8 +560,13 @@ def rule_kemeny(profile: PreferenceProfile, config: RuleConfig) -> AggregateResu
     optimum.  Larger pools use the seeded local search and are tagged
     "kemeny-heuristic" in the result: it climbs every restart first, then
     prices the local optima together and keeps the least (distance, ids)
-    over all of them.  Both searches price rankings in blocks with the
-    additions of ``kemeny_distance``, the scalar reference, in its order.
+    over all of them.  ``memo`` keeps the optima each search visited, keyed
+    by (seed, pass budget, pool size, Borda start, strict-majority
+    relation); a call whose key is there skips the climbs and prices the
+    stored optima against its own tally, so a hit reuses no distance and no
+    pick.  Without a memo the call uses a fresh one.  Both searches price
+    rankings in blocks with the additions of ``kemeny_distance``, the
+    scalar reference, in its order.
     """
     tally = pairwise_tally(profile, config.use_weights)
     pool = tally.pool
@@ -494,7 +584,7 @@ def rule_kemeny(profile: PreferenceProfile, config: RuleConfig) -> AggregateResu
                 )
             )
     else:
-        consensus, dist = _kemeny_heuristic(profile, config, tally)
+        consensus, dist = _kemeny_heuristic(profile, config, tally, memo)
         rule_name = Rule.KEMENY.value + "-heuristic"
     m = len(pool)
     scores = {item: float(m - 1 - i) for i, item in enumerate(consensus)}
@@ -511,27 +601,35 @@ _RULES = {
     Rule.BORDA: rule_borda,
     Rule.COPELAND: rule_copeland,
     Rule.RANKED_PAIRS: rule_ranked_pairs,
-    Rule.KEMENY: rule_kemeny,
 }
 
 
-def _run_rule(profile: PreferenceProfile, config: RuleConfig) -> AggregateResult:
+def _run_rule(
+    profile: PreferenceProfile, config: RuleConfig, memo: KemenyMemo
+) -> AggregateResult:
+    if config.rule is Rule.KEMENY:
+        return rule_kemeny(profile, config, memo)
     return _RULES[config.rule](profile, config)
 
 
 def influence_loo(
-    profile: PreferenceProfile, config: RuleConfig, consensus: Sequence[str]
+    profile: PreferenceProfile,
+    config: RuleConfig,
+    consensus: Sequence[str],
+    memo: KemenyMemo | None = None,
 ) -> dict[str, float]:
     """Leave-one-out influence per agent, in [0, 1].
 
     Influence is the normalized Kendall distance between the consensus and
     the consensus recomputed without the agent's ballots, restricted to the
     surviving pool.  A single-agent profile gets 1.0 by convention; so does
-    an agent whose removal empties the profile.
+    an agent whose removal empties the profile.  Every recomputation shares
+    ``memo`` (a fresh one when none is given).
     """
     agents = sorted({b.agent_id for b in profile.ballots})
     if len(agents) == 1:
         return {agents[0]: 1.0}
+    memo = KemenyMemo() if memo is None else memo
     influence: dict[str, float] = {}
     for agent in agents:
         remaining = tuple(b for b in profile.ballots if b.agent_id != agent)
@@ -543,7 +641,7 @@ def influence_loo(
         # bare constructor: a leave-one-out profile may hold only
         # zero-weight ballots, which from_ballots rightly rejects
         sub_profile = PreferenceProfile(ballots=remaining, pool=sub_pool)
-        sub_consensus = _run_rule(sub_profile, config).consensus
+        sub_consensus = _run_rule(sub_profile, config, memo).consensus
         common = set(sub_pool)
         restricted = tuple(item for item in consensus if item in common)
         _, normalized = kendall_tau(restricted, sub_consensus)
@@ -551,7 +649,15 @@ def influence_loo(
     return influence
 
 
-def aggregate(profile: PreferenceProfile, config: RuleConfig) -> AggregateResult:
-    """Run the configured rule and attach leave-one-out influence."""
-    result = _run_rule(profile, config)
-    return replace(result, influence=influence_loo(profile, config, result.consensus))
+def aggregate(
+    profile: PreferenceProfile, config: RuleConfig, memo: KemenyMemo | None = None
+) -> AggregateResult:
+    """Run the configured rule and attach leave-one-out influence.
+
+    ``memo`` carries the Kemeny search's visited optima from call to call;
+    a ``FairnessLedger`` passes its own, one per stream.  Without one, the
+    rule and its leave-one-out runs share a fresh memo for this call only.
+    """
+    memo = KemenyMemo() if memo is None else memo
+    result = _run_rule(profile, config, memo)
+    return replace(result, influence=influence_loo(profile, config, result.consensus, memo))

@@ -44,6 +44,7 @@ from .model import (
     Query,
     StakeholderRole,
     TieEvent,
+    left_sum,
 )
 from .orchestrator import ActivationMode, ActivationPolicy, QueryOutcome
 
@@ -153,7 +154,7 @@ def _load_catalog_json(path: Path) -> Catalog:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedRecord(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, list):
         raise MalformedRecord("catalog JSON must be a list of items")
@@ -595,7 +596,7 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
         raise SchemaError(f"cannot read scenario file: {exc}") from exc
     try:
         doc = json.loads(raw_text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"scenario is not valid JSON: {exc}") from exc
     doc = _expect_dict(doc, "scenario")
 
@@ -777,10 +778,10 @@ def _write_summary_md(
         ]
         n_q = len(report.per_query)
         for agent in agent_ids:
-            mean_regret = sum(report.drift[agent]) / n_q if n_q else 0.0
+            mean_regret = left_sum(report.drift[agent]) / n_q if n_q else 0.0
             influences = [q.influence.get(agent) for q in report.per_query]
             known = [v for v in influences if v is not None]
-            mean_influence = sum(known) / len(known) if known else 0.0
+            mean_influence = left_sum(known) / len(known) if known else 0.0
             lines.append(f"| {agent} | {_fmt6(mean_regret)} | {_fmt6(mean_influence)} |")
         lines.append("")
         lines += ["### Regret drift (per query)", ""]
@@ -950,7 +951,7 @@ def load_outcomes(
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise SchemaError(f"cannot read outcomes file: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"outcomes file is not valid JSON: {exc}") from exc
     try:
         expected = doc["catalog_hash"]

@@ -30,7 +30,7 @@ from .errors import (
     UnknownMetricDirection,
     ZeroMass,
 )
-from .model import Catalog, Query
+from .model import Catalog, Query, left_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from .agents import AgentSpec
@@ -97,7 +97,7 @@ def ndcg_at_k(ranked: Sequence[str], relevance: Mapping[str, float], k: int) -> 
     for i, item in enumerate(ranked[:k], start=1):
         dcg += relevance.get(item, 0.0) / math.log2(i + 1)
     ideal = sorted(relevance.values(), reverse=True)[:k]
-    idcg = sum(rel / math.log2(i + 1) for i, rel in enumerate(ideal, start=1))
+    idcg = left_sum(rel / math.log2(i + 1) for i, rel in enumerate(ideal, start=1))
     if idcg == 0.0:
         return 0.0
     return dcg / idcg
@@ -191,13 +191,13 @@ def poplift(
     """
     if not profile_items:
         raise UndefinedBaseline("empty interaction profile")
-    base = sum(catalog[i].popularity for i in profile_items) / len(profile_items)
+    base = left_sum(catalog[i].popularity for i in profile_items) / len(profile_items)
     if base == 0.0:
         raise UndefinedBaseline("historical mean popularity is zero")
     if not rec_items:
         rec_mean = 0.0
     else:
-        rec_mean = sum(catalog[i].popularity for i in rec_items) / len(rec_items)
+        rec_mean = left_sum(catalog[i].popularity for i in rec_items) / len(rec_items)
     return (rec_mean - base) / base
 
 
@@ -225,7 +225,7 @@ def l_half_balance(per_agent_fairness: Sequence[float]) -> float:
     for f in per_agent_fairness:
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"fairness value {f} outside [0, 1]")
-    return sum(math.sqrt(f) for f in per_agent_fairness) ** 2
+    return left_sum(math.sqrt(f) for f in per_agent_fairness) ** 2
 
 
 def relevance_scores(query: Query, catalog: Catalog) -> tuple[np.ndarray, np.ndarray]:
@@ -235,9 +235,9 @@ def relevance_scores(query: Query, catalog: Catalog) -> tuple[np.ndarray, np.nda
     satisfies every query constraint.  Its score is the sum of the weights of
     the query categories it carries, added left to right in
     ``preference_weights`` order starting from 0.0, so each value is the
-    float that a plain Python loop over the weights gives (and that
-    ``sum()`` gave up to Python 3.11; from 3.12 ``sum()`` compensates
-    rounding and may differ in the last bit).  Scores are computed for
+    float that ``model.left_sum`` gives over the weights (builtin ``sum()``
+    compensates rounding from Python 3.12 on and may differ in the last
+    bit).  Scores are computed for
     infeasible items too; callers decide what those mean.
     """
     columns = catalog.columns
@@ -328,12 +328,12 @@ def evaluate_metric(
         return recall_at_k(final_list, relevant, query.top_n)
     if metric is MetricId.GINI_EXPOSURE:
         values = [exposure_counts.get(p, 0.0) for p in catalog.providers]
-        if not values or sum(values) == 0.0:
+        if not values or left_sum(values) == 0.0:
             return None
         return gini_exposure(values)
     if metric is MetricId.NORM_ENTROPY:
         values = [exposure_counts.get(p, 0.0) for p in catalog.providers]
-        total = sum(values)
+        total = left_sum(values)
         if len(values) < 2 or total == 0.0:
             return None
         return normalized_entropy([v / total for v in values])
@@ -389,7 +389,7 @@ def _accuracy_at_k(
     without building a per-item dict: list items are found by bisection in
     the sorted catalog ids (an unknown id gains 0.0), DCG is added left to
     right, and the ideal top n is taken with ``np.partition`` and summed
-    with the same ``sum()`` expression as ``ndcg_at_k``.
+    with the same ``left_sum`` expression as ``ndcg_at_k``.
     """
     feasible, score = relevance_scores(query, catalog)
     relevance = np.where(feasible, score, 0.0)
@@ -405,7 +405,7 @@ def _accuracy_at_k(
     n = relevance.size
     top = relevance if k >= n else np.partition(relevance, n - k)[n - k :]
     ideal = sorted(top.tolist(), reverse=True)
-    idcg = sum(rel / math.log2(i + 1) for i, rel in enumerate(ideal, start=1))
+    idcg = left_sum(rel / math.log2(i + 1) for i, rel in enumerate(ideal, start=1))
     ndcg = 0.0 if idcg == 0.0 else dcg / idcg
     relevant = int(np.count_nonzero(relevance > 0))
     recall = 0.0 if not relevant else sum(1 for g in gains if g > 0) / relevant
@@ -461,7 +461,7 @@ def build_report(
                 values[metric.value] = v
         regret = {a: outcome.per_agent_regret.get(a, 0.0) for a in agent_ids}
         if regret:
-            values[MetricId.FAIRNESS_REGRET.value] = sum(regret.values()) / len(regret)
+            values[MetricId.FAIRNESS_REGRET.value] = left_sum(regret.values()) / len(regret)
             values[MetricId.L_HALF_BALANCE.value] = l_half_balance(
                 [max(0.0, 1.0 - r) for r in regret.values()]
             )
@@ -481,7 +481,7 @@ def build_report(
         series = [q.values[metric.value] for q in per_query if metric.value in q.values]
         if series:
             aggregate[metric.value] = {
-                "mean": sum(series) / len(series),
+                "mean": left_sum(series) / len(series),
                 "min": min(series),
                 "max": max(series),
             }

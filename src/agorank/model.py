@@ -301,6 +301,20 @@ class AggregateResult:
     scores: Mapping[str, float]
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """Add floats left to right from 0.0, rounding after each addition.
+
+    This is what builtin ``sum()`` did up to Python 3.11.  From 3.12 it
+    compensates rounding and may differ in the last bit, so every float that
+    reaches an output file is added here, and the bytes do not depend on the
+    interpreter's minor version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def validate_ballot(ballot: Ballot, catalog: Catalog) -> tuple[Ballot, int]:
     """Ground a ballot against the catalog.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .aggregation import RuleConfig, aggregate
+from .aggregation import KemenyMemo, RuleConfig, aggregate
 from .agents import (
     AgentSpec,
     AgentState,
@@ -81,7 +81,12 @@ class FairnessLedger:
 
     Per-agent ring buffers of recent fairness regrets (driving dynamic
     activation), cumulative provider exposure (driving the parity agent and
-    the exposure metrics), and per-agent reliability state.
+    the exposure metrics), per-agent reliability state, and the stream's
+    ``KemenyMemo``: the local optima each Kemeny restart search visited,
+    keyed by (seed, pass budget, pool size, Borda start, strict-majority
+    relation).  A later query or leave-one-out profile with the same key
+    skips the climbs, and every hit is priced again against its own tally.
+    A fresh ledger starts with an empty memo.
     """
 
     def __init__(self, agent_ids: Sequence[str], window: int):
@@ -94,6 +99,7 @@ class FairnessLedger:
         self.exposure = ExposureLedger()
         self.queries_processed = 0
         self.agent_states: dict[str, AgentState] = {a: AgentState() for a in agent_ids}
+        self.kemeny_memo = KemenyMemo()
 
     def push_regret(self, agent_id: str, regret: float) -> None:
         if regret < 0:
@@ -276,7 +282,7 @@ def process_query(
         raise NoActiveAgents("every active agent was dropped during this query")
 
     profile = PreferenceProfile.from_ballots(ballots)
-    result = aggregate(profile, rule_config)
+    result = aggregate(profile, rule_config, ledger.kemeny_memo)
     stage_calls["aggregate"] = 1
 
     final_list = result.consensus[: query.top_n]

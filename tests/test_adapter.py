@@ -223,6 +223,11 @@ class TestParseResponse:
         with pytest.raises(AdapterMalformed):
             parse_response(payload, 2)
 
+    def test_deep_nesting_is_malformed(self):
+        # the JSON decoder gives up with RecursionError, not ValueError
+        with pytest.raises(AdapterMalformed, match="not valid JSON"):
+            parse_response(b"[" * 100000, 5)
+
     def test_duplicate_key_rejected(self):
         raw = b'{"items": ["a"], "items": ["b"], "justification": "x"}'
         with pytest.raises(AdapterMalformed):

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from agorank import cli, dataio
+
 
 def agorank(*args, cwd=None):
     return subprocess.run(
@@ -242,3 +244,35 @@ class TestArgparse:
         assert proc.returncode == 0
         for word in ("run", "compare", "evaluate"):
             assert word in proc.stdout
+
+
+class TestDeepNesting:
+    """Input files nested too deeply for the JSON decoder exit 2, like any invalid input."""
+
+    DEEP = "[" * 100000
+
+    def test_scenario(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text(self.DEEP, encoding="utf-8")
+        code = cli.main(["run", "--scenario", str(deep), "--out", str(tmp_path / "rep")])
+        assert code == 2
+
+    def test_catalog(self, tmp_path):
+        doc = json.loads(
+            dataio.builtin_scenario_path("builtin:tourism").read_text(encoding="utf-8")
+        )
+        doc["catalog"] = "catalog.json"
+        (tmp_path / "catalog.json").write_text(self.DEEP, encoding="utf-8")
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        code = cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "rep")])
+        assert code == 2
+
+    def test_outcomes(self, tmp_path):
+        deep = tmp_path / "outcomes.json"
+        deep.write_text(self.DEEP, encoding="utf-8")
+        code = cli.main([
+            "evaluate", "--scenario", "builtin:tourism",
+            "--out", str(tmp_path / "replay"), "--outcomes", str(deep),
+        ])
+        assert code == 2

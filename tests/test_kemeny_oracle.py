@@ -163,6 +163,124 @@ def test_heuristic_matches_reference_cold_and_warm(profile, seed, iters, warm, t
         assert aggregation._kemeny_heuristic(profile, config, tally) == expected
 
 
+def _relabelled(
+    profile: PreferenceProfile, prefix: str, weights: Sequence[float]
+) -> PreferenceProfile:
+    """The same ballots under new ids in the same sorted order, with new weights."""
+    ballots = tuple(
+        Ballot(b.agent_id, tuple(prefix + item for item in b.ranking), weight=w)
+        for b, w in zip(profile.ballots, weights)
+    )
+    return PreferenceProfile(ballots=ballots, pool=candidate_pool(ballots))
+
+
+@st.composite
+def position_twins(draw):
+    """Two profiles with equal Borda start and strict-majority relation in
+    position space, but other ids and weights, and a different least optimum;
+    then a third with the same start and another relation.
+
+    Three ballots a>b>c, b>c>a, c>a>b with weights w1, w2, w3 make a majority
+    cycle; the Borda order is a, c, b in both profiles.  Swapping w1 and w3
+    moves the least optimum from (a, b, c) to (c, a, b).  One ballot a>c>b
+    starts from the same order, where the cycle's climb would leave it.
+    """
+    w1 = draw(st.floats(min_value=0.4, max_value=0.6))
+    w2 = draw(st.floats(min_value=0.05, max_value=0.095))
+    w3 = w1 + draw(st.floats(min_value=0.01, max_value=0.9)) * w2 * draw(st.sampled_from([-1, 1]))
+    rankings = [("a", "b", "c"), ("b", "c", "a"), ("c", "a", "b")]
+    base = PreferenceProfile.from_ballots(
+        [Ballot(f"v{i}", r, weight=w) for i, (r, w) in enumerate(zip(rankings, (w1, w2, w3)))]
+    )
+    first, second, third = draw(st.permutations(["", "p", "q"]))
+    line = PreferenceProfile.from_ballots([Ballot("v0", ("a", "c", "b"), weight=w1)])
+    return [
+        _relabelled(base, first, (w1, w2, w3)),
+        _relabelled(base, second, (w3, w2, w1)),
+        _relabelled(line, third, (w1,)),
+    ]
+
+
+@st.composite
+def weight_twins(draw):
+    """A profile and, often sharing its memo key, the same ballots relabelled
+    with weights moved by up to 30% (non-dyadic as drawn)."""
+    profile = draw(truncated_profiles(min_pool=3, max_pool=20))
+    weights = [
+        min(1.0, b.weight * draw(st.floats(min_value=0.7, max_value=1.3)))
+        for b in profile.ballots
+    ]
+    return [profile, _relabelled(profile, draw(st.sampled_from(["", "p"])), weights)]
+
+
+@st.composite
+def chain_profiles(draw):
+    """Disjoint chains, one ballot each, that no ballot orders against each other.
+
+    Every interleaving of the chains is a local optimum at the same distance,
+    so the pick is the least ids among the optima the restarts happened to
+    visit, and it moves with the seed and the pass budget.
+    """
+    lengths = draw(st.lists(st.integers(min_value=2, max_value=4), min_size=2, max_size=4))
+    ballots = [
+        Ballot(f"v{c}", tuple(f"{'abcd'[c]}{j}" for j in range(n)), weight=draw(_WEIGHTS))
+        for c, n in enumerate(lengths)
+    ]
+    return [PreferenceProfile.from_ballots(ballots)]
+
+
+# few seeds and budgets, so that one profile meets the memo under another search
+_SEARCHES = st.tuples(st.sampled_from([0, 1, 7]), st.sampled_from([1, 2, 5, 40]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    calls=st.lists(
+        st.tuples(
+            st.one_of(position_twins(), weight_twins(), chain_profiles()),
+            _SEARCHES,
+            _SEARCHES,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    budget=st.sampled_from([0, 16, 64, aggregation._OPTIMA_MEMO_BYTES]),
+)
+def test_heuristic_with_a_shared_memo_matches_reference(calls, budget):
+    memo = aggregation.KemenyMemo()
+    with mock.patch.object(aggregation, "_OPTIMA_MEMO_BYTES", budget):
+        for profiles, *searches in calls:
+            # every profile under each search, then all of it again: repeats are hits
+            # unless the budget evicted them
+            for (seed, iters), profile in itertools.product(searches + searches, profiles):
+                config = RuleConfig(kemeny_exact_limit=2, kemeny_search_iters=iters, seed=seed)
+                tally = pairwise_tally(profile)
+                got = aggregation._kemeny_heuristic(profile, config, tally, memo)
+                assert got == aggregation._kemeny_heuristic(profile, config, tally)
+                assert got == _reference_heuristic(profile, config, tally)
+                assert memo.nbytes <= budget
+                assert memo.nbytes == sum(rows.nbytes for rows in memo._rows.values())
+
+
+def test_position_twins_share_a_key_and_are_priced_again():
+    w1, w2, w3 = 0.51, 0.09, 0.46
+    rankings = [("a", "b", "c"), ("b", "c", "a"), ("c", "a", "b")]
+    base = PreferenceProfile.from_ballots(
+        [Ballot(f"v{i}", r, weight=w) for i, (r, w) in enumerate(zip(rankings, (w1, w2, w3)))]
+    )
+    twin = _relabelled(base, "p", (w3, w2, w1))
+    config = RuleConfig(kemeny_exact_limit=2, kemeny_search_iters=40, seed=0)
+    memo = aggregation.KemenyMemo()
+    first = aggregation._kemeny_heuristic(base, config, pairwise_tally(base), memo)
+    stored = memo.nbytes
+    second = aggregation._kemeny_heuristic(twin, config, pairwise_tally(twin), memo)
+    # nothing new stored: the twin was a hit, and its pick is not the stored profile's
+    assert 0 < memo.nbytes == stored
+    assert first == _reference_heuristic(base, config, pairwise_tally(base))
+    assert second == _reference_heuristic(twin, config, pairwise_tally(twin))
+    assert first[0] == ("a", "b", "c") and second[0] == ("pc", "pa", "pb")
+
+
 @settings(max_examples=100, deadline=None)
 @given(profile=truncated_profiles(min_pool=2), data=st.data())
 def test_distance_matches_reference(profile, data):

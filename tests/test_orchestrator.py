@@ -4,12 +4,12 @@ from unittest import mock
 import pytest
 
 from agorank.agents import AgentObjective, AgentSpec
-from agorank.aggregation import Rule, RuleConfig
+from agorank.aggregation import Rule, RuleConfig, aggregate
 from agorank.dataio import load_interactions
 from agorank.errors import NoActiveAgents
-from agorank import orchestrator
+from agorank import adapter, orchestrator
 from agorank.metrics import MetricId, evaluate_metric, exposure_delta, fairness_regret
-from agorank.model import Catalog, Constraint, Item, Query, StakeholderRole
+from agorank.model import Catalog, Constraint, Item, PreferenceProfile, Query, StakeholderRole
 from agorank.orchestrator import (
     ActivationMode,
     ActivationPolicy,
@@ -300,6 +300,31 @@ class TestAdapterFailureHandling:
         # hard failure counts as a fully violating single-item ballot
         assert ledger.agent_states["remote"].reliability_weight == pytest.approx(0.5)
 
+    def test_deeply_nested_reply_drops_the_agent_and_the_stream_goes_on(self):
+        agents = THREE_AGENTS + [
+            AgentSpec(
+                agent_id="remote",
+                role=StakeholderRole.THIRD_PARTY,
+                objective=AgentObjective.EXTERNAL,
+                objective_metric=MetricId.NDCG,
+                objective_target=0.5,
+                params={"endpoint": "mock://"},
+            )
+        ]
+        queries = [query(qid=f"q{i}") for i in range(3)]
+        with mock.patch.object(adapter, "mock_serve", return_value=b"[" * 100000) as serve:
+            outcomes, ledger = run_stream(
+                queries, agents, CATALOG, ActivationPolicy(), RuleConfig()
+            )
+        assert serve.call_count == 3
+        assert [o.query_id for o in outcomes] == ["q0", "q1", "q2"]
+        for outcome in outcomes:
+            assert outcome.skipped_agents == {"remote": "adapter malformed response"}
+            assert {b.agent_id for b in outcome.per_agent_ballots} == {
+                "traveler", "providers", "ecology"
+            }
+        assert ledger.queries_processed == 3
+
     def test_all_agents_failing_raises(self):
         remote_only = [
             AgentSpec(
@@ -315,6 +340,37 @@ class TestAdapterFailureHandling:
         with pytest.raises(NoActiveAgents):
             process_query(query(), remote_only, CATALOG, ledger,
                           ActivationPolicy(), RuleConfig())
+
+
+class TestKemenyMemo:
+    CONFIG = RuleConfig(rule=Rule.KEMENY, kemeny_exact_limit=2, kemeny_search_iters=50)
+
+    def queries(self):
+        weights = [{"nature": 1.0}, {"beach": 0.4, "food": 0.7}, {"culture": 1 / 3}]
+        return [query(qid=f"q{i}", preference_weights=w) for i, w in enumerate(weights * 2)]
+
+    def test_a_fresh_ledger_starts_with_an_empty_memo(self):
+        assert FairnessLedger(["a"], window=1).kemeny_memo.nbytes == 0
+
+    def test_each_stream_fills_its_own_memo(self):
+        runs = [
+            run_stream(self.queries(), THREE_AGENTS, CATALOG, ActivationPolicy(), self.CONFIG)
+            for _ in range(2)
+        ]
+        (first, first_ledger), (second, second_ledger) = runs
+        assert first == second
+        assert first_ledger.kemeny_memo is not second_ledger.kemeny_memo
+        # the second stream found nothing left over from the first
+        assert 0 < first_ledger.kemeny_memo.nbytes == second_ledger.kemeny_memo.nbytes
+
+    def test_stream_results_equal_memo_less_aggregation(self):
+        outcomes, _ = run_stream(
+            self.queries(), THREE_AGENTS, CATALOG, ActivationPolicy(), self.CONFIG
+        )
+        assert all(o.aggregate.rule == "kemeny-heuristic" for o in outcomes)
+        for outcome in outcomes:
+            profile = PreferenceProfile.from_ballots(outcome.per_agent_ballots)
+            assert aggregate(profile, self.CONFIG) == outcome.aggregate
 
 
 class TestRunStream:
