@@ -49,26 +49,43 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def fnv1a64_many(prefix: bytes, middles: Sequence[bytes], suffix: bytes) -> np.ndarray:
-    """``fnv1a64(prefix + m + suffix)`` for every ``m`` in ``middles``, as uint64.
+def _id_matrix(middles: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """The NUL-padded ``uint8`` matrix of ``middles``, one row each, and their lengths.
 
-    The prefix is hashed once in Python.  The middles are laid out as a
-    NUL-padded byte matrix and hashed column by column, each row stopping at
-    its own length; the lengths come from the bytes objects, because a
-    middle may itself end in NUL.  The suffix is then hashed over the whole
-    vector.  uint64 array arithmetic wraps mod 2**64, as ``& _MASK64`` does.
+    The lengths come from the bytes objects, because a middle may itself end
+    in NUL.
     """
     n = len(middles)
     padded = np.array(middles, dtype=bytes)
     matrix = padded.view(np.uint8).reshape(n, padded.itemsize)
     lengths = np.fromiter(map(len, middles), dtype=np.intp, count=n)
-    h = np.full(n, fnv1a64(prefix), dtype=np.uint64)
-    for j in range(padded.itemsize):
+    return matrix, lengths
+
+
+def _fnv1a64_rows(
+    prefix: bytes, matrix: np.ndarray, lengths: np.ndarray, suffix: bytes
+) -> np.ndarray:
+    """``fnv1a64(prefix + row + suffix)`` for every row of an ``_id_matrix``."""
+    h = np.full(len(lengths), fnv1a64(prefix), dtype=np.uint64)
+    for j in range(matrix.shape[1]):
         np.copyto(h, (h ^ matrix[:, j]) * FNV_PRIME, where=lengths > j)
     for byte in suffix:
         h ^= byte
         h *= FNV_PRIME
     return h
+
+
+def fnv1a64_many(prefix: bytes, middles: Sequence[bytes], suffix: bytes) -> np.ndarray:
+    """``fnv1a64(prefix + m + suffix)`` for every ``m`` in ``middles``, as uint64.
+
+    ``_id_matrix`` lays the middles out as a NUL-padded byte matrix, and
+    ``_fnv1a64_rows`` hashes it: the prefix once in Python, then the matrix
+    column by column, each row stopping at its own length, then the suffix
+    over the whole vector.  The mock keeps the matrix of the last candidate
+    array it decoded and calls the hasher alone.  uint64 array arithmetic
+    wraps mod 2**64, as ``& _MASK64`` does.
+    """
+    return _fnv1a64_rows(prefix, *_id_matrix(middles), suffix)
 
 
 def resolve_endpoint(spec: "AgentSpec", url_override: str | None = None) -> str:
@@ -168,26 +185,64 @@ def parse_response(raw: bytes, k: int) -> tuple[tuple[str, ...], str]:
     return tuple(items), justification
 
 
+# the last candidate array the mock decoded: the body bytes from the start
+# through the array's closing "]", its ids, and their ``_id_matrix``.  A
+# council resends one catalog with every query, so a repeat is answered from
+# here.  One tuple, replaced whole, so concurrent callers read a consistent one.
+_last_decoded: tuple[bytes, list[str], np.ndarray, np.ndarray] | None = None
+_JSON_DECODER = json.JSONDecoder()
+
+
+def _decode_mock_request(request_body: bytes) -> tuple[dict, list[str], np.ndarray, np.ndarray]:
+    """The request object, its candidate ids and their ``_id_matrix``.
+
+    A body that starts with the last decoded array and continues with ``, ``
+    decodes only ``{`` plus the rest; every other body is decoded whole.  The
+    rest falls back to the whole body if it holds a ``candidates`` key (a
+    full parse keeps the last duplicate) or no key at all (``, }`` is not
+    JSON), so the answer, or the exception, is the full parse's.
+    """
+    global _last_decoded
+    last = _last_decoded
+    if last is not None:
+        head, ids, matrix, lengths = last
+        if request_body.startswith(head) and request_body.startswith(b", ", len(head)):
+            req = json.loads("{" + request_body[len(head) + 2 :].decode("utf-8"))
+            if req and "candidates" not in req:
+                return req, ids, matrix, lengths
+    text = request_body.decode("utf-8")
+    req = json.loads(text)
+    ids = [c["id"] for c in req["candidates"]]
+    matrix, lengths = _id_matrix([item_id.encode("utf-8") for item_id in ids])
+    if text.startswith(_CANDIDATES_KEY + "["):
+        first, end = _JSON_DECODER.raw_decode(text, len(_CANDIDATES_KEY))
+        # a repeated key answers from its last array; remember the first
+        # only when it is that same array
+        if first == req["candidates"]:
+            _last_decoded = (text[:end].encode("utf-8"), ids, matrix, lengths)
+    return req, ids, matrix, lengths
+
+
 def mock_serve(request_body: bytes) -> bytes:
     """In-process stand-in for the external service.
 
     Reads only ``query_id``, ``persona``, ``candidates[].id`` and ``k``.
     Ranks the candidates by the FNV-1a 64 hash of the concatenated UTF-8 of
     (query_id, candidate id, persona), ties by id, and returns the first k.
-    The hashes come from ``fnv1a64_many`` in one numpy pass and equal
+    It remembers the last candidate array it decoded, with its ids' byte
+    matrix, so a request that resends those bytes decodes only the fields
+    after the array; the answer is the same either way.  The hashes come
+    from ``_fnv1a64_rows`` in one numpy pass over that matrix and equal
     ``fnv1a64`` bit for bit.  An ``np.partition`` threshold keeps the
     candidates that hash at most the k-th smallest value, ties included, and
     only those are sorted by (hash, id).  Deterministic across processes and
     implementations.
     """
-    req = json.loads(request_body.decode("utf-8"))
+    req, ids, matrix, lengths = _decode_mock_request(request_body)
     k = req["k"]
-    ids = [c["id"] for c in req["candidates"]]
     n = len(ids)
-    hashes = fnv1a64_many(
-        req["query_id"].encode("utf-8"),
-        [item_id.encode("utf-8") for item_id in ids],
-        req["persona"].encode("utf-8"),
+    hashes = _fnv1a64_rows(
+        req["query_id"].encode("utf-8"), matrix, lengths, req["persona"].encode("utf-8")
     )
     if 0 < k < n:
         threshold = np.partition(hashes, k - 1)[k - 1]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import importlib.resources
+import io
 import json
 import logging
 import weakref
@@ -126,9 +127,22 @@ def load_catalog(path: str | Path) -> Catalog:
     return _load_catalog_csv(path)
 
 
+def _open_csv(path: str | Path) -> io.StringIO:
+    """The file's text, decoded as UTF-8 and read the way ``open(path,
+    newline="")`` reads it; bytes that are not UTF-8 raise ``MalformedRecord``
+    with the line they are on."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedRecord(f"not UTF-8: {exc.reason} at byte {exc.start}", line) from exc
+    return io.StringIO(text, newline="")
+
+
 def _load_catalog_csv(path: Path) -> Catalog:
     items: list[Item] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_csv(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise MalformedRecord("empty catalog file", 1)
@@ -232,7 +246,7 @@ def load_interactions(
     """
     per_user: dict[str, list[tuple[datetime, str, float, str]]] = {}
     dropped = 0
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_csv(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             return {}
@@ -594,6 +608,8 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
         raw_text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise SchemaError(f"cannot read scenario file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"scenario is not UTF-8: {exc}") from exc
     try:
         doc = json.loads(raw_text)
     except (ValueError, RecursionError) as exc:
@@ -878,13 +894,37 @@ def _outcome_to_obj(outcome: QueryOutcome) -> dict:
     }
 
 
+def _checked_map(raw: object, path: str, types: tuple[type, ...], expected: str) -> dict:
+    """A copy of the object ``raw``, every value of one of ``types`` and kept as written.
+
+    Types are compared exactly, so a JSON ``true`` is not an integer.  No
+    message is built unless a value fails: a saved outcome has a dozen of
+    these values, and ``evaluate`` decodes every outcome of a stream.
+    """
+    obj = _expect_dict(raw, path)
+    for key, value in obj.items():
+        if type(value) not in types:
+            raise SchemaError(f"{path}.{key}: expected {expected}")
+    return dict(obj)
+
+
 def _outcome_from_obj(obj: dict, path: str, catalog: Catalog) -> QueryOutcome:
-    """Decode one saved outcome; its query is checked like a scenario query."""
+    """Decode one saved outcome; its query is checked like a scenario query.
+
+    The fields a report is built from are checked too: the final list holds
+    catalog ids, regrets and influences are numbers, stage calls integers.
+    """
     query = _parse_query(obj["query"], f"{path}.query", catalog)
+    final_list = _expect_list(obj["final_list"], f"{path}.final_list")
+    for i, item_id in enumerate(final_list):
+        if type(item_id) is not str:
+            raise SchemaError(f"{path}.final_list[{i}]: expected a string")
+        if item_id not in catalog:
+            raise SchemaError(f"{path}.final_list[{i}]: unknown item {item_id!r}")
     agg = obj["aggregate"]
     return QueryOutcome(
         query_id=query.id,
-        final_list=tuple(obj["final_list"]),
+        final_list=tuple(final_list),
         per_agent_ballots=tuple(
             Ballot(
                 agent_id=b["agent_id"],
@@ -897,7 +937,9 @@ def _outcome_from_obj(obj: dict, path: str, catalog: Catalog) -> QueryOutcome:
         aggregate=AggregateResult(
             rule=agg["rule"],
             consensus=tuple(agg["consensus"]),
-            influence=dict(agg["influence"]),
+            influence=_checked_map(
+                agg["influence"], f"{path}.aggregate.influence", (float, int), "a number"
+            ),
             tiebreak_trace=tuple(
                 TieEvent(e["description"], e["resolution"])
                 for e in agg.get("tiebreak_trace", [])
@@ -908,8 +950,12 @@ def _outcome_from_obj(obj: dict, path: str, catalog: Catalog) -> QueryOutcome:
         justifications=dict(obj.get("justifications", {})),
         query=query,
         per_agent_achieved=dict(obj.get("per_agent_achieved", {})),
-        per_agent_regret=dict(obj.get("per_agent_regret", {})),
-        stage_calls=dict(obj.get("stage_calls", {})),
+        per_agent_regret=_checked_map(
+            obj.get("per_agent_regret", {}), f"{path}.per_agent_regret", (float, int), "a number"
+        ),
+        stage_calls=_checked_map(
+            obj.get("stage_calls", {}), f"{path}.stage_calls", (int,), "an integer"
+        ),
     )
 
 
@@ -965,6 +1011,8 @@ def load_outcomes(
             _outcome_from_obj(obj, f"outcomes[{i}]", catalog)
             for i, obj in enumerate(doc["outcomes"])
         ]
+        if not outcomes:
+            raise SchemaError("outcomes: at least one outcome is required")
         return outcomes, doc.get("scenario", ""), doc.get("rule", "")
     except SchemaError:
         raise

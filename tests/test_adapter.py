@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -306,6 +307,124 @@ class TestMockMatchesScalarRanking:
         assert mock_serve(request) == (
             b'{"items": [], "justification": "mock hash ranking over 0 candidates"}'
         )
+
+
+def _array_bytes(ids) -> bytes:
+    candidates = [{"id": i, "description": f"about {i}"} for i in ids]
+    return json.dumps(candidates, sort_keys=True).encode("utf-8")
+
+
+def _assert_same_answer(request):
+    """``mock_serve`` answers, or raises, as the reference does."""
+    try:
+        expected = _reference_mock_serve(request)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        with pytest.raises(type(exc)):
+            mock_serve(request)
+    else:
+        assert mock_serve(request) == expected
+
+
+class TestMockMemo:
+    """A resent candidate array is answered from the mock's memo, as a full parse would."""
+
+    A = ["a", "b", "c", "é", "d\x00"]
+    B = ["x", "y"]
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(adapter, "_last_decoded", None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(st.booleans(), _candidate_ids(), st.text(max_size=6),
+                      st.text(max_size=6), st.integers(1, 20)),
+            min_size=1, max_size=6,
+        )
+    )
+    def test_request_sequences_match_reference(self, steps):
+        ids: list[str] = []
+        for share, new_ids, query_id, persona, k in steps:
+            if not share:
+                ids = new_ids
+            request = _mock_request(query_id, persona, ids, k)
+            assert mock_serve(request) == _reference_mock_serve(request)
+
+    def test_repeated_array_decoded_once(self):
+        requests = [_mock_request(q, "px", self.A, 3) for q in ("q1", "q2", "q3")]
+        with mock.patch.object(adapter, "_id_matrix", wraps=adapter._id_matrix) as build:
+            for request in requests:
+                assert mock_serve(request) == _reference_mock_serve(request)
+        assert build.call_count == 1
+
+    @pytest.mark.parametrize("memo_first", [False, True])
+    def test_duplicate_candidates_key(self, memo_first):
+        # json keeps the last duplicate; the memo must neither answer from the
+        # first array nor remember the first array under the last one's ids
+        duplicated = (
+            b'{"candidates": ' + _array_bytes(self.A)
+            + b', "candidates": ' + _array_bytes(self.B)
+            + b', "k": 2, "persona": "px", "query_id": "q1", "query_text": "t"}'
+        )
+        plain = _mock_request("q2", "px", self.A, 4)
+        for request in [plain, duplicated, plain] if memo_first else [duplicated, plain]:
+            _assert_same_answer(request)
+
+    def test_array_as_only_key(self):
+        only = b'{"candidates": ' + _array_bytes(self.A) + b"}"
+        for request in (only, _mock_request("q1", "px", self.A, 2), only):
+            _assert_same_answer(request)
+
+    def test_array_then_no_key(self):
+        # ", }" after the array is not JSON, though "{" + "}" is
+        _assert_same_answer(_mock_request("q1", "px", self.A, 2))
+        _assert_same_answer(b'{"candidates": ' + _array_bytes(self.A) + b", }")
+
+    def test_compact_separators_take_the_full_parse(self):
+        body = {"query_id": "q1", "query_text": "t", "persona": "px", "k": 2,
+                "candidates": [{"id": i, "description": "d"} for i in self.A]}
+        compact = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+        for request in (_mock_request("q0", "px", self.A, 3), compact, compact):
+            assert mock_serve(request) == _reference_mock_serve(request)
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xed\xa0\x80"], ids=["0xff", "surrogate"])
+    def test_invalid_utf8_after_the_array(self, bad):
+        _assert_same_answer(_mock_request("q1", "px", self.A, 2))
+        request = (
+            b'{"candidates": ' + _array_bytes(self.A)
+            + b', "k": 2, "persona": "p' + bad + b'", "query_id": "q1", "query_text": "t"}'
+        )
+        with pytest.raises(UnicodeDecodeError):
+            _reference_mock_serve(request)
+        with pytest.raises(UnicodeDecodeError):
+            mock_serve(request)
+
+    def test_threads_alternating_two_arrays(self):
+        requests = [
+            [_mock_request(f"q{n}", "px", self.A if (n + t) % 2 else self.B, 3)
+             for n in range(200)]
+            for t in range(2)
+        ]
+        expected = [[_reference_mock_serve(r) for r in rs] for rs in requests]
+        got: list[list[bytes]] = [[], []]
+
+        def serve(t):
+            for request in requests[t]:
+                got[t].append(mock_serve(request))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=serve, args=(t,)) for t in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expected
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agorank import cli, dataio
 
@@ -276,3 +278,63 @@ class TestDeepNesting:
             "--out", str(tmp_path / "replay"), "--outcomes", str(deep),
         ])
         assert code == 2
+
+
+# one byte-level edit: (kind, position, bytes); a flip XORs the byte at the
+# position with the first byte, a deletion drops as many bytes as it carries
+_EDITS = st.tuples(
+    st.sampled_from(["flip", "delete", "insert"]),
+    st.integers(0, 1 << 16),
+    st.binary(min_size=1, max_size=4),
+)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    for kind, at, payload in edits:
+        at %= len(data) + 1
+        if kind == "flip" and at < len(data):
+            data = data[:at] + bytes([data[at] ^ (payload[0] or 0x80)]) + data[at + 1 :]
+        elif kind == "delete":
+            data = data[:at] + data[at + len(payload) :]
+        else:
+            data = data[:at] + payload + data[at:]
+    return data
+
+
+_FUZZED = ("scenario.json", "catalog.csv", "outcomes.json")
+
+
+@pytest.fixture(scope="module")
+def tourism_dir(tmp_path_factory):
+    """A directory holding the builtin tourism scenario, its catalog and
+    outcomes saved from it, each also kept intact under ``base/``."""
+    root = dataio.builtin_scenario_path("builtin:tourism").parent
+    tmp = tmp_path_factory.mktemp("tourism")
+    for name in ("scenario.json", "catalog.csv"):
+        (tmp / name).write_bytes((root / name).read_bytes())
+    code = cli.main([
+        "run", "--scenario", str(tmp / "scenario.json"), "--out", str(tmp / "rep"),
+        "--save-outcomes", str(tmp / "outcomes.json"),
+    ])
+    assert code == 0
+    (tmp / "base").mkdir()
+    for name in _FUZZED:
+        (tmp / "base" / name).write_bytes((tmp / name).read_bytes())
+    return tmp
+
+
+class TestLoaderFuzz:
+    """Byte-level damage to any input file exits 0, 2 or 3, never 1 (internal error)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(target=st.sampled_from(_FUZZED), edits=st.lists(_EDITS, min_size=1, max_size=3))
+    def test_damaged_input_is_never_an_internal_error(self, tourism_dir, target, edits):
+        for name in _FUZZED:
+            data = (tourism_dir / "base" / name).read_bytes()
+            (tourism_dir / name).write_bytes(_mutate(data, edits) if name == target else data)
+        argv = ["run", "--scenario", str(tourism_dir / "scenario.json"),
+                "--out", str(tourism_dir / "out")]
+        if target == "outcomes.json":
+            argv[0] = "evaluate"
+            argv += ["--outcomes", str(tourism_dir / "outcomes.json")]
+        assert cli.main(argv) in (0, 2, 3)

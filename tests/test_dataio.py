@@ -131,6 +131,13 @@ class TestLoadCatalogCsv:
         with pytest.raises(MalformedRecord):
             load_catalog(path)
 
+    def test_non_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "catalog.csv"
+        path.write_bytes((CSV_HEADER + "i1,p1,,0.5,0.5,\ni2,p1,,0.5,0.5,caf\xe9\n").encode("latin-1"))
+        with pytest.raises(MalformedRecord, match="not UTF-8") as err:
+            load_catalog(path)
+        assert err.value.line == 3
+
 
 class TestLoadCatalogJson:
     def test_attributes_carried(self, tmp_path):
@@ -282,6 +289,13 @@ class TestLoadInteractions:
         with pytest.raises(MalformedRecord) as err:
             load_interactions(path, self.CATALOG)
         assert err.value.line == 3
+
+    def test_non_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "interactions.csv"
+        path.write_bytes(self.HEADER.encode() + b"u\xff,i1,5.0,2024-01-01T10:00:00\n")
+        with pytest.raises(MalformedRecord, match="not UTF-8") as err:
+            load_interactions(path, self.CATALOG)
+        assert err.value.line == 2
 
 
 class TestGenerateCatalog:
@@ -549,6 +563,13 @@ class TestLoadScenario:
         with pytest.raises(SchemaError):
             load_scenario(path)
 
+    def test_non_utf8(self, scenario_dir):
+        path = write_scenario(scenario_dir, minimal_scenario_doc())
+        data = path.read_bytes()
+        path.write_bytes(data[:50] + b"\xff" + data[51:])
+        with pytest.raises(SchemaError, match="not UTF-8"):
+            load_scenario(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(SchemaError):
             load_scenario(tmp_path / "absent.json")
@@ -662,6 +683,33 @@ class TestSavedOutcomes:
         path = tmp_path / "outcomes.json"
         path.write_text('{"catalog_hash": "x"}', encoding="utf-8")
         with pytest.raises(SchemaError):
+            load_outcomes(path, tourism.catalog)
+
+    @pytest.mark.parametrize(
+        "mutate,message",
+        [
+            (lambda o: o[0].update(final_list=["ghost"]),
+             r"outcomes\[0\]\.final_list\[0\]: unknown item 'ghost'"),
+            (lambda o: o[0].update(final_list=[1]), r"final_list\[0\]: expected a string"),
+            (lambda o: o[0]["per_agent_regret"].update(traveler="x"),
+             r"per_agent_regret\.traveler: expected a number"),
+            (lambda o: o[0]["aggregate"]["influence"].update(traveler=None),
+             r"aggregate\.influence\.traveler: expected a number"),
+            (lambda o: o[0]["stage_calls"].update(aggregate=1.5),
+             r"stage_calls\.aggregate: expected an integer"),
+            (lambda o: o.clear(), "at least one outcome"),
+        ],
+        ids=["unknown-item", "non-string-item", "regret", "influence", "stage-calls", "empty"],
+    )
+    def test_report_fields_checked(self, tourism, tmp_path, mutate, message):
+        # each of these reached build_report and failed there as an internal error
+        outcomes, _ = run_tourism(tourism)
+        path = tmp_path / "outcomes.json"
+        save_outcomes(outcomes, tourism.catalog, path, "tourism", "borda")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        mutate(doc["outcomes"])
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaError, match=message):
             load_outcomes(path, tourism.catalog)
 
 

@@ -103,17 +103,21 @@ _WEIGHTS = st.one_of(
 )
 
 
+# every id of 1-3 letters: pools mix lengths, so id order differs from length order
+_POOL_IDS = ["".join(p) for n in (1, 2, 3) for p in itertools.product("abcxyz", repeat=n)]
+
+
 @st.composite
 def truncated_profiles(draw, min_pool=9, max_pool=20):
     """2-5 weighted truncated ballots whose union is min_pool..max_pool items."""
-    items = draw(
-        st.lists(
-            st.text(alphabet="abcxyz", min_size=1, max_size=3),
-            min_size=min_pool,
-            max_size=max_pool,
-            unique=True,
-        )
-    )
+    # the pool is a prefix of a permutation of _POOL_IDS, so no draw is rejected
+    # as a repeat; it is shuffled only as far as the prefix reaches
+    size = draw(st.integers(min_value=min_pool, max_value=max_pool))
+    items = list(_POOL_IDS)
+    for i in range(size):
+        j = draw(st.integers(min_value=i, max_value=len(items) - 1))
+        items[i], items[j] = items[j], items[i]
+    items = items[:size]
     n_ballots = draw(st.integers(min_value=2, max_value=5))
     rankings = []
     for _ in range(n_ballots):
