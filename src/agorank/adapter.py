@@ -17,11 +17,8 @@ request/response validation path as real HTTP.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
-import urllib.error
-import urllib.request
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -281,6 +278,11 @@ def request_external(
     if endpoint.startswith("mock://"):
         response_body = mock_serve(request_body)
     else:
+        # imported here: they pull in ssl and email, which no other agent needs
+        import http.client
+        import urllib.error
+        import urllib.request
+
         url = endpoint.rstrip("/") + "/generate"
         http_req = urllib.request.Request(
             url, data=request_body, headers={"Content-Type": "application/json"}

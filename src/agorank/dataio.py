@@ -3,8 +3,10 @@ report serialization.
 
 Loaders reject structurally invalid input outright; row-level droppable
 issues (interactions referencing unknown items) are counted and logged,
-never silent.  All serialized artifacts use sorted keys and fixed 6-decimal
-float formatting so identical runs produce byte-identical files.
+never silent.  Every JSON file is written by ``_write_json`` from
+``_json_slabs``, whose text equals ``json.dumps(obj, indent=2,
+sort_keys=True)``; reports round floats to 6 decimals, so identical runs
+produce byte-identical files.
 
 The synthetic generator runs on a portable 64-bit linear congruential PRNG
 (constants below, documented in FORMATS.md) rather than a stdlib generator,
@@ -14,6 +16,7 @@ so generated scenarios reproduce across implementations and platforms.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import importlib.resources
 import io
@@ -22,6 +25,7 @@ import logging
 import weakref
 from dataclasses import dataclass
 from datetime import datetime
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
 
@@ -221,11 +225,15 @@ def _item_to_obj(item: Item) -> dict:
 
 
 def export_catalog(catalog: Catalog, path: str | Path) -> None:
-    """Write a catalog back out (CSV or JSON by suffix); loaders round-trip it."""
+    """Write a catalog back out (CSV or JSON by suffix); loaders round-trip it.
+
+    The JSON form is ``_json_slabs`` of the item records, in id order,
+    and a newline; the CSV form is UTF-8.
+    """
     path = Path(path)
     records = [_item_to_obj(item) for item in catalog.items_sorted()]
     if path.suffix.lower() == ".json":
-        path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        _write_json(path, _json_slabs(records))
         return
     with open(path, "w", newline="", encoding="utf-8") as fh:
         # the csv module writes floats with repr(), so they round-trip exactly
@@ -370,8 +378,17 @@ def _expect_list(v: object, path: str) -> list:
 
 
 def _expect_str(v: object, path: str) -> str:
+    """``v`` if it is a string that UTF-8 can encode: JSON's ``\\ud800``
+    escapes decode to lone surrogates, which no output file could hold."""
     if not isinstance(v, str):
         raise SchemaError(f"{path}: expected a string")
+    if not v.isascii():
+        try:
+            v.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise SchemaError(
+                f"{path}: not encodable as UTF-8 ({exc.reason} at index {exc.start})"
+            ) from None
     return v
 
 
@@ -693,18 +710,115 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
 
 
 # ---------------------------------------------------------------------------
+# JSON writer
+
+# the exact types a leaf may hold; a subclass makes its container a walked one,
+# which encodes it the same way
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _not_serializable(obj: object) -> object:
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+@functools.cache
+def _layout(depth: int) -> tuple[Callable[[object, int], Sequence[str]], str, str]:
+    """The encoder for a scalar or a leaf at ``depth``, and the newline plus
+    indent inside and outside that leaf's brackets.
+
+    The encoder writes a leaf compactly, except that a comma, a newline and
+    ``depth + 1`` indents separate its items.  It is one C encoder per depth,
+    built once; without the C accelerator, the public ``json.JSONEncoder``
+    with the same separators.  Either returns the text as a sequence of
+    strings.
+    """
+    inner = "\n" + "  " * (depth + 1)
+    outer = "\n" + "  " * depth
+    if c_make_encoder is None:
+        encoder = json.JSONEncoder(sort_keys=True, separators=("," + inner, ": "))
+        return lambda obj, _level: (encoder.encode(obj),), inner, outer
+    # (markers, default, encoder, indent, key_separator, item_separator,
+    # sort_keys, skipkeys, allow_nan); no markers, so no cycle check: the
+    # payloads written are trees
+    encode = c_make_encoder(
+        None, _not_serializable, encode_basestring_ascii, None, ": ", "," + inner, True, False, True
+    )
+    return encode, inner, outer
+
+
+_SLAB_PIECES = 4096
+
+
+def _json_slabs(obj: object) -> list[str]:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` as a list of slabs, for
+    ``obj`` with str keys.
+
+    A container whose values are all scalars (a leaf) is encoded in one C
+    call, and the newlines after its opening and before its closing bracket
+    are spliced on.  Only containers that hold containers are walked here,
+    keys sorted.  The pieces are joined into a slab every ``_SLAB_PIECES``
+    pieces, so the text is never held as ~10^5 small chunks, and a file
+    writer need not join the slabs into one string.
+    """
+    slabs: list[str] = []
+    pieces: list[str] = []
+    put = pieces.append
+
+    def walk(obj: object, depth: int) -> None:
+        encode, inner, outer = _layout(depth)
+        is_dict = isinstance(obj, dict)
+        if not is_dict and not isinstance(obj, (list, tuple)):
+            put("".join(encode(obj, 0)))
+            return
+        if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
+            text = "".join(encode(obj, 0))
+            put(f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}" if obj else text)
+            return
+        sep = ("{" if is_dict else "[") + inner
+        if is_dict:
+            for key, value in sorted(obj.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+                put(f"{sep}{encode_basestring_ascii(key)}: ")
+                walk(value, depth + 1)
+                sep = "," + inner
+        else:
+            for value in obj:
+                put(sep)
+                walk(value, depth + 1)
+                sep = "," + inner
+        put(outer + ("}" if is_dict else "]"))
+        if len(pieces) >= _SLAB_PIECES:
+            slabs.append("".join(pieces))
+            pieces.clear()
+
+    walk(obj, 0)
+    slabs.append("".join(pieces))
+    return slabs
+
+
+def _write_json(path: Path, slabs: list[str]) -> None:
+    """Write ``_json_slabs`` output and a newline, as ASCII, slab by slab."""
+    with open(path, "wb") as fh:
+        for slab in slabs:
+            fh.write(slab.encode("ascii"))
+        fh.write(b"\n")
+
+
+# ---------------------------------------------------------------------------
 # report serialization
 
 
 def _round6(value: object) -> object:
+    """A float rounded to 6 places, -0.0 as 0.0; any other value as it is."""
     if isinstance(value, float):
         r = round(value, 6)
         return 0.0 if r == 0 else r
-    if isinstance(value, dict):
-        return {k: _round6(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round6(v) for v in value]
     return value
+
+
+def _rounded(values: Mapping[str, object]) -> dict[str, object]:
+    return {k: _round6(v) for k, v in values.items()}
 
 
 def _fmt6(value: float | None) -> str:
@@ -727,24 +841,22 @@ def _report_payload(
                     "query_id": entry.query_id,
                     "rule": outcome.aggregate.rule,
                     "final_list": list(outcome.final_list),
-                    "values": dict(entry.values),
-                    "regret": dict(entry.regret),
-                    "influence": dict(entry.influence),
+                    "values": _rounded(entry.values),
+                    "regret": _rounded(entry.regret),
+                    "influence": _rounded(entry.influence),
                     "skipped_agents": dict(outcome.skipped_agents),
                 }
             )
         rules_obj[rule_name] = {
-            "aggregate": {k: dict(v) for k, v in report.aggregate.items()},
-            "drift": {k: list(v) for k, v in report.drift.items()},
+            "aggregate": {k: _rounded(v) for k, v in report.aggregate.items()},
+            "drift": {k: [_round6(x) for x in v] for k, v in report.drift.items()},
             "runtime_calls": dict(report.runtime),
             "per_query": per_query,
         }
     return {"scenario": scenario_name, "rules": rules_obj}
 
 
-def _write_metrics_csv(
-    runs: Mapping[str, tuple[EvaluationReport, Sequence[QueryOutcome]]], path: Path
-) -> None:
+def _metrics_csv(runs: Mapping[str, tuple[EvaluationReport, Sequence[QueryOutcome]]]) -> str:
     agent_ids = sorted(
         {a for report, _ in runs.values() for a in report.drift}
     )
@@ -755,24 +867,23 @@ def _write_metrics_csv(
         + [f"regret:{a}" for a in agent_ids]
         + [f"influence:{a}" for a in agent_ids]
     )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rule_name in sorted(runs):
-            report, _ = runs[rule_name]
-            for idx, entry in enumerate(report.per_query):
-                row = [rule_name, str(idx), entry.query_id]
-                row += [_fmt6(entry.values.get(m)) for m in metric_cols]
-                row += [_fmt6(entry.regret.get(a)) for a in agent_ids]
-                row += [_fmt6(entry.influence.get(a)) for a in agent_ids]
-                writer.writerow(row)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for rule_name in sorted(runs):
+        report, _ = runs[rule_name]
+        for idx, entry in enumerate(report.per_query):
+            row = [rule_name, str(idx), entry.query_id]
+            row += [_fmt6(entry.values.get(m)) for m in metric_cols]
+            row += [_fmt6(entry.regret.get(a)) for a in agent_ids]
+            row += [_fmt6(entry.influence.get(a)) for a in agent_ids]
+            writer.writerow(row)
+    return buf.getvalue()
 
 
-def _write_summary_md(
-    runs: Mapping[str, tuple[EvaluationReport, Sequence[QueryOutcome]]],
-    scenario_name: str,
-    path: Path,
-) -> None:
+def _summary_md(
+    runs: Mapping[str, tuple[EvaluationReport, Sequence[QueryOutcome]]], scenario_name: str
+) -> str:
     lines: list[str] = [f"# Run summary: {scenario_name}", ""]
     for rule_name in sorted(runs):
         report, outcomes = runs[rule_name]
@@ -812,7 +923,7 @@ def _write_summary_md(
         for stage in sorted(report.runtime):
             lines.append(f"| {stage} | {report.runtime[stage]} |")
         lines.append("")
-    path.write_text("\n".join(lines), encoding="utf-8")
+    return "\n".join(lines)
 
 
 def write_report(
@@ -824,21 +935,23 @@ def write_report(
 
     ``runs`` maps a rule label to its (report, outcomes) pair; the compare
     command passes several, run passes one.  Identical runs produce
-    byte-identical files.
+    byte-identical files.  All three files are built and encoded before the
+    first is written, so a failure while building them leaves none behind.
+    The JSON is ``_json_slabs`` of the report payload, floats rounded to
+    6 places, and a newline; the CSV and Markdown are UTF-8.
     """
     prefix = Path(path_prefix)
-    if prefix.parent != Path(".") :
+    suffixes = (".report.json", ".metrics.csv", ".summary.md")
+    paths = [prefix.with_name(prefix.name + suffix) for suffix in suffixes]
+    json_slabs = _json_slabs(_report_payload(runs, scenario_name))
+    csv_bytes = _metrics_csv(runs).encode("utf-8")
+    md_bytes = _summary_md(runs, scenario_name).encode("utf-8")
+    if prefix.parent != Path("."):
         prefix.parent.mkdir(parents=True, exist_ok=True)
-    json_path = prefix.with_name(prefix.name + ".report.json")
-    csv_path = prefix.with_name(prefix.name + ".metrics.csv")
-    md_path = prefix.with_name(prefix.name + ".summary.md")
-    payload = _round6(_report_payload(runs, scenario_name))
-    json_path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    _write_metrics_csv(runs, csv_path)
-    _write_summary_md(runs, scenario_name, md_path)
-    return [json_path, csv_path, md_path]
+    _write_json(paths[0], json_slabs)
+    paths[1].write_bytes(csv_bytes)
+    paths[2].write_bytes(md_bytes)
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -908,11 +1021,15 @@ def _checked_map(raw: object, path: str, types: tuple[type, ...], expected: str)
     return dict(obj)
 
 
-def _outcome_from_obj(obj: dict, path: str, catalog: Catalog) -> QueryOutcome:
+def _outcome_from_obj(
+    obj: dict, path: str, catalog: Catalog, ties: dict[tuple[str, str], TieEvent]
+) -> QueryOutcome:
     """Decode one saved outcome; its query is checked like a scenario query.
 
     The fields a report is built from are checked too: the final list holds
     catalog ids, regrets and influences are numbers, stage calls integers.
+    Tie events come from ``ties``, one shared ``TieEvent`` per distinct
+    (description, resolution), added to as new ones are met.
     """
     query = _parse_query(obj["query"], f"{path}.query", catalog)
     final_list = _expect_list(obj["final_list"], f"{path}.final_list")
@@ -941,7 +1058,7 @@ def _outcome_from_obj(obj: dict, path: str, catalog: Catalog) -> QueryOutcome:
                 agg["influence"], f"{path}.aggregate.influence", (float, int), "a number"
             ),
             tiebreak_trace=tuple(
-                TieEvent(e["description"], e["resolution"])
+                _shared_tie(ties, e["description"], e["resolution"])
                 for e in agg.get("tiebreak_trace", [])
             ),
             scores=dict(agg.get("scores", {})),
@@ -959,6 +1076,16 @@ def _outcome_from_obj(obj: dict, path: str, catalog: Catalog) -> QueryOutcome:
     )
 
 
+def _shared_tie(
+    ties: dict[tuple[str, str], TieEvent], description: str, resolution: str
+) -> TieEvent:
+    key = (description, resolution)
+    event = ties.get(key)
+    if event is None:
+        event = ties[key] = TieEvent(description, resolution)
+    return event
+
+
 def save_outcomes(
     outcomes: Sequence[QueryOutcome],
     catalog: Catalog,
@@ -969,7 +1096,9 @@ def save_outcomes(
     """Persist per-query outcomes with a catalog content hash.
 
     Floats keep full precision here (unlike reports) so an evaluate-only
-    replay reproduces the original report byte for byte.
+    replay reproduces the original report byte for byte.  The file is
+    ``_json_slabs`` of the payload and a newline, built in full before
+    the file is opened.
     """
     payload = {
         "scenario": scenario_name,
@@ -977,9 +1106,7 @@ def save_outcomes(
         "catalog_hash": catalog_hash(catalog),
         "outcomes": [_outcome_to_obj(o) for o in outcomes],
     }
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(Path(path), _json_slabs(payload))
 
 
 def load_outcomes(
@@ -987,11 +1114,13 @@ def load_outcomes(
 ) -> tuple[list[QueryOutcome], str, str]:
     """Load saved outcomes, checking the catalog hash.
 
-    Returns (outcomes, scenario_name, rule_name).
+    Returns (outcomes, scenario_name, rule_name).  Equal tie events within
+    the file share one ``TieEvent``; nothing is kept between calls.
 
     Raises:
-        SchemaError: unreadable/invalid file, catalog hash mismatch, or a
-            query that breaks the scenario-query rules.
+        SchemaError: unreadable/invalid file, catalog hash mismatch, a
+            query that breaks the scenario-query rules, or a scenario or
+            rule name that is not a string encodable as UTF-8.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -1007,13 +1136,16 @@ def load_outcomes(
                 "catalog hash mismatch: outcomes were recorded against a "
                 f"different catalog (recorded {expected[:12]}…, current {actual[:12]}…)"
             )
+        scenario_name = _expect_str(doc.get("scenario", ""), "scenario")
+        rule_name = _expect_str(doc.get("rule", ""), "rule")
+        ties: dict[tuple[str, str], TieEvent] = {}
         outcomes = [
-            _outcome_from_obj(obj, f"outcomes[{i}]", catalog)
+            _outcome_from_obj(obj, f"outcomes[{i}]", catalog, ties)
             for i, obj in enumerate(doc["outcomes"])
         ]
         if not outcomes:
             raise SchemaError("outcomes: at least one outcome is required")
-        return outcomes, doc.get("scenario", ""), doc.get("rule", "")
+        return outcomes, scenario_name, rule_name
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

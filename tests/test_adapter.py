@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 import threading
 import time
@@ -523,3 +524,39 @@ class TestHttpTransport:
         with pytest.raises(AdapterTimeout):
             request_external(spec, QUERY, ITEMS, 2)
         assert time.monotonic() - started < 1.5
+
+
+# a council with a mock:// agent, run in a fresh interpreter; prints the
+# HTTP-stack modules loaded by the end and whether the external agent voted
+_MOCK_COUNCIL = """
+import json, sys
+from agorank import dataio, orchestrator
+from agorank.agents import AgentObjective, AgentSpec
+from agorank.metrics import MetricId
+from agorank.model import StakeholderRole
+
+scenario = dataio.load_scenario("builtin:tourism")
+remote = AgentSpec(
+    agent_id="remote",
+    role=StakeholderRole.THIRD_PARTY,
+    objective=AgentObjective.EXTERNAL,
+    objective_metric=MetricId.NDCG,
+    objective_target=0.5,
+    params={"endpoint": "mock://", "persona": "guide"},
+)
+outcomes, _ = orchestrator.run_stream(
+    scenario.queries, scenario.agents + (remote,), scenario.catalog,
+    scenario.policy, scenario.rule_config,
+)
+voted = all("remote" in {b.agent_id for b in o.per_agent_ballots} for o in outcomes)
+loaded = [m for m in ("http.client", "urllib.request", "ssl", "email") if m in sys.modules]
+print(json.dumps({"voted": voted, "loaded": loaded}))
+"""
+
+
+def test_mock_council_loads_no_http_stack():
+    proc = subprocess.run(
+        [sys.executable, "-c", _MOCK_COUNCIL], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"voted": True, "loaded": []}

@@ -235,6 +235,32 @@ class TestEvaluate:
         assert proc.returncode == 2
 
 
+class TestUnencodableStrings:
+    """A JSON escape that decodes to a lone surrogate is invalid input: it
+    used to fail while the report was being written, exit 1, and leave
+    partial files behind."""
+
+    @pytest.mark.parametrize(
+        "edit,where",
+        [
+            (lambda doc: doc.update(name="tour\udc00ism"), "name"),
+            (lambda doc: doc["queries"][0].update(id="q\ud800"), "queries[0].id"),
+        ],
+        ids=["scenario-name", "query-id"],
+    )
+    def test_exit_2_and_nothing_written(self, tmp_path, edit, where):
+        builtin = dataio.builtin_scenario_path("builtin:tourism")
+        doc = json.loads(builtin.read_text(encoding="utf-8"))
+        doc["catalog"] = str(builtin.parent / doc["catalog"])
+        edit(doc)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        proc = agorank("run", "--scenario", str(scenario), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert f"error: {where}: not encodable as UTF-8" in proc.stderr
+        assert list(tmp_path.glob("o.*")) == []
+
+
 class TestArgparse:
     def test_no_command_fails(self):
         proc = agorank()

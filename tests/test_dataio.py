@@ -35,7 +35,7 @@ from agorank.errors import (
     UnknownRule,
 )
 from agorank.metrics import build_report
-from agorank.model import AggregateResult, Catalog, Constraint, Item, Query
+from agorank.model import AggregateResult, Catalog, Constraint, Item, Query, TieEvent
 from agorank.orchestrator import ActivationMode, QueryOutcome, run_stream
 
 CSV_HEADER = "id,provider_id,categories,popularity,sustainability,description\n"
@@ -657,6 +657,15 @@ class TestWriteReport:
         assert "traveler" in text
         assert "Regret drift" in text
 
+    def test_no_file_when_a_builder_fails(self, run, tmp_path, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("summary failed")
+
+        monkeypatch.setattr(dataio, "_summary_md", fail)
+        with pytest.raises(RuntimeError, match="summary failed"):
+            write_report(run, tmp_path / "out", "tourism")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSavedOutcomes:
     def test_roundtrip_reproduces_report(self, tourism, tmp_path):
@@ -711,6 +720,36 @@ class TestSavedOutcomes:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(SchemaError, match=message):
             load_outcomes(path, tourism.catalog)
+
+    @pytest.mark.parametrize("field", ["scenario", "rule"])
+    def test_unencodable_name_rejected(self, tourism, tmp_path, field):
+        outcomes, _ = run_tourism(tourism)
+        path = tmp_path / "outcomes.json"
+        save_outcomes(outcomes, tourism.catalog, path, "tourism", "borda")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc[field] = "bor\udc00da"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"^{field}: not encodable as UTF-8"):
+            load_outcomes(path, tourism.catalog)
+
+    def test_equal_tie_events_shared_within_a_file_only(self, tourism, tmp_path):
+        outcomes, _ = run_tourism(tourism)
+        path = tmp_path / "outcomes.json"
+        save_outcomes(outcomes, tourism.catalog, path, "tourism", "borda")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        tie = {"description": "a tie", "resolution": "by id"}
+        for entry in doc["outcomes"]:
+            entry["aggregate"]["tiebreak_trace"] = [dict(tie), dict(tie)]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+        first = [e for o in load_outcomes(path, tourism.catalog)[0]
+                 for e in o.aggregate.tiebreak_trace]
+        second = [e for o in load_outcomes(path, tourism.catalog)[0]
+                  for e in o.aggregate.tiebreak_trace]
+        assert len(first) == 2 * len(outcomes)
+        assert all(e == TieEvent("a tie", "by id") for e in first)
+        assert all(e is first[0] for e in first)
+        assert second[0] is not first[0]
 
 
 class TestCatalogHash:
