@@ -51,11 +51,11 @@ class RuleConfig:
     reorders the pool the same way in every call with that seed and size.
     The search climbs every restart first and then prices all the local
     optima together; it returns the least (distance, ids) over every optimum
-    it visited.  Within one query stream the visited optima are kept in a
-    ``KemenyMemo`` keyed by (``seed``, ``kemeny_search_iters``, pool size,
-    Borda start and strict-majority relation, both as positions); a repeat
-    of that key skips the climbs, and its optima are priced again against
-    the call's own tally.
+    it visited.  Within one query stream a ``KemenyMemo`` keeps the visited
+    optima under (``seed``, ``kemeny_search_iters``, pool size,
+    strict-majority relation in Borda-start coordinates), priced again
+    against each call's own tally, and each pick under (``seed``,
+    ``kemeny_search_iters``, Borda start, tally).
     """
 
     rule: Rule = Rule.BORDA
@@ -400,48 +400,72 @@ def _local_optima(
             restarts += 1
 
 
-# bytes of visited optima one KemenyMemo stores; the oldest entries go first
+# bytes one KemenyMemo stores, keys included; the oldest entries go first
 _OPTIMA_MEMO_BYTES = 8 << 20
 
 
+def _key_bytes(key: tuple) -> int:
+    return sum(len(part) for part in key if isinstance(part, bytes))
+
+
 class KemenyMemo:
-    """The local optima the Kemeny restart search visited, for one query stream.
+    """What the Kemeny restart search found, for one query stream.
 
-    ``_local_optima`` reads only the Borda start and the strict-majority
-    relation, both as positions in the sorted pool, the restart schedule of
-    (seed, pool size) and the pass budget.  A key holds exactly these, so the
-    optima stored under it are the ones the climbs would visit again.  They
-    are stored as positions (``uint8`` up to 256 items, ``uint16`` above),
-    never as ids, distances or a pick: each call prices them against its own
-    tally.  Stored rows are capped at ``_OPTIMA_MEMO_BYTES``, oldest entries
-    evicted first; a search whose optima alone exceed the cap is not stored.
+    It holds two kinds of entry, both exact:
 
-    A ``FairnessLedger`` carries one memo per stream; ``aggregate`` called
-    without one makes a fresh memo for that call.  A memo is not meant to be
-    shared between threads.
+    - *Optima*, keyed by (seed, pass budget, pool size, strict-majority
+      relation in Borda-start coordinates).  Relabelling the pool so that
+      the Borda order reads 0, 1, ..., m-1 changes nothing a climb or a
+      restart does: a climb reads only the relation, and a restart permutes
+      slots by the schedule of (seed, pool size).  So every profile whose
+      relation reads the same in its own Borda order visits the same optima
+      in those coordinates.  They are stored as rows of them (``uint8`` up to
+      256 items, ``uint16`` above) and each call maps them back through its
+      own Borda start and prices them against its own tally.
+    - *Picks*, keyed by (seed, pass budget, Borda start as sorted-pool
+      positions, against matrix as bytes).  The pick, the least (distance,
+      ids) over the optima, is a function of exactly these, so a repeat
+      skips the climbs and the pricing.  It is stored as sorted-pool
+      positions, never as ids.
+
+    The two key shapes never collide: the third part is the pool size (an
+    int) in one and the start (bytes) in the other.  An entry costs its
+    array plus the bytes of its key; all entries together
+    are capped at ``_OPTIMA_MEMO_BYTES``, oldest evicted first, and an entry
+    that alone exceeds the cap is not stored.  A ``FairnessLedger`` carries
+    one memo per stream; ``aggregate`` called without one makes a fresh memo
+    for that call.  A memo is not meant to be shared between threads.
     """
 
     def __init__(self) -> None:
-        self._rows: dict[tuple, np.ndarray] = {}
+        self._entries: dict[tuple, np.ndarray] = {}
         self.nbytes = 0
 
     def get(self, key: tuple) -> np.ndarray | None:
-        return self._rows.get(key)
+        return self._entries.get(key)
+
+    def put(self, key: tuple, value: np.ndarray) -> None:
+        """Store ``value`` under a key not yet held, if it fits; evict the oldest to make room."""
+        nbytes = _key_bytes(key) + value.nbytes
+        if nbytes > _OPTIMA_MEMO_BYTES:
+            return
+        self._entries[key] = value
+        self.nbytes += nbytes
+        while self.nbytes > _OPTIMA_MEMO_BYTES:
+            old = next(iter(self._entries))
+            self.nbytes -= _key_bytes(old) + self._entries.pop(old).nbytes
 
     def recording(self, key: tuple, blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
         """Yield ``blocks``; once they run out, store them under ``key`` if they fit."""
         kept: list[np.ndarray] = []
-        nbytes = 0
+        nbytes = _key_bytes(key)
         for block in blocks:
             nbytes += block.nbytes
             if nbytes <= _OPTIMA_MEMO_BYTES:
                 kept.append(block)
             yield block
         if nbytes <= _OPTIMA_MEMO_BYTES:
-            self._rows[key] = np.concatenate(kept)
-            self.nbytes += nbytes
-            while self.nbytes > _OPTIMA_MEMO_BYTES:
-                self.nbytes -= self._rows.pop(next(iter(self._rows))).nbytes
+            self.put(key, np.concatenate(kept))
 
 
 def _block_rows(m: int) -> int:
@@ -517,36 +541,39 @@ def _kemeny_heuristic(
 
     No climb or restart reads a distance, so the restarts run as a scan would
     run them; the pick is the least (distance, ids) over every optimum visited.
-    The optima come from ``memo`` when it holds this search's key, and are
-    priced against this call's tally either way.
+    The climbs run in Borda-start coordinates, from 0, 1, ..., m-1, and their
+    optima are mapped back through the start before pricing.  ``memo`` may
+    hold this call's pick, or the optima of its relation (see ``KemenyMemo``).
     """
     items = tuple(sorted(tally.pool))
     m = len(items)
     against = _against(items, tally)
-    # ahead[a, b]: a strict weighted majority ranks b above a
-    ahead = against > against.T
     position = {item: p for p, item in enumerate(items)}
-    start = [position[item] for item in rule_borda(profile, config).consensus]
     dtype = np.uint8 if m <= 256 else np.uint16
-    key = (
-        config.seed,
-        config.kemeny_search_iters,
-        m,
-        np.array(start, dtype=dtype).tobytes(),
-        np.packbits(ahead).tobytes(),
+    start = np.array(
+        [position[item] for item in rule_borda(profile, config).consensus], dtype=dtype
     )
+    search = (config.seed, config.kemeny_search_iters)
+    pick_key = (*search, start.tobytes(), against.tobytes())
     memo = KemenyMemo() if memo is None else memo
-    rows = memo.get(key)
-    if rows is None:
-        ahead_sets = [set(np.flatnonzero(row).tolist()) for row in ahead]
-        schedule = _restart_schedule(config.seed, m)
-        optima = _local_optima(start, ahead_sets, schedule, config.kemeny_search_iters)
-        blocks = memo.recording(key, _row_blocks(optima, m, dtype))
-    else:
-        size = _block_rows(m)
-        blocks = (rows[i : i + size] for i in range(0, len(rows), size))
-    best, _ = _least_ranking(blocks, against)
-    consensus = tuple(items[p] for p in best)
+    best = memo.get(pick_key)
+    if best is None:
+        # rel[i, j]: a strict weighted majority ranks the j-th Borda item above the i-th
+        rel = (against > against.T)[np.ix_(start, start)]
+        key = (*search, m, np.packbits(rel).tobytes())
+        rows = memo.get(key)
+        if rows is None:
+            rel_sets = [set(np.flatnonzero(row).tolist()) for row in rel]
+            schedule = _restart_schedule(config.seed, m)
+            optima = _local_optima(list(range(m)), rel_sets, schedule, config.kemeny_search_iters)
+            blocks = memo.recording(key, _row_blocks(optima, m, dtype))
+        else:
+            size = _block_rows(m)
+            blocks = (rows[i : i + size] for i in range(0, len(rows), size))
+        least, _ = _least_ranking((start[block] for block in blocks), against)
+        best = np.array(least, dtype=dtype)
+        memo.put(pick_key, best)
+    consensus = tuple(items[p] for p in best.tolist())
     return consensus, kemeny_distance(consensus, tally)
 
 
@@ -561,10 +588,12 @@ def rule_kemeny(
     "kemeny-heuristic" in the result: it climbs every restart first, then
     prices the local optima together and keeps the least (distance, ids)
     over all of them.  ``memo`` keeps the optima each search visited, keyed
-    by (seed, pass budget, pool size, Borda start, strict-majority
-    relation); a call whose key is there skips the climbs and prices the
-    stored optima against its own tally, so a hit reuses no distance and no
-    pick.  Without a memo the call uses a fresh one.  Both searches price
+    by (seed, pass budget, pool size, strict-majority relation read in Borda
+    order): a call whose relation is there skips the climbs and prices the
+    stored optima, mapped through its own Borda start, against its own
+    tally.  It also keeps each pick, keyed by (seed, pass budget, Borda
+    start, tally), which fix it exactly; an equal call skips the pricing
+    too.  Without a memo the call uses a fresh one.  Both searches price
     rankings in blocks with the additions of ``kemeny_distance``, the
     scalar reference, in its order.
     """
@@ -654,9 +683,10 @@ def aggregate(
 ) -> AggregateResult:
     """Run the configured rule and attach leave-one-out influence.
 
-    ``memo`` carries the Kemeny search's visited optima from call to call;
-    a ``FairnessLedger`` passes its own, one per stream.  Without one, the
-    rule and its leave-one-out runs share a fresh memo for this call only.
+    ``memo`` carries the Kemeny search's visited optima and picks from call
+    to call (see ``KemenyMemo``); a ``FairnessLedger`` passes its own, one
+    per stream.  Without one, the rule and its leave-one-out runs share a
+    fresh memo for this call only.
     """
     memo = KemenyMemo() if memo is None else memo
     result = _run_rule(profile, config, memo)

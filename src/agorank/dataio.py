@@ -22,6 +22,7 @@ import importlib.resources
 import io
 import json
 import logging
+import math
 import weakref
 from dataclasses import dataclass
 from datetime import datetime
@@ -442,6 +443,28 @@ _RULE_FIELDS = {
 }
 
 
+def _expect_endpoint(v: object, path: str) -> str:
+    endpoint = _expect_str(v, path)
+    if not endpoint.startswith(("mock://", "http://", "https://")):
+        raise SchemaError(f"{path}: expected a mock://, http:// or https:// URL")
+    return endpoint
+
+
+def _expect_timeout(v: object, path: str) -> float:
+    timeout = _expect_number(v, path)
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise SchemaError(f"{path}: expected a finite number of seconds > 0")
+    return timeout
+
+
+# the params an external agent's adapter reads; each is optional
+_EXTERNAL_PARAMS = {
+    "endpoint": _expect_endpoint,
+    "persona": _expect_str,
+    "timeout_s": _expect_timeout,
+}
+
+
 def _parse_number_map(raw: object, path: str) -> dict[str, float]:
     """Decode a string-to-number object: query and persona weights, item attributes."""
     return {
@@ -485,8 +508,9 @@ def _parse_agent(raw: object, path: str) -> AgentSpec:
     except ValueError:
         raise UnknownMetricId(f"{path}.objective_metric: {metric_raw!r}") from None
     target = _expect_number(obj.get("objective_target"), f"{path}.objective_target")
-    params_raw = obj.get("params", {})
-    params = _expect_dict(params_raw, f"{path}.params") if params_raw else {}
+    params = _expect_dict(obj.get("params", {}), f"{path}.params")
+    if objective is AgentObjective.EXTERNAL:
+        _optional_fields(params, f"{path}.params", _EXTERNAL_PARAMS)
     tags = _expect_str_list(obj.get("compatibility_tags", []), f"{path}.compatibility_tags")
     return _construct(
         AgentSpec,
@@ -1021,13 +1045,29 @@ def _checked_map(raw: object, path: str, types: tuple[type, ...], expected: str)
     return dict(obj)
 
 
+def _checked_influence(raw: object, path: str, ballots: Sequence[Ballot]) -> dict[str, float]:
+    """Leave-one-out influence as ``influence_loo`` writes it: one value in
+    [0, 1] for each agent that cast a ballot, and no other key."""
+    influence = _checked_map(raw, path, (float, int), "a number")
+    agents = {b.agent_id for b in ballots}
+    if influence.keys() != agents:
+        raise SchemaError(
+            f"{path}: expected one entry per ballot agent {sorted(agents)}, got {sorted(influence)}"
+        )
+    for agent, value in influence.items():
+        if not 0.0 <= value <= 1.0:
+            raise SchemaError(f"{path}.{agent}: expected a number in [0, 1]")
+    return influence
+
+
 def _outcome_from_obj(
     obj: dict, path: str, catalog: Catalog, ties: dict[tuple[str, str], TieEvent]
 ) -> QueryOutcome:
     """Decode one saved outcome; its query is checked like a scenario query.
 
     The fields a report is built from are checked too: the final list holds
-    catalog ids, regrets and influences are numbers, stage calls integers.
+    catalog ids, regrets are numbers, influence holds a value in [0, 1] for
+    exactly the agents that cast a ballot, stage calls are integers.
     Tie events come from ``ties``, one shared ``TieEvent`` per distinct
     (description, resolution), added to as new ones are met.
     """
@@ -1038,25 +1078,24 @@ def _outcome_from_obj(
             raise SchemaError(f"{path}.final_list[{i}]: expected a string")
         if item_id not in catalog:
             raise SchemaError(f"{path}.final_list[{i}]: unknown item {item_id!r}")
+    ballots = tuple(
+        Ballot(
+            agent_id=b["agent_id"],
+            ranking=tuple(b["ranking"]),
+            justification=b.get("justification"),
+            weight=b["weight"],
+        )
+        for b in obj["ballots"]
+    )
     agg = obj["aggregate"]
     return QueryOutcome(
         query_id=query.id,
         final_list=tuple(final_list),
-        per_agent_ballots=tuple(
-            Ballot(
-                agent_id=b["agent_id"],
-                ranking=tuple(b["ranking"]),
-                justification=b.get("justification"),
-                weight=b["weight"],
-            )
-            for b in obj["ballots"]
-        ),
+        per_agent_ballots=ballots,
         aggregate=AggregateResult(
             rule=agg["rule"],
             consensus=tuple(agg["consensus"]),
-            influence=_checked_map(
-                agg["influence"], f"{path}.aggregate.influence", (float, int), "a number"
-            ),
+            influence=_checked_influence(agg["influence"], f"{path}.aggregate.influence", ballots),
             tiebreak_trace=tuple(
                 _shared_tie(ties, e["description"], e["resolution"])
                 for e in agg.get("tiebreak_trace", [])

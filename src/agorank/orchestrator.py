@@ -83,10 +83,13 @@ class FairnessLedger:
     activation), cumulative provider exposure (driving the parity agent and
     the exposure metrics), per-agent reliability state, and the stream's
     ``KemenyMemo``: the local optima each Kemeny restart search visited,
-    keyed by (seed, pass budget, pool size, Borda start, strict-majority
-    relation).  A later query or leave-one-out profile with the same key
-    skips the climbs, and every hit is priced again against its own tally.
-    A fresh ledger starts with an empty memo.
+    keyed by (seed, pass budget, pool size, strict-majority relation in
+    Borda-start coordinates), and each search's pick, keyed by (seed, pass
+    budget, Borda start, tally).  A later query or leave-one-out profile
+    whose relation reads the same in its own Borda order skips the climbs
+    and prices the stored optima against its own tally; one with an equal
+    start and tally also skips the pricing.  A fresh ledger starts with an
+    empty memo.
     """
 
     def __init__(self, agent_ids: Sequence[str], window: int):

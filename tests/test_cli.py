@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agorank import cli, dataio
+from agorank.errors import SchemaError
 
 
 def agorank(*args, cwd=None):
@@ -325,6 +326,97 @@ def _mutate(data: bytes, edits) -> bytes:
         else:
             data = data[:at] + payload + data[at:]
     return data
+
+
+def _tourism_with_guide(tmp_path, params):
+    """The tourism scenario, runnable from ``tmp_path``, with a fourth,
+    external agent whose params are ``params``."""
+    builtin = dataio.builtin_scenario_path("builtin:tourism")
+    doc = json.loads(builtin.read_text(encoding="utf-8"))
+    doc["catalog"] = str(builtin.parent / doc["catalog"])
+    doc["agents"].append({
+        "agent_id": "guide",
+        "role": "third_party",
+        "objective": "external",
+        "objective_metric": "ndcg",
+        "objective_target": 0.5,
+        "params": params,
+    })
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    return scenario
+
+
+class TestExternalAgentParams:
+    """An external agent's params are checked when the scenario loads: a
+    mistyped one used to exit 1 with an internal error once the agent ran."""
+
+    GOOD = {"endpoint": "mock://guide", "persona": "local guide", "timeout_s": 5}
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("persona", 5, "expected a string"),
+            ("persona", "g\udc00", "not encodable as UTF-8"),
+            ("timeout_s", "abc", "expected a number"),
+            ("timeout_s", True, "expected a number"),
+            ("timeout_s", 0, "expected a finite number of seconds > 0"),
+            ("timeout_s", -1.5, "expected a finite number of seconds > 0"),
+            ("timeout_s", float("inf"), "expected a finite number of seconds > 0"),
+            ("timeout_s", float("nan"), "expected a finite number of seconds > 0"),
+            ("endpoint", 5, "expected a string"),
+            ("endpoint", "", "expected a mock://, http:// or https:// URL"),
+            ("endpoint", "ftp://guide", "expected a mock://, http:// or https:// URL"),
+        ],
+    )
+    def test_exit_2_and_nothing_written(self, tmp_path, key, value, message):
+        scenario = _tourism_with_guide(tmp_path, {**self.GOOD, key: value})
+        proc = agorank("run", "--scenario", str(scenario), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2, proc.stderr
+        assert f"error: agents[3].params.{key}: {message}" in proc.stderr
+        assert list(tmp_path.glob("o.*")) == []
+
+    @pytest.mark.parametrize("params", [0, False, "", [], None])
+    def test_params_must_be_an_object(self, tmp_path, params):
+        with pytest.raises(SchemaError, match=r"agents\[3\]\.params: expected an object"):
+            dataio.load_scenario(_tourism_with_guide(tmp_path, params))
+
+    @pytest.mark.parametrize(
+        "params",
+        [GOOD, {"endpoint": "https://guide.example", "timeout_s": 0.25}, {}],
+        ids=["mock", "https", "none"],
+    )
+    def test_valid_params_load(self, tmp_path, params):
+        scenario = dataio.load_scenario(_tourism_with_guide(tmp_path, params))
+        assert scenario.agents[3].params == params
+
+
+class TestSavedInfluence:
+    """``aggregate.influence`` holds one value in [0, 1] per ballot agent."""
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda inf: inf.update(ghost=0.5), "expected one entry per ballot agent"),
+            (lambda inf: inf.pop("traveler"), "expected one entry per ballot agent"),
+            (lambda inf: inf.update(traveler=7.5), "traveler: expected a number in [0, 1]"),
+            (lambda inf: inf.update(traveler=-0.25), "traveler: expected a number in [0, 1]"),
+        ],
+        ids=["unknown-agent", "missing-agent", "above-one", "below-zero"],
+    )
+    def test_exit_2_and_nothing_written(self, tourism_dir, tmp_path, edit, message):
+        saved = tmp_path / "outcomes.json"
+        doc = json.loads((tourism_dir / "base" / "outcomes.json").read_text(encoding="utf-8"))
+        edit(doc["outcomes"][0]["aggregate"]["influence"])
+        saved.write_text(json.dumps(doc), encoding="utf-8")
+        proc = agorank(
+            "evaluate", "--scenario", "builtin:tourism",
+            "--out", str(tmp_path / "replay"), "--outcomes", str(saved),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "error: outcomes[0].aggregate.influence" in proc.stderr
+        assert message in proc.stderr
+        assert list(tmp_path.glob("replay.*")) == []
 
 
 _FUZZED = ("scenario.json", "catalog.csv", "outcomes.json")

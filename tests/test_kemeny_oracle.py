@@ -17,6 +17,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from typing import Mapping, Sequence
 from unittest import mock
 
@@ -25,8 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agorank import aggregation
-from agorank.aggregation import PairwiseTally, RuleConfig, pairwise_tally, rule_borda
+from agorank import aggregation, dataio, orchestrator
+from agorank.aggregation import PairwiseTally, Rule, RuleConfig, pairwise_tally, rule_borda
 from agorank.model import Ballot, PreferenceProfile, candidate_pool
 
 
@@ -205,6 +206,33 @@ def position_twins(draw):
     ]
 
 
+def _renamed(profile: PreferenceProfile, names: Mapping[str, str]) -> PreferenceProfile:
+    """The same ballots and weights, each item renamed by ``names``."""
+    ballots = tuple(
+        Ballot(b.agent_id, tuple(names[item] for item in b.ranking), weight=b.weight)
+        for b in profile.ballots
+    )
+    return PreferenceProfile(ballots=ballots, pool=candidate_pool(ballots))
+
+
+def _shuffled_names(draw, pool: Sequence[str]) -> dict[str, str]:
+    """A bijection of ``pool`` onto fresh ids that does not keep their order."""
+    items = sorted(pool)
+    image = draw(st.permutations(items))
+    if image == items:
+        image = image[::-1]
+    return {item: "n" + new for item, new in zip(items, image)}
+
+
+@st.composite
+def start_twins(draw):
+    """A profile and the same ballots with items renamed out of order: the
+    relation reads the same in each one's Borda order unless a Borda tie
+    breaks the other way, while every sorted-pool position moves."""
+    profile = draw(truncated_profiles(min_pool=3, max_pool=20))
+    return [profile, _renamed(profile, _shuffled_names(draw, profile.pool))]
+
+
 @st.composite
 def weight_twins(draw):
     """A profile and, often sharing its memo key, the same ballots relabelled
@@ -233,6 +261,23 @@ def chain_profiles(draw):
     return [PreferenceProfile.from_ballots(ballots)]
 
 
+def _stored_bytes(memo: aggregation.KemenyMemo) -> int:
+    """Bytes of every entry's array and key, from the sizes its key implies."""
+    total = 0
+    for key, value in memo._entries.items():
+        if isinstance(key[2], int):
+            # optima: (seed, iters, m, relation packed 8 pairs a byte)
+            m = key[2]
+            assert value.ndim == 2 and value.shape[1] == m
+            total += value.nbytes + (m * m + 7) // 8
+        else:
+            # pick: (seed, iters, start, against); start has the pick's dtype
+            m = len(value)
+            assert len(key[2]) == value.nbytes and len(key[3]) == 8 * m * m
+            total += 2 * value.nbytes + 8 * m * m
+    return total
+
+
 # few seeds and budgets, so that one profile meets the memo under another search
 _SEARCHES = st.tuples(st.sampled_from([0, 1, 7]), st.sampled_from([1, 2, 5, 40]))
 
@@ -241,7 +286,7 @@ _SEARCHES = st.tuples(st.sampled_from([0, 1, 7]), st.sampled_from([1, 2, 5, 40])
 @given(
     calls=st.lists(
         st.tuples(
-            st.one_of(position_twins(), weight_twins(), chain_profiles()),
+            st.one_of(position_twins(), weight_twins(), start_twins(), chain_profiles()),
             _SEARCHES,
             _SEARCHES,
         ),
@@ -263,7 +308,15 @@ def test_heuristic_with_a_shared_memo_matches_reference(calls, budget):
                 assert got == aggregation._kemeny_heuristic(profile, config, tally)
                 assert got == _reference_heuristic(profile, config, tally)
                 assert memo.nbytes <= budget
-                assert memo.nbytes == sum(rows.nbytes for rows in memo._rows.values())
+                assert memo.nbytes == _stored_bytes(memo)
+
+
+def _heuristic_calls():
+    """Counters of the climbs and the pricings ``_kemeny_heuristic`` runs."""
+    return (
+        mock.patch.object(aggregation, "_local_optima", wraps=aggregation._local_optima),
+        mock.patch.object(aggregation, "_least_ranking", wraps=aggregation._least_ranking),
+    )
 
 
 def test_position_twins_share_a_key_and_are_priced_again():
@@ -275,14 +328,68 @@ def test_position_twins_share_a_key_and_are_priced_again():
     twin = _relabelled(base, "p", (w3, w2, w1))
     config = RuleConfig(kemeny_exact_limit=2, kemeny_search_iters=40, seed=0)
     memo = aggregation.KemenyMemo()
-    first = aggregation._kemeny_heuristic(base, config, pairwise_tally(base), memo)
-    stored = memo.nbytes
-    second = aggregation._kemeny_heuristic(twin, config, pairwise_tally(twin), memo)
-    # nothing new stored: the twin was a hit, and its pick is not the stored profile's
-    assert 0 < memo.nbytes == stored
+    climbs, pricings = _heuristic_calls()
+    with climbs as climbs, pricings as pricings:
+        first = aggregation._kemeny_heuristic(base, config, pairwise_tally(base), memo)
+        second = aggregation._kemeny_heuristic(twin, config, pairwise_tally(twin), memo)
+    # one climb: the twin's optima were a hit; two pricings: its tally is not the
+    # stored profile's, so neither is its pick
+    assert (climbs.call_count, pricings.call_count) == (1, 2)
+    assert len(memo._entries) == 3 and memo.nbytes == _stored_bytes(memo)
     assert first == _reference_heuristic(base, config, pairwise_tally(base))
     assert second == _reference_heuristic(twin, config, pairwise_tally(twin))
     assert first[0] == ("a", "b", "c") and second[0] == ("pc", "pa", "pb")
+
+
+def test_start_twin_adds_no_optima_and_gets_its_own_pick():
+    # chains d>c, b>a, f>e: every interleaving is a local optimum at one distance.
+    # Reversing the ids keeps the relation in Borda-start coordinates but moves
+    # the least ids among the optima visited
+    ballots = [
+        Ballot(agent, chain, weight=1 / 3)
+        for agent, chain in [("x", ("d", "c")), ("y", ("b", "a")), ("z", ("f", "e"))]
+    ]
+    base = PreferenceProfile.from_ballots(ballots)
+    names = dict(zip("abcdef", "fedcba"))
+    twin = _renamed(base, names)
+    config = RuleConfig(kemeny_exact_limit=2, kemeny_search_iters=200, seed=0)
+    memo = aggregation.KemenyMemo()
+    climbs, pricings = _heuristic_calls()
+    with climbs as climbs, pricings as pricings:
+        first = aggregation._kemeny_heuristic(base, config, pairwise_tally(base), memo)
+        stored = set(memo._entries)
+        second = aggregation._kemeny_heuristic(twin, config, pairwise_tally(twin), memo)
+    assert (climbs.call_count, pricings.call_count) == (1, 2)
+    # the twin stored its pick and no optima
+    (added,) = set(memo._entries) - stored
+    assert isinstance(added[2], bytes)
+    assert first == _reference_heuristic(base, config, pairwise_tally(base))
+    assert second == _reference_heuristic(twin, config, pairwise_tally(twin))
+    assert first[0] == ("b", "a", "d", "c", "f", "e")
+    assert second[0] != tuple(names[item] for item in first[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(profile=truncated_profiles(min_pool=3, max_pool=20), data=st.data(), search=_SEARCHES)
+def test_start_twins_share_one_climb_and_match_reference(profile, data, search):
+    names = _shuffled_names(data.draw, profile.pool)
+    profiles = [profile, _renamed(profile, names)]
+    seed, iters = search
+    config = RuleConfig(kemeny_exact_limit=2, kemeny_search_iters=iters, seed=seed)
+    tallies = [pairwise_tally(p) for p in profiles]
+    expected = [_reference_heuristic(p, config, t) for p, t in zip(profiles, tallies)]
+    alone = [aggregation._kemeny_heuristic(p, config, t) for p, t in zip(profiles, tallies)]
+    memo = aggregation.KemenyMemo()
+    climbs, _ = _heuristic_calls()
+    with climbs as climbs:
+        shared = [
+            aggregation._kemeny_heuristic(p, config, t, memo) for p, t in zip(profiles, tallies)
+        ]
+    assert shared == alone == expected
+    # unless a Borda tie broke the other way, the twin's search was the first one's
+    borda, twin_borda = (rule_borda(p, config).consensus for p in profiles)
+    if tuple(names[item] for item in borda) == twin_borda:
+        assert climbs.call_count == 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -448,3 +555,56 @@ def test_schedule_extends_consistently_from_many_threads():
             assert shared.orders == want
     finally:
         sys.setswitchinterval(interval)
+
+
+def _search_keys(profile: PreferenceProfile, config: RuleConfig, tally: PairwiseTally):
+    """The restart search's key and the pick's key, computed from ids and support.
+
+    The search reads the strict-majority relation in Borda order; the pick
+    also reads where each Borda item sits in the sorted pool and every
+    support value.
+    """
+    borda = rule_borda(profile, config).consensus
+    support = tally.support
+    relation = tuple(tuple(support[b][a] > support[a][b] for b in borda) for a in borda)
+    items = sorted(tally.pool)
+    start = tuple(items.index(item) for item in borda)
+    against = tuple(support[b][a].hex() for a in items for b in items)
+    search = (config.seed, config.kemeny_search_iters)
+    return (*search, relation), (*search, start, against)
+
+
+def test_seed7_stream_climbs_once_per_relation_and_prices_once_per_tally():
+    scenario = dataio.load_scenario("builtin:synthetic-200", seed_override=7)
+    config = replace(scenario.rule_config, rule=Rule.KEMENY)
+
+    def stream():
+        outcomes, _ = orchestrator.run_stream(
+            scenario.queries, scenario.agents, scenario.catalog, scenario.policy, config
+        )
+        return outcomes
+
+    heuristic = aggregation._kemeny_heuristic
+    searches, picks = [], []
+
+    def keyed(profile, config, tally, memo=None):
+        search, pick = _search_keys(profile, config, tally)
+        searches.append(search)
+        picks.append(pick)
+        return heuristic(profile, config, tally, memo)
+
+    climbs, pricings = _heuristic_calls()
+    with (
+        mock.patch.object(aggregation, "_kemeny_heuristic", keyed),
+        climbs as climbs,
+        pricings as pricings,
+    ):
+        outcomes = stream()
+    assert all(o.aggregate.rule == "kemeny-heuristic" for o in outcomes)
+    # 100 queries and 300 leave-one-out profiles
+    assert len(searches) == 400
+    assert climbs.call_count == len(set(searches)) == 73
+    assert pricings.call_count == len(set(picks)) == 165
+    # nothing stored: every call climbs and prices
+    with mock.patch.object(aggregation, "_OPTIMA_MEMO_BYTES", 0):
+        assert stream() == outcomes
