@@ -16,11 +16,12 @@ profile = PreferenceProfile.from_ballots(
 )
 
 tally = pairwise_tally(profile)
+margins = tally.matrix - tally.matrix.T
 print("weighted pairwise margins (positive = row beats column):")
 header = "".join(f"{b:>10}" for b in tally.pool)
 print(f"{'':>10}{header}")
-for a in tally.pool:
-    row = "".join(f"{tally.margin(a, b):>+10.2f}" for b in tally.pool)
+for a, margin_row in zip(tally.pool, margins.tolist()):
+    row = "".join(f"{m:>+10.2f}" for m in margin_row)
     print(f"{a:>10}{row}")
 print()
 

@@ -6,6 +6,11 @@ items; two unranked items are tied (contribute to neither side); for Borda,
 each of a ballot's u unranked items receives the mean of the u lowest
 position scores, preserving the ballot's total score mass.
 
+Copeland, Ranked Pairs and Kemeny read one ``PairwiseTally`` per profile:
+an m×m support matrix over the sorted pool.  Each rule has one body, which
+records tie events only when it is given a trace; leave-one-out influence
+runs the same bodies without one and keeps only the consensus.
+
 Every tie anywhere resolves lexicographically by item id, and Ranked Pairs
 orders equal margins by the (winner, loser) pair; resolutions are recorded
 in the tiebreak trace so the consensus is auditable.
@@ -14,6 +19,7 @@ in the tiebreak trace so the consensus is auditable.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import random
 import threading
@@ -71,47 +77,44 @@ class RuleConfig:
             raise ValueError("kemeny_search_iters must be >= 1")
 
 
-@dataclass(frozen=True)
+# eq=False: a generated __eq__ would compare the arrays elementwise and fail
+@dataclass(frozen=True, eq=False)
 class PairwiseTally:
-    """Weighted pairwise support: support[a][b] = weight preferring a over b."""
+    """Weighted pairwise support over the sorted pool.
+
+    ``matrix[i, j]`` is the weight of the ballots preferring ``pool[i]`` over
+    ``pool[j]``: margins are ``matrix - matrix.T``, and ``matrix.T[i, j]`` is
+    what placing ``pool[i]`` before ``pool[j]`` costs in Kemeny distance.
+    """
 
     pool: tuple[str, ...]
-    support: Mapping[str, Mapping[str, float]]
-
-    def margin(self, a: str, b: str) -> float:
-        return self.support[a][b] - self.support[b][a]
-
-    @functools.cached_property
-    def against(self) -> dict[str, dict[str, float]]:
-        """Transposed support: against[a][b] = support[b][a], built on first use."""
-        support = self.support
-        return {a: {b: support[b][a] for b in self.pool} for a in self.pool}
+    matrix: np.ndarray
 
 
 def pairwise_tally(profile: PreferenceProfile, use_weights: bool = True) -> PairwiseTally:
     """Tally weighted pairwise preferences under truncation semantics.
 
     A ballot supports a over b when it ranks both with a higher, or ranks a
-    and omits b.  Omitting both counts for neither side.
+    and omits b.  Omitting both counts for neither side.  Ballots are added
+    one at a time in ballot order, each to every cell it supports, so every
+    cell gets the same IEEE additions in the same order whatever the
+    weights; a leave-one-out profile is tallied from its own ballots, never
+    by subtracting one agent's.
     """
     pool = profile.pool
-    support: dict[str, dict[str, float]] = {a: {b: 0.0 for b in pool} for a in pool}
+    m = len(pool)
+    index = {item: i for i, item in enumerate(pool)}
+    support = np.zeros((m, m))
+    # rank[i]: where the ballot ranks pool[i], m when it omits it
+    rank = np.empty(m, dtype=np.intp)
     for ballot in profile.ballots:
         w = ballot.weight if use_weights else 1.0
         if w == 0.0:
             continue
-        pos = {item: i for i, item in enumerate(ballot.ranking)}
-        for a in pool:
-            pa = pos.get(a)
-            if pa is None:
-                continue
-            for b in pool:
-                if a == b:
-                    continue
-                pb = pos.get(b)
-                if pb is None or pa < pb:
-                    support[a][b] += w
-    return PairwiseTally(pool=pool, support=support)
+        rank.fill(m)
+        rank[[index[item] for item in ballot.ranking]] = range(len(ballot.ranking))
+        np.add(support, w, out=support, where=rank[:, None] < rank[None, :])
+    return PairwiseTally(pool=pool, matrix=support)
 
 
 def _score_tie_events(totals: Mapping[str, float], label: str) -> tuple[TieEvent, ...]:
@@ -152,56 +155,137 @@ def _borda_totals(profile: PreferenceProfile, use_weights: bool) -> dict[str, fl
     return totals
 
 
-def rule_borda(profile: PreferenceProfile, config: RuleConfig) -> AggregateResult:
-    """Positional scoring: rank i from the top earns m-1-i points, weighted."""
-    totals = _borda_totals(profile, config.use_weights)
-    consensus = tuple(sorted(totals, key=lambda item: (-totals[item], item)))
-    return AggregateResult(
-        rule=Rule.BORDA.value,
-        consensus=consensus,
-        influence={},
-        tiebreak_trace=_score_tie_events(totals, "borda"),
-        scores=totals,
-    )
+def _by_score(
+    scores: Mapping[str, float], label: str, trace: list[TieEvent] | None
+) -> tuple[str, tuple[str, ...], Mapping[str, float]]:
+    """Highest score first, ties by id; score ties go to ``trace``."""
+    if trace is not None:
+        trace.extend(_score_tie_events(scores, label))
+    return label, tuple(sorted(scores, key=lambda item: (-scores[item], item))), scores
 
 
-def rule_copeland(profile: PreferenceProfile, config: RuleConfig) -> AggregateResult:
-    """Pairwise-majority scoring: wins count 1, ties count 0.5."""
+def _borda(profile, config, memo, trace):
+    return _by_score(_borda_totals(profile, config.use_weights), Rule.BORDA.value, trace)
+
+
+def _copeland(profile, config, memo, trace):
     tally = pairwise_tally(profile, config.use_weights)
-    scores: dict[str, float] = {}
-    for a in tally.pool:
-        wins = ties = 0
-        for b in tally.pool:
-            if a == b:
-                continue
-            m = tally.margin(a, b)
-            if m > 0:
-                wins += 1
-            elif m == 0:
-                ties += 1
-        scores[a] = wins + 0.5 * ties
-    consensus = tuple(sorted(scores, key=lambda item: (-scores[item], item)))
+    margins = tally.matrix - tally.matrix.T
+    # the diagonal is a zero margin but no pair
+    score = (margins > 0).sum(axis=1) + 0.5 * ((margins == 0).sum(axis=1) - 1)
+    return _by_score(dict(zip(tally.pool, score.tolist())), Rule.COPELAND.value, trace)
+
+
+def _result(
+    body, profile: PreferenceProfile, config: RuleConfig, memo: KemenyMemo | None = None
+) -> AggregateResult:
+    """Run a rule body with a trace and wrap what it returns.
+
+    A body takes (profile, config, memo, trace) and returns (rule label,
+    consensus, scores).  It appends its tie events to ``trace``, and builds
+    none when ``trace`` is None, as the leave-one-out reruns and Kemeny's
+    Borda start call it.
+    """
+    trace: list[TieEvent] = []
+    rule, consensus, scores = body(profile, config, memo, trace)
     return AggregateResult(
-        rule=Rule.COPELAND.value,
+        rule=rule,
         consensus=consensus,
         influence={},
-        tiebreak_trace=_score_tie_events(scores, "copeland"),
+        tiebreak_trace=tuple(trace),
         scores=scores,
     )
 
 
-def _reaches(adj: Mapping[str, set[str]], start: str, goal: str) -> bool:
+def rule_borda(profile: PreferenceProfile, config: RuleConfig) -> AggregateResult:
+    """Positional scoring: rank i from the top earns m-1-i points, weighted."""
+    return _result(_borda, profile, config)
+
+
+def rule_copeland(profile: PreferenceProfile, config: RuleConfig) -> AggregateResult:
+    """Pairwise-majority scoring: wins count 1, ties count 0.5."""
+    return _result(_copeland, profile, config)
+
+
+def _reaches(adj: Sequence[set[int]], start: int, goal: int) -> bool:
     stack = [start]
     seen = {start}
     while stack:
         node = stack.pop()
         if node == goal:
             return True
-        for nxt in adj.get(node, ()):
+        for nxt in adj[node]:
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
     return False
+
+
+def _ranked_pairs(profile, config, memo, trace):
+    tally = pairwise_tally(profile, config.use_weights)
+    pool = tally.pool
+    m = len(pool)
+    margins = (tally.matrix - tally.matrix.T).tolist()
+    # (-margin, winner, loser) in pool positions, which order as the ids do;
+    # pairs a < b are met in row-major order
+    ranked: list[tuple[float, int, int]] = []
+    for a, row in enumerate(margins):
+        for b in range(a + 1, m):
+            d = row[b]
+            if d > 0:
+                ranked.append((-d, a, b))
+            elif d < 0:
+                ranked.append((d, b, a))
+            elif trace is not None:
+                trace.append(
+                    TieEvent(
+                        description=f"pairwise tie {pool[a]} vs {pool[b]}",
+                        resolution="neither locked",
+                    )
+                )
+    ranked.sort()
+
+    if trace is not None:
+        for neg, group in itertools.groupby(ranked, key=lambda t: t[0]):
+            pairs = [f"{pool[a]}>{pool[b]}" for _, a, b in group]
+            if len(pairs) > 1:
+                trace.append(
+                    TieEvent(
+                        description=f"equal margin {-neg:.6f}: {', '.join(pairs)}",
+                        resolution="locked in pair order",
+                    )
+                )
+
+    adj: list[set[int]] = [set() for _ in pool]
+    for neg, a, b in ranked:
+        if not _reaches(adj, b, a):
+            adj[a].add(b)
+        elif trace is not None:
+            pair = f"{pool[a]}>{pool[b]} (margin {-neg:.6f})"
+            trace.append(
+                TieEvent(
+                    description=f"skipped {pair}: would create cycle",
+                    resolution="pair discarded",
+                )
+            )
+
+    indegree = [0] * m
+    for targets in adj:
+        for b in targets:
+            indegree[b] += 1
+    # the smallest available position first
+    available = [a for a in range(m) if indegree[a] == 0]
+    consensus: list[str] = []
+    while available:
+        a = heapq.heappop(available)
+        consensus.append(pool[a])
+        for b in adj[a]:
+            indegree[b] -= 1
+            if indegree[b] == 0:
+                heapq.heappush(available, b)
+
+    scores = {item: float(len(targets)) for item, targets in zip(pool, adj)}
+    return Rule.RANKED_PAIRS.value, tuple(consensus), scores
 
 
 def rule_ranked_pairs(profile: PreferenceProfile, config: RuleConfig) -> AggregateResult:
@@ -210,81 +294,7 @@ def rule_ranked_pairs(profile: PreferenceProfile, config: RuleConfig) -> Aggrega
     Equal margins lock in (winner, loser) pair order; the consensus is the
     topological order of the locked graph, smallest available id first.
     """
-    tally = pairwise_tally(profile, config.use_weights)
-    pool = tally.pool
-    trace: list[TieEvent] = []
-
-    positive: list[tuple[float, str, str]] = []
-    for a in pool:
-        for b in pool:
-            if a >= b:
-                continue
-            m = tally.margin(a, b)
-            if m > 0:
-                positive.append((m, a, b))
-            elif m < 0:
-                positive.append((-m, b, a))
-            else:
-                trace.append(
-                    TieEvent(
-                        description=f"pairwise tie {a} vs {b}",
-                        resolution="neither locked",
-                    )
-                )
-    positive.sort(key=lambda t: (-t[0], t[1], t[2]))
-
-    by_margin: dict[float, list[tuple[str, str]]] = {}
-    for m, a, b in positive:
-        by_margin.setdefault(m, []).append((a, b))
-    for m in sorted(by_margin, reverse=True):
-        group = by_margin[m]
-        if len(group) > 1:
-            pairs = ", ".join(f"{a}>{b}" for a, b in group)
-            trace.append(
-                TieEvent(
-                    description=f"equal margin {m:.6f}: {pairs}",
-                    resolution="locked in pair order",
-                )
-            )
-
-    adj: dict[str, set[str]] = {item: set() for item in pool}
-    for m, a, b in positive:
-        if _reaches(adj, b, a):
-            trace.append(
-                TieEvent(
-                    description=f"skipped {a}>{b} (margin {m:.6f}): would create cycle",
-                    resolution="pair discarded",
-                )
-            )
-            continue
-        adj[a].add(b)
-
-    indegree = {item: 0 for item in pool}
-    for a in pool:
-        for b in adj[a]:
-            indegree[b] += 1
-    consensus: list[str] = []
-    available = sorted(item for item in pool if indegree[item] == 0)
-    while available:
-        node = available.pop(0)
-        consensus.append(node)
-        changed = False
-        for b in sorted(adj[node]):
-            indegree[b] -= 1
-            if indegree[b] == 0:
-                available.append(b)
-                changed = True
-        if changed:
-            available.sort()
-
-    scores = {item: float(len(adj[item])) for item in pool}
-    return AggregateResult(
-        rule=Rule.RANKED_PAIRS.value,
-        consensus=tuple(consensus),
-        influence={},
-        tiebreak_trace=tuple(trace),
-        scores=scores,
-    )
+    return _result(_ranked_pairs, profile, config)
 
 
 def kemeny_distance(ranking: Sequence[str], tally: PairwiseTally) -> float:
@@ -296,12 +306,13 @@ def kemeny_distance(ranking: Sequence[str], tally: PairwiseTally) -> float:
     ``_kemeny_distances`` prices many rankings at once with the same
     additions in this same order, so both give equal floats.
     """
-    against = tally.against
+    index = {item: i for i, item in enumerate(tally.pool)}
+    positions = [index[item] for item in ranking]
+    support = tally.matrix.tolist()
     total = 0.0
-    for i, a in enumerate(ranking):
-        row = against[a]
-        for b in ranking[i + 1 :]:
-            total += row[b]
+    for i, a in enumerate(positions):
+        for b in positions[i + 1 :]:
+            total += support[b][a]
     return total
 
 
@@ -482,12 +493,6 @@ def _row_blocks(rows: Iterable[Sequence[int]], m: int, dtype: type) -> Iterator[
         yield np.fromiter(flat, dtype=dtype, count=len(chunk) * m).reshape(len(chunk), m)
 
 
-def _against(items: Sequence[str], tally: PairwiseTally) -> np.ndarray:
-    """against[a, b] = support[b][a], over positions in ``items``."""
-    support = tally.support
-    return np.array([[support[b][a] for b in items] for a in items], dtype=np.float64)
-
-
 def _least_ranking(blocks: Iterable[np.ndarray], against: np.ndarray) -> tuple[list[int], int]:
     """The least (distance, positions) over the blocks' rows, and how many share that distance.
 
@@ -514,20 +519,17 @@ def _least_ranking(blocks: Iterable[np.ndarray], against: np.ndarray) -> tuple[l
     return best, n_min
 
 
-def _kemeny_exact(
-    pool: tuple[str, ...], tally: PairwiseTally
-) -> tuple[tuple[str, ...], float, int]:
+def _kemeny_exact(tally: PairwiseTally) -> tuple[tuple[str, ...], float, int]:
     """Price every permutation of the sorted pool.
 
     Permutations come in lexicographic order, so the least optimum is also
     the first one a scan meets.  ``n_min`` counts the permutations at the
     minimum distance.
     """
-    items = tuple(sorted(pool))
-    m = len(items)
+    m = len(tally.pool)
     blocks = _row_blocks(itertools.permutations(range(m)), m, np.intp)
-    best, n_min = _least_ranking(blocks, _against(items, tally))
-    consensus = tuple(items[p] for p in best)
+    best, n_min = _least_ranking(blocks, np.ascontiguousarray(tally.matrix.T))
+    consensus = tuple(tally.pool[p] for p in best)
     return consensus, kemeny_distance(consensus, tally), n_min
 
 
@@ -545,14 +547,13 @@ def _kemeny_heuristic(
     optima are mapped back through the start before pricing.  ``memo`` may
     hold this call's pick, or the optima of its relation (see ``KemenyMemo``).
     """
-    items = tuple(sorted(tally.pool))
+    items = tally.pool
     m = len(items)
-    against = _against(items, tally)
+    against = np.ascontiguousarray(tally.matrix.T)
     position = {item: p for p, item in enumerate(items)}
     dtype = np.uint8 if m <= 256 else np.uint16
-    start = np.array(
-        [position[item] for item in rule_borda(profile, config).consensus], dtype=dtype
-    )
+    _, borda, _ = _borda(profile, config, None, None)
+    start = np.array([position[item] for item in borda], dtype=dtype)
     search = (config.seed, config.kemeny_search_iters)
     pick_key = (*search, start.tobytes(), against.tobytes())
     memo = KemenyMemo() if memo is None else memo
@@ -577,6 +578,25 @@ def _kemeny_heuristic(
     return consensus, kemeny_distance(consensus, tally)
 
 
+def _kemeny(profile, config, memo, trace):
+    tally = pairwise_tally(profile, config.use_weights)
+    if len(tally.pool) <= config.kemeny_exact_limit:
+        consensus, dist, n_min = _kemeny_exact(tally)
+        rule_name = Rule.KEMENY.value
+        if n_min > 1 and trace is not None:
+            trace.append(
+                TieEvent(
+                    description=f"{n_min} permutations at minimum distance {dist:.6f}",
+                    resolution="lexicographically least selected",
+                )
+            )
+    else:
+        consensus, _ = _kemeny_heuristic(profile, config, tally, memo)
+        rule_name = Rule.KEMENY.value + "-heuristic"
+    m = len(consensus)
+    return rule_name, consensus, {item: float(m - 1 - i) for i, item in enumerate(consensus)}
+
+
 def rule_kemeny(
     profile: PreferenceProfile, config: RuleConfig, memo: KemenyMemo | None = None
 ) -> AggregateResult:
@@ -597,48 +617,16 @@ def rule_kemeny(
     rankings in blocks with the additions of ``kemeny_distance``, the
     scalar reference, in its order.
     """
-    tally = pairwise_tally(profile, config.use_weights)
-    pool = tally.pool
-    trace: list[TieEvent] = []
-    if len(pool) <= config.kemeny_exact_limit:
-        consensus, dist, n_min = _kemeny_exact(pool, tally)
-        rule_name = Rule.KEMENY.value
-        if n_min > 1:
-            trace.append(
-                TieEvent(
-                    description=(
-                        f"{n_min} permutations at minimum distance {dist:.6f}"
-                    ),
-                    resolution="lexicographically least selected",
-                )
-            )
-    else:
-        consensus, dist = _kemeny_heuristic(profile, config, tally, memo)
-        rule_name = Rule.KEMENY.value + "-heuristic"
-    m = len(pool)
-    scores = {item: float(m - 1 - i) for i, item in enumerate(consensus)}
-    return AggregateResult(
-        rule=rule_name,
-        consensus=consensus,
-        influence={},
-        tiebreak_trace=tuple(trace),
-        scores=scores,
-    )
+    return _result(_kemeny, profile, config, memo)
 
 
+# one body per rule; ``_result`` describes what a body takes and returns
 _RULES = {
-    Rule.BORDA: rule_borda,
-    Rule.COPELAND: rule_copeland,
-    Rule.RANKED_PAIRS: rule_ranked_pairs,
+    Rule.BORDA: _borda,
+    Rule.COPELAND: _copeland,
+    Rule.RANKED_PAIRS: _ranked_pairs,
+    Rule.KEMENY: _kemeny,
 }
-
-
-def _run_rule(
-    profile: PreferenceProfile, config: RuleConfig, memo: KemenyMemo
-) -> AggregateResult:
-    if config.rule is Rule.KEMENY:
-        return rule_kemeny(profile, config, memo)
-    return _RULES[config.rule](profile, config)
 
 
 def influence_loo(
@@ -651,14 +639,17 @@ def influence_loo(
 
     Influence is the normalized Kendall distance between the consensus and
     the consensus recomputed without the agent's ballots, restricted to the
-    surviving pool.  A single-agent profile gets 1.0 by convention; so does
-    an agent whose removal empties the profile.  Every recomputation shares
-    ``memo`` (a fresh one when none is given).
+    surviving pool.  Each recomputation tallies the remaining ballots afresh
+    and runs the rule's body without a trace, so it builds no tie events
+    and keeps only the consensus.  A single-agent profile gets 1.0 by
+    convention; so does an agent whose removal empties the profile.  Every
+    recomputation shares ``memo`` (a fresh one when none is given).
     """
     agents = sorted({b.agent_id for b in profile.ballots})
     if len(agents) == 1:
         return {agents[0]: 1.0}
     memo = KemenyMemo() if memo is None else memo
+    body = _RULES[config.rule]
     influence: dict[str, float] = {}
     for agent in agents:
         remaining = tuple(b for b in profile.ballots if b.agent_id != agent)
@@ -670,7 +661,7 @@ def influence_loo(
         # bare constructor: a leave-one-out profile may hold only
         # zero-weight ballots, which from_ballots rightly rejects
         sub_profile = PreferenceProfile(ballots=remaining, pool=sub_pool)
-        sub_consensus = _run_rule(sub_profile, config, memo).consensus
+        _, sub_consensus, _ = body(sub_profile, config, memo, None)
         common = set(sub_pool)
         restricted = tuple(item for item in consensus if item in common)
         _, normalized = kendall_tau(restricted, sub_consensus)
@@ -689,5 +680,5 @@ def aggregate(
     fresh memo for this call only.
     """
     memo = KemenyMemo() if memo is None else memo
-    result = _run_rule(profile, config, memo)
+    result = _result(_RULES[config.rule], profile, config, memo)
     return replace(result, influence=influence_loo(profile, config, result.consensus, memo))

@@ -1060,32 +1060,57 @@ def _checked_influence(raw: object, path: str, ballots: Sequence[Ballot]) -> dic
     return influence
 
 
+def _catalog_ids(raw: object, path: str, catalog: Catalog) -> list[str]:
+    """A list of catalog ids, as a final list or a ballot ranking holds them."""
+    ids = _expect_list(raw, path)
+    for i, item_id in enumerate(ids):
+        if type(item_id) is not str:
+            raise SchemaError(f"{path}[{i}]: expected a string")
+        if item_id not in catalog:
+            raise SchemaError(f"{path}[{i}]: unknown item {item_id!r}")
+    return ids
+
+
+def _ballot_from_obj(raw: object, path: str, catalog: Catalog) -> Ballot:
+    """A saved ballot: a string agent id, distinct catalog ids, a weight in
+    [0, 1] and a string or null justification."""
+    obj = _expect_dict(raw, path)
+    ranking = _catalog_ids(obj["ranking"], f"{path}.ranking", catalog)
+    if len(set(ranking)) != len(ranking):
+        raise SchemaError(f"{path}.ranking: an item is ranked twice")
+    weight = obj["weight"]
+    # NaN fails both comparisons
+    if type(weight) not in (float, int) or not 0.0 <= weight <= 1.0:
+        raise SchemaError(f"{path}.weight: expected a number in [0, 1]")
+    justification = obj.get("justification")
+    if justification is not None:
+        _expect_str(justification, f"{path}.justification")
+    return Ballot(
+        agent_id=_expect_str(obj["agent_id"], f"{path}.agent_id"),
+        ranking=tuple(ranking),
+        justification=justification,
+        weight=weight,
+    )
+
+
 def _outcome_from_obj(
     obj: dict, path: str, catalog: Catalog, ties: dict[tuple[str, str], TieEvent]
 ) -> QueryOutcome:
     """Decode one saved outcome; its query is checked like a scenario query.
 
-    The fields a report is built from are checked too: the final list holds
-    catalog ids, regrets are numbers, influence holds a value in [0, 1] for
-    exactly the agents that cast a ballot, stage calls are integers.
-    Tie events come from ``ties``, one shared ``TieEvent`` per distinct
+    Everything but the consensus, the scores and the achieved values is
+    checked too: the final list and each ballot ranking hold catalog ids,
+    ballots are well formed, regrets are numbers, influence holds a value
+    in [0, 1] for exactly the agents that cast a ballot, skipped agents
+    and justifications map to strings, stage calls are integers.  Tie
+    events come from ``ties``, one shared ``TieEvent`` per distinct
     (description, resolution), added to as new ones are met.
     """
     query = _parse_query(obj["query"], f"{path}.query", catalog)
-    final_list = _expect_list(obj["final_list"], f"{path}.final_list")
-    for i, item_id in enumerate(final_list):
-        if type(item_id) is not str:
-            raise SchemaError(f"{path}.final_list[{i}]: expected a string")
-        if item_id not in catalog:
-            raise SchemaError(f"{path}.final_list[{i}]: unknown item {item_id!r}")
+    final_list = _catalog_ids(obj["final_list"], f"{path}.final_list", catalog)
     ballots = tuple(
-        Ballot(
-            agent_id=b["agent_id"],
-            ranking=tuple(b["ranking"]),
-            justification=b.get("justification"),
-            weight=b["weight"],
-        )
-        for b in obj["ballots"]
+        _ballot_from_obj(b, f"{path}.ballots[{i}]", catalog)
+        for i, b in enumerate(_expect_list(obj["ballots"], f"{path}.ballots"))
     )
     agg = obj["aggregate"]
     return QueryOutcome(
@@ -1096,14 +1121,17 @@ def _outcome_from_obj(
             rule=agg["rule"],
             consensus=tuple(agg["consensus"]),
             influence=_checked_influence(agg["influence"], f"{path}.aggregate.influence", ballots),
-            tiebreak_trace=tuple(
-                _shared_tie(ties, e["description"], e["resolution"])
-                for e in agg.get("tiebreak_trace", [])
+            tiebreak_trace=_shared_ties(
+                ties, agg.get("tiebreak_trace", []), f"{path}.aggregate.tiebreak_trace"
             ),
             scores=dict(agg.get("scores", {})),
         ),
-        skipped_agents=dict(obj.get("skipped_agents", {})),
-        justifications=dict(obj.get("justifications", {})),
+        skipped_agents=_checked_map(
+            obj.get("skipped_agents", {}), f"{path}.skipped_agents", (str,), "a string"
+        ),
+        justifications=_checked_map(
+            obj.get("justifications", {}), f"{path}.justifications", (str,), "a string"
+        ),
         query=query,
         per_agent_achieved=dict(obj.get("per_agent_achieved", {})),
         per_agent_regret=_checked_map(
@@ -1115,14 +1143,36 @@ def _outcome_from_obj(
     )
 
 
-def _shared_tie(
-    ties: dict[tuple[str, str], TieEvent], description: str, resolution: str
-) -> TieEvent:
-    key = (description, resolution)
-    event = ties.get(key)
-    if event is None:
-        event = ties[key] = TieEvent(description, resolution)
-    return event
+def _shared_ties(
+    ties: dict[tuple[str, str], TieEvent], raw: object, path: str
+) -> tuple[TieEvent, ...]:
+    """A saved tiebreak trace.  Each distinct (description, resolution) is
+    checked and built once, and every equal event after it shares that
+    ``TieEvent``: only checked pairs of strings are ever in ``ties``."""
+    events = []
+    for i, entry in enumerate(_expect_list(raw, path)):
+        try:
+            key = (entry["description"], entry["resolution"])
+            event = ties.get(key)
+        except (KeyError, TypeError):
+            key = event = None
+        if event is None:
+            # two ASCII strings need no more checks; anything else is checked by field
+            if not (
+                key is not None
+                and type(key[0]) is type(key[1]) is str
+                and key[0].isascii()
+                and key[1].isascii()
+            ):
+                where = f"{path}[{i}]"
+                obj = _expect_dict(entry, where)
+                key = (
+                    _expect_str(obj["description"], where + ".description"),
+                    _expect_str(obj["resolution"], where + ".resolution"),
+                )
+            event = ties[key] = TieEvent(*key)
+        events.append(event)
+    return tuple(events)
 
 
 def save_outcomes(
@@ -1158,8 +1208,9 @@ def load_outcomes(
 
     Raises:
         SchemaError: unreadable/invalid file, catalog hash mismatch, a
-            query that breaks the scenario-query rules, or a scenario or
-            rule name that is not a string encodable as UTF-8.
+            query that breaks the scenario-query rules, a malformed
+            ballot or tie event, or a scenario or rule name that is not a
+            string encodable as UTF-8.  The message names the field.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -419,6 +419,66 @@ class TestSavedInfluence:
         assert list(tmp_path.glob("replay.*")) == []
 
 
+def _set_trace(*events):
+    return lambda outcome: outcome["aggregate"].update(tiebreak_trace=list(events))
+
+
+def _set_ballot(**fields):
+    return lambda outcome: outcome["ballots"][0].update(fields)
+
+
+def _repeat_first_item(outcome):
+    ranking = outcome["ballots"][0]["ranking"]
+    ranking.append(ranking[0])
+
+
+class TestSavedBallotsAndTies:
+    """Saved ballots, tie events, skipped agents and justifications are
+    checked at load: each fault is invalid input that names its field."""
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (_set_trace({"description": 5, "resolution": "x"}),
+             "aggregate.tiebreak_trace[0].description: expected a string"),
+            (_set_trace({"description": "tie", "resolution": ["x"]}),
+             "aggregate.tiebreak_trace[0].resolution: expected a string"),
+            (_set_trace("tie"), "aggregate.tiebreak_trace[0]: expected an object"),
+            (_set_ballot(ranking=["no-such-item"]),
+             "ballots[0].ranking[0]: unknown item 'no-such-item'"),
+            (_set_ballot(ranking=[5]), "ballots[0].ranking[0]: expected a string"),
+            (_repeat_first_item, "ballots[0].ranking: an item is ranked twice"),
+            (_set_ballot(weight="heavy"), "ballots[0].weight: expected a number in [0, 1]"),
+            (_set_ballot(weight=True), "ballots[0].weight: expected a number in [0, 1]"),
+            (_set_ballot(weight=1.5), "ballots[0].weight: expected a number in [0, 1]"),
+            (_set_ballot(agent_id=5), "ballots[0].agent_id: expected a string"),
+            (_set_ballot(justification=5), "ballots[0].justification: expected a string"),
+            (lambda outcome: outcome.update(skipped_agents={"ecology": 5}),
+             "skipped_agents.ecology: expected a string"),
+            (lambda outcome: outcome.update(justifications={"traveler": None}),
+             "justifications.traveler: expected a string"),
+        ],
+        ids=[
+            "tie-description", "tie-resolution", "tie-not-object", "unknown-item",
+            "non-string-item", "repeated-item", "weight-string", "weight-bool",
+            "weight-above-one", "agent-id", "justification", "skipped-reason",
+            "justifications-value",
+        ],
+    )
+    def test_exit_2_and_nothing_written(self, tourism_dir, tmp_path, edit, message):
+        saved = tmp_path / "outcomes.json"
+        doc = json.loads((tourism_dir / "base" / "outcomes.json").read_text(encoding="utf-8"))
+        edit(doc["outcomes"][0])
+        saved.write_text(json.dumps(doc), encoding="utf-8")
+        proc = agorank(
+            "evaluate", "--scenario", "builtin:tourism",
+            "--out", str(tmp_path / "replay"), "--outcomes", str(saved),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"error: outcomes[0].{message}" in proc.stderr
+        assert list(tmp_path.glob("replay.*")) == []
+
+
 _FUZZED = ("scenario.json", "catalog.csv", "outcomes.json")
 
 

@@ -751,6 +751,31 @@ class TestSavedOutcomes:
         assert all(e is first[0] for e in first)
         assert second[0] is not first[0]
 
+    def test_tie_events_checked_once_each(self, tourism, tmp_path):
+        outcomes, _ = run_tourism(tourism)
+        path = tmp_path / "outcomes.json"
+        save_outcomes(outcomes, tourism.catalog, path, "tourism", "borda")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        # non-ASCII strings take the checked path and are shared like any other
+        tie = {"description": "égalité", "resolution": "par id"}
+        for entry in doc["outcomes"]:
+            entry["aggregate"]["tiebreak_trace"] = [dict(tie), dict(tie)]
+        doc["outcomes"][-1]["aggregate"]["tiebreak_trace"].append(
+            {"description": "égalité", "resolution": "par \udc00"}
+        )
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        last = len(doc["outcomes"]) - 1
+        where = rf"outcomes\[{last}\]\.aggregate\.tiebreak_trace\[2\]\.resolution"
+        with pytest.raises(SchemaError, match=f"^{where}: not encodable"):
+            load_outcomes(path, tourism.catalog)
+
+        doc["outcomes"][-1]["aggregate"]["tiebreak_trace"].pop()
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        loaded = [e for o in load_outcomes(path, tourism.catalog)[0]
+                  for e in o.aggregate.tiebreak_trace]
+        assert loaded[0] == TieEvent("égalité", "par id")
+        assert all(e is loaded[0] for e in loaded)
+
 
 class TestCatalogHash:
     def test_order_insensitive(self):

@@ -2,7 +2,8 @@
 
 ``_reference_heuristic`` re-seeds ``random.Random``, shuffles in place and
 prices each local optimum as it reaches it; ``_reference_exact`` prices each
-permutation as it scans; ``_reference_distance`` reads ``support`` directly.
+permutation as it scans; ``_reference_distance`` reads the tally's matrix
+one cell at a time.
 They are the plain form that ``aggregation._kemeny_heuristic``,
 ``aggregation._kemeny_exact``, ``aggregation.kemeny_distance`` and the batch
 pricer ``aggregation._kemeny_distances`` must match bit for bit, whatever
@@ -18,7 +19,7 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 from unittest import mock
 
 import numpy as np
@@ -31,16 +32,23 @@ from agorank.aggregation import PairwiseTally, Rule, RuleConfig, pairwise_tally,
 from agorank.model import Ballot, PreferenceProfile, candidate_pool
 
 
+def _support(tally: PairwiseTally) -> Callable[[str, str], float]:
+    """support(a, b): the weight preferring a over b, one cell of ``tally.matrix``."""
+    rows = tally.matrix.tolist()
+    index = {item: i for i, item in enumerate(tally.pool)}
+    return lambda a, b: rows[index[a]][index[b]]
+
+
 def _reference_distance(ranking: Sequence[str], tally: PairwiseTally) -> float:
-    support = tally.support
+    support = _support(tally)
     total = 0.0
     for i, a in enumerate(ranking):
         for b in ranking[i + 1 :]:
-            total += support[b][a]
+            total += support(b, a)
     return total
 
 
-def _reference_climb(order: list[str], support: Mapping[str, Mapping[str, float]], budget: int) -> int:
+def _reference_climb(order: list[str], support: Callable[[str, str], float], budget: int) -> int:
     used = 0
     improved = True
     while improved and used < budget:
@@ -48,7 +56,7 @@ def _reference_climb(order: list[str], support: Mapping[str, Mapping[str, float]
         used += 1
         for i in range(len(order) - 1):
             a, b = order[i], order[i + 1]
-            if support[a][b] < support[b][a]:
+            if support(a, b) < support(b, a):
                 order[i], order[i + 1] = b, a
                 improved = True
     return used
@@ -58,12 +66,13 @@ def _reference_heuristic(
     profile: PreferenceProfile, config: RuleConfig, tally: PairwiseTally
 ) -> tuple[tuple[str, ...], float]:
     current = list(rule_borda(profile, config).consensus)
+    support = _support(tally)
     rng = random.Random(config.seed)
     budget = config.kemeny_search_iters
     best: tuple[str, ...] | None = None
     best_dist = float("inf")
     while budget > 0:
-        budget -= _reference_climb(current, tally.support, budget)
+        budget -= _reference_climb(current, support, budget)
         d = _reference_distance(current, tally)
         key = tuple(current)
         if d < best_dist or (d == best_dist and best is not None and key < best):
@@ -164,7 +173,7 @@ def test_heuristic_matches_reference_cold_and_warm(profile, seed, iters, warm, t
             aggregation._kemeny_heuristic(other, other_config, pairwise_tally(other))
         tally = pairwise_tally(profile)
         assert aggregation._kemeny_heuristic(profile, config, tally) == expected
-        # and on the same tally again, with its transposed rows already built
+        # and on the same tally object again
         assert aggregation._kemeny_heuristic(profile, config, tally) == expected
 
 
@@ -408,7 +417,8 @@ def test_batch_distances_match_reference(profile, data):
     distinct = data.draw(st.lists(st.permutations(range(len(items))), min_size=1, max_size=6))
     # repeated rows, as restarts that climb to the same optimum give
     rows = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40))
-    against = np.array([[tally.support[b][a] for b in items] for a in items])
+    support = _support(tally)
+    against = np.array([[support(b, a) for b in items] for a in items])
     got = aggregation._kemeny_distances(np.array(rows, dtype=np.intp), against)
     assert [d.hex() for d in got.tolist()] == [
         _reference_distance([items[p] for p in row], tally).hex() for row in rows
@@ -480,7 +490,7 @@ def test_exact_matches_reference(profile, terms):
     tally = pairwise_tally(profile)
     expected = _reference_exact(profile.pool, tally)
     with mock.patch.object(aggregation, "_PRICE_TERMS", terms):
-        assert aggregation._kemeny_exact(profile.pool, tally) == expected
+        assert aggregation._kemeny_exact(tally) == expected
 
 
 @pytest.mark.parametrize("weights", [(0.3, 0.7, 1 / 3), (0.0, 0.0, 0.0), (0.5, 0.5, 0.5)])
@@ -492,7 +502,7 @@ def test_exact_matches_reference_on_eight_items(weights):
     )
     profile = PreferenceProfile(ballots=ballots, pool=candidate_pool(ballots))
     tally = pairwise_tally(profile)
-    assert aggregation._kemeny_exact(profile.pool, tally) == _reference_exact(profile.pool, tally)
+    assert aggregation._kemeny_exact(tally) == _reference_exact(profile.pool, tally)
 
 
 def test_heuristic_memory_does_not_grow_with_the_pass_budget():
@@ -558,18 +568,18 @@ def test_schedule_extends_consistently_from_many_threads():
 
 
 def _search_keys(profile: PreferenceProfile, config: RuleConfig, tally: PairwiseTally):
-    """The restart search's key and the pick's key, computed from ids and support.
+    """The restart search's key and the pick's key, computed from ids and the tally.
 
     The search reads the strict-majority relation in Borda order; the pick
     also reads where each Borda item sits in the sorted pool and every
     support value.
     """
     borda = rule_borda(profile, config).consensus
-    support = tally.support
-    relation = tuple(tuple(support[b][a] > support[a][b] for b in borda) for a in borda)
+    support = _support(tally)
+    relation = tuple(tuple(support(b, a) > support(a, b) for b in borda) for a in borda)
     items = sorted(tally.pool)
     start = tuple(items.index(item) for item in borda)
-    against = tuple(support[b][a].hex() for a in items for b in items)
+    against = tuple(support(b, a).hex() for a in items for b in items)
     search = (config.seed, config.kemeny_search_iters)
     return (*search, relation), (*search, start, against)
 
