@@ -38,8 +38,8 @@ query = Query(
     top_n=3,
 )
 
-items = scenario.catalog.items_sorted()
-request = build_request(spec, query, items, k=4)
+# the request offers the whole catalog, in id order, as candidates
+request = build_request(spec, query, scenario.catalog, k=4)
 print("request body:")
 print(json.dumps(json.loads(request), indent=2, sort_keys=True))
 print()
@@ -53,7 +53,7 @@ ranked, justification = parse_response(response, k=4)
 print(f"parsed: {list(ranked)} ({justification})")
 
 # request_external does build/send/parse in one step for mock:// and http://
-ballot = request_external(spec, query, items, k=4)
+ballot = request_external(spec, query, scenario.catalog, k=4)
 grounded, violations = validate_ballot(ballot, scenario.catalog)
 print(f"grounded ballot: {list(grounded.ranking)}, violations={violations}")
 print()

@@ -3,8 +3,8 @@
 Wire contract (JSON bodies, UTF-8):
   request   POST <endpoint>/generate
             {"query_id", "query_text", "persona", "candidates": [{"id",
-            "description"}], "k"}, sent as exactly the bytes of
-            ``json.dumps(body, sort_keys=True)`` in UTF-8
+            "description"}] (the whole catalog, in id order), "k"}, sent as
+            exactly the bytes of ``json.dumps(body, sort_keys=True)`` in UTF-8
   response  200 {"items": [str, ...], "justification": str}, items best
             first, at most k of them
 
@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import json
 import os
+import weakref
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import AdapterMalformed, AdapterTimeout
-from .model import Ballot, Item, Query
+from .model import Ballot, Catalog, Query
 
 if TYPE_CHECKING:  # pragma: no cover
     from .agents import AgentSpec
@@ -64,7 +65,12 @@ def _fnv1a64_rows(
 ) -> np.ndarray:
     """``fnv1a64(prefix + row + suffix)`` for every row of an ``_id_matrix``."""
     h = np.full(len(lengths), fnv1a64(prefix), dtype=np.uint64)
-    for j in range(matrix.shape[1]):
+    # every row reaches the columns before the shortest id, hashed in place
+    shortest = int(lengths.min(initial=matrix.shape[1]))
+    for j in range(shortest):
+        h ^= matrix[:, j]
+        h *= FNV_PRIME
+    for j in range(shortest, matrix.shape[1]):
         np.copyto(h, (h ^ matrix[:, j]) * FNV_PRIME, where=lengths > j)
     for byte in suffix:
         h ^= byte
@@ -98,39 +104,32 @@ def resolve_endpoint(spec: "AgentSpec", url_override: str | None = None) -> str:
     return endpoint
 
 
-# the last candidates sent and their encoding: a council sends the same catalog
-# with every query, so it is encoded once, not once per request.  Only the
-# encoded fields are kept, so no Item outlives its catalog here.
-_last_candidates: tuple[list[str], list[str], str] = ([], [], "[]")
-
-
-def _candidates_json(items: Sequence[Item]) -> str:
-    """``json.dumps`` of the request's candidate array, reused while the
-    candidates' ids and descriptions stay the same."""
-    global _last_candidates
-    ids = [it.id for it in items]
-    descriptions = [it.description for it in items]
-    sent_ids, sent_descriptions, encoded = _last_candidates
-    if ids != sent_ids or descriptions != sent_descriptions:
-        encoded = json.dumps(
-            [{"id": i, "description": d} for i, d in zip(ids, descriptions)],
-            sort_keys=True,
-        )
-        _last_candidates = (ids, descriptions, encoded)
-    return encoded
-
-
 _CANDIDATES_KEY = '{"candidates": '
 
+# the leading bytes of every request about a catalog, ``{"candidates": [...]``:
+# a catalog never changes after construction, so its candidate array is
+# encoded on first use and kept for as long as the catalog itself lives
+_CANDIDATE_PREFIXES: weakref.WeakKeyDictionary[Catalog, bytes] = weakref.WeakKeyDictionary()
 
-def build_request(spec: "AgentSpec", query: Query, items: Sequence[Item], k: int) -> bytes:
+
+def _candidates_prefix(catalog: Catalog) -> bytes:
+    """``{"candidates": `` and the catalog's candidate array, in UTF-8."""
+    prefix = _CANDIDATE_PREFIXES.get(catalog)
+    if prefix is None:
+        candidates = [{"id": i, "description": catalog[i].description} for i in catalog.ids]
+        encoded = _CANDIDATES_KEY + json.dumps(candidates, sort_keys=True)
+        prefix = _CANDIDATE_PREFIXES[catalog] = encoded.encode("utf-8")
+    return prefix
+
+
+def build_request(spec: "AgentSpec", query: Query, catalog: Catalog, k: int) -> bytes:
     """The request body: exactly ``json.dumps(body, sort_keys=True)`` in UTF-8.
 
-    The candidate array is encoded once and reused for as long as the same
-    ids and descriptions are sent.  ``"candidates"`` sorts before every
-    other key, so the array is spliced in where the header, dumped with an
-    empty array, opens it.  ``tests/golden/adapter_request.json`` pins the
-    bytes.
+    The candidates are every item of ``catalog`` in id order, with its id
+    and description.  ``"candidates"`` sorts before every other key, so the
+    body is the catalog's ``_candidates_prefix``, encoded once per catalog,
+    followed by what comes after the empty array in a header dumped with
+    one.  ``tests/golden/adapter_request.json`` pins the bytes.
     """
     header = json.dumps(
         {
@@ -144,7 +143,7 @@ def build_request(spec: "AgentSpec", query: Query, items: Sequence[Item], k: int
     )
     assert header.startswith(_CANDIDATES_KEY + "[]"), "a body key sorts before candidates"
     rest = header[len(_CANDIDATES_KEY) + len("[]") :]
-    return (_CANDIDATES_KEY + _candidates_json(items) + rest).encode("utf-8")
+    return _candidates_prefix(catalog) + rest.encode("utf-8")
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -257,12 +256,12 @@ def mock_serve(request_body: bytes) -> bytes:
 def request_external(
     spec: "AgentSpec",
     query: Query,
-    catalog_slice: Sequence[Item],
+    catalog: Catalog,
     k: int,
     url_override: str | None = None,
     timeout_s: float | None = None,
 ) -> Ballot:
-    """Fetch one raw ballot from the configured endpoint.
+    """Fetch one raw ballot on all of ``catalog`` from the configured endpoint.
 
     The returned ballot is exactly what the service said — grounding against
     the catalog is the caller's job.
@@ -273,7 +272,7 @@ def request_external(
     if timeout_s is None:
         raw = spec.params.get("timeout_s", DEFAULT_TIMEOUT_S)
         timeout_s = float(raw)  # type: ignore[arg-type]
-    request_body = build_request(spec, query, catalog_slice, k)
+    request_body = build_request(spec, query, catalog, k)
 
     if endpoint.startswith("mock://"):
         response_body = mock_serve(request_body)

@@ -203,9 +203,7 @@ def generate_candidates(
     elif spec.objective is AgentObjective.POPULARITY_MITIGATION:
         ballot = generate_popularity_mitigation(query, catalog, k)
     elif spec.objective is AgentObjective.EXTERNAL:
-        ballot = adapter.request_external(
-            spec, query, catalog.items_sorted(), k, url_override=adapter_url
-        )
+        ballot = adapter.request_external(spec, query, catalog, k, url_override=adapter_url)
     else:  # pragma: no cover
         raise AgorankError(f"unhandled objective {spec.objective}")
     return Ballot(

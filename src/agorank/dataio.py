@@ -1093,18 +1093,43 @@ def _ballot_from_obj(raw: object, path: str, catalog: Catalog) -> Ballot:
     )
 
 
+# every label a rule writes into ``AggregateResult.rule``
+_RULE_LABELS = frozenset({*(rule.value for rule in Rule), Rule.KEMENY.value + "-heuristic"})
+
+
+def _checked_consensus(
+    raw: object, path: str, ballots: Sequence[Ballot]
+) -> tuple[list[str], set[str]]:
+    """The consensus, each item the ballots rank once in any order, and the set of those items."""
+    consensus = _expect_list(raw, path)
+    pool: set[str] = set()
+    for ballot in ballots:
+        pool.update(ballot.ranking)
+    try:
+        permutation = len(consensus) == len(pool) and set(consensus) == pool
+    except TypeError:  # an unhashable entry
+        permutation = False
+    if not permutation:
+        raise SchemaError(f"{path}: expected each of the {len(pool)} items the ballots rank, once")
+    return consensus, pool
+
+
 def _outcome_from_obj(
     obj: dict, path: str, catalog: Catalog, ties: dict[tuple[str, str], TieEvent]
 ) -> QueryOutcome:
     """Decode one saved outcome; its query is checked like a scenario query.
 
-    Everything but the consensus, the scores and the achieved values is
-    checked too: the final list and each ballot ranking hold catalog ids,
-    ballots are well formed, regrets are numbers, influence holds a value
-    in [0, 1] for exactly the agents that cast a ballot, skipped agents
-    and justifications map to strings, stage calls are integers.  Tie
-    events come from ``ties``, one shared ``TieEvent`` per distinct
-    (description, resolution), added to as new ones are met.
+    Every other field is checked against what ``save_outcomes`` could have
+    written: the final list and each ballot ranking hold catalog ids,
+    ballots are well formed, the rule is a rule's label, the consensus
+    orders exactly the items the ballots rank and the final list is its
+    first ``top_n``, scores map the consensus ids to numbers, regrets are
+    numbers, achieved values are numbers or null for exactly the agents
+    with a regret, influence holds a value in [0, 1] for exactly the agents
+    that cast a ballot, skipped agents and justifications map to strings,
+    stage calls are integers.  Tie events come from ``ties``, one shared
+    ``TieEvent`` per distinct (description, resolution), added to as new
+    ones are met.
     """
     query = _parse_query(obj["query"], f"{path}.query", catalog)
     final_list = _catalog_ids(obj["final_list"], f"{path}.final_list", catalog)
@@ -1113,18 +1138,43 @@ def _outcome_from_obj(
         for i, b in enumerate(_expect_list(obj["ballots"], f"{path}.ballots"))
     )
     agg = obj["aggregate"]
+    rule = agg["rule"]
+    if type(rule) is not str or rule not in _RULE_LABELS:
+        raise SchemaError(f"{path}.aggregate.rule: expected one of {sorted(_RULE_LABELS)}")
+    consensus, pool = _checked_consensus(agg["consensus"], f"{path}.aggregate.consensus", ballots)
+    if final_list != consensus[: query.top_n]:
+        raise SchemaError(f"{path}.final_list: expected the first query.top_n consensus items")
+    scores = _checked_map(
+        agg.get("scores", {}), f"{path}.aggregate.scores", (float, int), "a number"
+    )
+    if scores.keys() != pool:
+        raise SchemaError(f"{path}.aggregate.scores: expected one entry per consensus item")
+    regret = _checked_map(
+        obj.get("per_agent_regret", {}), f"{path}.per_agent_regret", (float, int), "a number"
+    )
+    achieved = _checked_map(
+        obj.get("per_agent_achieved", {}),
+        f"{path}.per_agent_achieved",
+        (float, int, type(None)),
+        "a number or null",
+    )
+    if achieved.keys() != regret.keys():
+        raise SchemaError(
+            f"{path}.per_agent_achieved: expected the agents of per_agent_regret "
+            f"{sorted(regret)}, got {sorted(achieved)}"
+        )
     return QueryOutcome(
         query_id=query.id,
         final_list=tuple(final_list),
         per_agent_ballots=ballots,
         aggregate=AggregateResult(
-            rule=agg["rule"],
-            consensus=tuple(agg["consensus"]),
+            rule=rule,
+            consensus=tuple(consensus),
             influence=_checked_influence(agg["influence"], f"{path}.aggregate.influence", ballots),
             tiebreak_trace=_shared_ties(
                 ties, agg.get("tiebreak_trace", []), f"{path}.aggregate.tiebreak_trace"
             ),
-            scores=dict(agg.get("scores", {})),
+            scores=scores,
         ),
         skipped_agents=_checked_map(
             obj.get("skipped_agents", {}), f"{path}.skipped_agents", (str,), "a string"
@@ -1133,10 +1183,8 @@ def _outcome_from_obj(
             obj.get("justifications", {}), f"{path}.justifications", (str,), "a string"
         ),
         query=query,
-        per_agent_achieved=dict(obj.get("per_agent_achieved", {})),
-        per_agent_regret=_checked_map(
-            obj.get("per_agent_regret", {}), f"{path}.per_agent_regret", (float, int), "a number"
-        ),
+        per_agent_achieved=achieved,
+        per_agent_regret=regret,
         stage_calls=_checked_map(
             obj.get("stage_calls", {}), f"{path}.stage_calls", (int,), "an integer"
         ),
@@ -1208,9 +1256,10 @@ def load_outcomes(
 
     Raises:
         SchemaError: unreadable/invalid file, catalog hash mismatch, a
-            query that breaks the scenario-query rules, a malformed
-            ballot or tie event, or a scenario or rule name that is not a
-            string encodable as UTF-8.  The message names the field.
+            query that breaks the scenario-query rules, any other outcome
+            field that ``save_outcomes`` could not have written (see
+            ``_outcome_from_obj``), or a scenario or rule name that is not
+            a string encodable as UTF-8.  The message names the field.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -1,8 +1,10 @@
+import gc
 import json
 import subprocess
 import sys
 import threading
 import time
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from unittest import mock
 
@@ -25,7 +27,7 @@ from agorank.adapter import (
 from agorank.agents import AgentObjective, AgentSpec
 from agorank.errors import AdapterMalformed, AdapterTimeout
 from agorank.metrics import MetricId
-from agorank.model import Item, Query, StakeholderRole
+from agorank.model import Catalog, Item, Query, StakeholderRole
 
 
 def external_spec(**params):
@@ -39,11 +41,13 @@ def external_spec(**params):
     )
 
 
-ITEMS = [
-    Item(id="a", provider_id="p", description="first"),
-    Item(id="b", provider_id="p", description="second"),
-    Item(id="c", provider_id="p", description="third"),
-]
+CATALOG = Catalog(
+    [
+        Item(id="c", provider_id="p", description="third"),
+        Item(id="a", provider_id="p", description="first"),
+        Item(id="b", provider_id="p", description="second"),
+    ]
+)
 QUERY = Query(id="q7", text="weekend plans")
 
 
@@ -83,6 +87,30 @@ class TestFnv1a64Many:
         expected = [fnv1a64((prefix + i + suffix).encode("utf-8")) for i in ids]
         assert hashes.tolist() == expected
 
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            ["ab", "cd", "ef"],
+            ["item-00001", "item-00002"],
+            ["ab", "abcdef", "cd"],
+            ["abcdef"],
+            [""],
+            ["", "a", ""],
+            ["a\x00", "b\x00\x00", "\x00"],
+            ["ab\x00", "ab"],
+            [],
+        ],
+        ids=["equal", "equal-long", "one-longer", "one", "empty", "empty-and-one",
+             "nul-ends", "nul-vs-shorter", "none"],
+    )
+    @pytest.mark.parametrize("affixes", [("", ""), ("q7", "px")], ids=["bare", "affixed"])
+    def test_cases(self, ids, affixes):
+        prefix, suffix = affixes
+        middles = [i.encode("utf-8") for i in ids]
+        hashes = fnv1a64_many(prefix.encode(), middles, suffix.encode())
+        assert hashes.dtype == np.uint64
+        assert hashes.tolist() == [fnv1a64((prefix + i + suffix).encode()) for i in ids]
+
 
 class TestResolveEndpoint:
     def test_override_wins(self, monkeypatch):
@@ -106,7 +134,7 @@ class TestResolveEndpoint:
 
 class TestRequestBody:
     def test_fields(self):
-        body = json.loads(build_request(external_spec(persona="foodie"), QUERY, ITEMS, 2))
+        body = json.loads(build_request(external_spec(persona="foodie"), QUERY, CATALOG, 2))
         assert body == {
             "query_id": "q7",
             "query_text": "weekend plans",
@@ -120,17 +148,19 @@ class TestRequestBody:
         }
 
     def test_persona_defaults_empty(self):
-        body = json.loads(build_request(external_spec(), QUERY, ITEMS, 1))
+        body = json.loads(build_request(external_spec(), QUERY, CATALOG, 1))
         assert body["persona"] == ""
 
 
-def _reference_build_request(spec, query, items, k) -> bytes:
+def _reference_build_request(spec, query, catalog, k) -> bytes:
     """The encoder as first written: one ``json.dumps`` of the whole body."""
     body = {
         "query_id": query.id,
         "query_text": query.text,
         "persona": spec.params.get("persona", ""),
-        "candidates": [{"id": it.id, "description": it.description} for it in items],
+        "candidates": [
+            {"id": it.id, "description": it.description} for it in catalog.items_sorted()
+        ],
         "k": k,
     }
     return json.dumps(body, sort_keys=True).encode("utf-8")
@@ -147,60 +177,121 @@ _WIRE_TEXT = st.one_of(
         "".join
     ),
 )
-_WIRE_ITEMS = st.lists(
+_WIRE_CATALOGS = st.lists(
     st.builds(lambda i, d: Item(id=i, provider_id="p", description=d),
               _WIRE_TEXT.filter(bool), _WIRE_TEXT),
     max_size=6,
-)
-_WIRE_REQUESTS = st.tuples(
-    st.builds(Query, id=_WIRE_TEXT.filter(bool), text=_WIRE_TEXT),
-    _WIRE_ITEMS,
-    st.integers(1, 100),
-    st.one_of(st.none(), _WIRE_TEXT),
-)
+    unique_by=lambda item: item.id,
+).map(Catalog)
+_WIRE_QUERIES = st.builds(Query, id=_WIRE_TEXT.filter(bool), text=_WIRE_TEXT)
+_WIRE_PERSONAS = st.one_of(st.none(), _WIRE_TEXT)
+_WIRE_REQUESTS = st.tuples(_WIRE_QUERIES, _WIRE_CATALOGS, st.integers(1, 100), _WIRE_PERSONAS)
 
 
 class TestRequestBytes:
     """``build_request`` against the one-``json.dumps`` encoder, call after call."""
 
     @staticmethod
-    def check(query, items, k, persona):
+    def check(query, catalog, k, persona):
         spec = external_spec() if persona is None else external_spec(persona=persona)
-        got = build_request(spec, query, items, k)
-        assert got == _reference_build_request(spec, query, items, k)
+        got = build_request(spec, query, catalog, k)
+        assert got == _reference_build_request(spec, query, catalog, k)
         return got
 
     @settings(max_examples=300, deadline=None)
     @given(requests=st.lists(_WIRE_REQUESTS, min_size=1, max_size=4), repeat=st.booleans())
     def test_equals_reference_encoder(self, requests, repeat):
-        for query, items, k, persona in requests + requests[-1:] * repeat:
-            self.check(query, items, k, persona)
+        for query, catalog, k, persona in requests + requests[-1:] * repeat:
+            self.check(query, catalog, k, persona)
 
-    def test_empty_item_list(self):
-        assert self.check(QUERY, [], 1, None).startswith(b'{"candidates": [], "k": 1,')
+    @settings(max_examples=100, deadline=None)
+    @given(
+        catalogs=st.tuples(_WIRE_CATALOGS, _WIRE_CATALOGS),
+        calls=st.lists(
+            st.tuples(st.integers(0, 1), _WIRE_QUERIES, st.integers(1, 100), _WIRE_PERSONAS),
+            min_size=2, max_size=8,
+        ),
+    )
+    def test_two_catalogs_interleaved(self, catalogs, calls):
+        for which, query, k, persona in calls + [(1 - c[0],) + c[1:] for c in calls]:
+            self.check(query, catalogs[which], k, persona)
+
+    def test_empty_catalog(self):
+        assert self.check(QUERY, Catalog([]), 1, None).startswith(b'{"candidates": [], "k": 1,')
 
     def test_one_id_with_two_descriptions(self):
-        old = [Item(id="a", provider_id="p", description="old")]
-        new = [Item(id="a", provider_id="p", description="new")]
-        for items in (old, new, old):
-            assert items[0].description.encode() in self.check(QUERY, items, 3, None)
+        old = Catalog([Item(id="a", provider_id="p", description="old")])
+        new = Catalog([Item(id="a", provider_id="p", description="new")])
+        for catalog in (old, new, old):
+            assert catalog["a"].description.encode() in self.check(QUERY, catalog, 3, None)
 
-    def test_item_list_changed_in_place(self):
-        items = list(ITEMS)
-        self.check(QUERY, items, 2, "px")
-        items[1] = Item(id="b", provider_id="p", description="changed")
-        assert b"changed" in self.check(QUERY, items, 2, "px")
+    def test_equal_ids_new_description(self):
+        self.check(QUERY, CATALOG, 2, "px")
+        changed = Catalog(
+            [CATALOG["a"], Item(id="b", provider_id="p", description="changed"), CATALOG["c"]]
+        )
+        assert b"changed" in self.check(QUERY, changed, 2, "px")
+        assert b"changed" not in self.check(QUERY, CATALOG, 2, "px")
 
-    def test_candidates_encoded_once_while_items_repeat(self):
-        items = [Item(id=f"i{n}", provider_id="p", description=f"d{n}") for n in range(5)]
+    def test_candidates_encoded_once_per_catalog(self):
+        catalog = Catalog(Item(id=f"i{n}", provider_id="p", description=f"d{n}") for n in range(5))
         queries = [Query(id=qid, text="t") for qid in ("q1", "q2", "q3")]
-        build_request(external_spec(), QUERY, ITEMS, 2)  # a different list before
+        build_request(external_spec(), QUERY, CATALOG, 2)  # a different catalog before
         with mock.patch.object(adapter.json, "dumps", wraps=json.dumps) as dumps:
-            bodies = [build_request(external_spec(), q, list(items), 4) for q in queries]
-        # one header per request, and the candidate array once
-        assert dumps.call_count == len(queries) + 1
+            bodies = [build_request(external_spec(), q, catalog, 4) for q in queries]
+            # one header per request, and the candidate array once
+            assert dumps.call_count == len(queries) + 1
+            build_request(external_spec(), QUERY, CATALOG, 2)
+            assert dumps.call_count == len(queries) + 2  # its array is kept too
         for query, body in zip(queries, bodies):
-            assert body == _reference_build_request(external_spec(), query, items, 4)
+            assert body == _reference_build_request(external_spec(), query, catalog, 4)
+
+    def test_threads_on_fresh_catalogs(self):
+        # each round hands new catalogs to four threads at once, so they race
+        # to fill the prefix table while the last round's entries die
+        def catalogs():
+            return [
+                Catalog(Item(id=f"i{n}", provider_id="p", description=f"{tag} {n}")
+                        for n in range(50))
+                for tag in ("x", "y")
+            ]
+
+        query = Query(id="q1", text="t")
+        failures: list[bytes] = []
+
+        def build(shared):
+            for n in range(40):
+                catalog = shared[n % 2]
+                body = build_request(external_spec(), query, catalog, 3)
+                if body != _reference_build_request(external_spec(), query, catalog, 3):
+                    failures.append(body)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                shared = catalogs()
+                threads = [threading.Thread(target=build, args=(shared,)) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+
+    def test_prefix_dies_with_its_catalog(self):
+        gc.collect()
+        before = len(adapter._CANDIDATE_PREFIXES)
+        catalog = Catalog([Item(id="x", provider_id="p", description="gone soon")])
+        alive = weakref.ref(catalog)
+        self.check(QUERY, catalog, 1, None)
+        assert len(adapter._CANDIDATE_PREFIXES) == before + 1
+        del catalog
+        gc.collect()
+        assert alive() is None
+        assert len(adapter._CANDIDATE_PREFIXES) == before
 
 
 class TestParseResponse:
@@ -242,24 +333,25 @@ class TestParseResponse:
 
 class TestMock:
     def test_hash_order_matches_manual_computation(self):
-        request = build_request(external_spec(persona="px"), QUERY, ITEMS, 3)
+        request = build_request(external_spec(persona="px"), QUERY, CATALOG, 3)
         response = json.loads(mock_serve(request))
         expected = [
             item_id
             for _, item_id in sorted(
-                (fnv1a64(("q7" + it.id + "px").encode()), it.id) for it in ITEMS
+                (fnv1a64(("q7" + it.id + "px").encode()), it.id)
+                for it in CATALOG.items_sorted()
             )
         ]
         assert response["items"] == expected
 
     def test_request_external_via_mock_scheme(self):
-        ballot = request_external(external_spec(endpoint="mock://"), QUERY, ITEMS, 2)
+        ballot = request_external(external_spec(endpoint="mock://"), QUERY, CATALOG, 2)
         assert ballot.agent_id == "ext"
         assert len(ballot.ranking) == 2
 
     def test_mock_is_deterministic(self):
-        first = request_external(external_spec(endpoint="mock://"), QUERY, ITEMS, 3)
-        second = request_external(external_spec(endpoint="mock://"), QUERY, ITEMS, 3)
+        first = request_external(external_spec(endpoint="mock://"), QUERY, CATALOG, 3)
+        second = request_external(external_spec(endpoint="mock://"), QUERY, CATALOG, 3)
         assert first.ranking == second.ranking
 
 
@@ -481,7 +573,7 @@ class TestHttpTransport:
     def test_success(self, http_endpoint):
         _Handler.behavior = "ok"
         ballot = request_external(
-            external_spec(endpoint=http_endpoint), QUERY, ITEMS, 2
+            external_spec(endpoint=http_endpoint), QUERY, CATALOG, 2
         )
         assert ballot.ranking == ("a", "b")
         assert ballot.justification == "echo order"
@@ -489,31 +581,31 @@ class TestHttpTransport:
     def test_trailing_slash_normalized(self, http_endpoint):
         _Handler.behavior = "ok"
         ballot = request_external(
-            external_spec(endpoint=http_endpoint + "/"), QUERY, ITEMS, 1
+            external_spec(endpoint=http_endpoint + "/"), QUERY, CATALOG, 1
         )
         assert ballot.ranking == ("a",)
 
     def test_server_error(self, http_endpoint):
         _Handler.behavior = "error"
         with pytest.raises(AdapterMalformed):
-            request_external(external_spec(endpoint=http_endpoint), QUERY, ITEMS, 2)
+            request_external(external_spec(endpoint=http_endpoint), QUERY, CATALOG, 2)
 
     def test_bad_json_body(self, http_endpoint):
         _Handler.behavior = "bad-json"
         with pytest.raises(AdapterMalformed):
-            request_external(external_spec(endpoint=http_endpoint), QUERY, ITEMS, 2)
+            request_external(external_spec(endpoint=http_endpoint), QUERY, CATALOG, 2)
 
     def test_timeout(self, http_endpoint):
         _Handler.behavior = "slow"
         with pytest.raises(AdapterTimeout):
             request_external(
-                external_spec(endpoint=http_endpoint), QUERY, ITEMS, 2, timeout_s=0.2
+                external_spec(endpoint=http_endpoint), QUERY, CATALOG, 2, timeout_s=0.2
             )
 
     def test_connection_refused(self):
         with pytest.raises(AdapterMalformed):
             request_external(
-                external_spec(endpoint="http://127.0.0.1:1"), QUERY, ITEMS, 2,
+                external_spec(endpoint="http://127.0.0.1:1"), QUERY, CATALOG, 2,
                 timeout_s=1.0,
             )
 
@@ -522,7 +614,7 @@ class TestHttpTransport:
         spec = external_spec(endpoint=http_endpoint, timeout_s=0.2)
         started = time.monotonic()
         with pytest.raises(AdapterTimeout):
-            request_external(spec, QUERY, ITEMS, 2)
+            request_external(spec, QUERY, CATALOG, 2)
         assert time.monotonic() - started < 1.5
 
 

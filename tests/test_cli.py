@@ -479,6 +479,108 @@ class TestSavedBallotsAndTies:
         assert list(tmp_path.glob("replay.*")) == []
 
 
+def _edit_aggregate(field, edit):
+    return lambda outcome: edit(outcome["aggregate"][field])
+
+
+def _set_aggregate(**fields):
+    return lambda outcome: outcome["aggregate"].update(fields)
+
+
+def _set_last(value):
+    def edit(ids):
+        ids[-1] = value
+    return edit
+
+
+class TestSavedAggregate:
+    """The rule label, consensus, final list, scores and achieved values are
+    checked at load against what ``save_outcomes`` could have written: each
+    fault is invalid input that names its field."""
+
+    CONSENSUS = "aggregate.consensus: expected each of the 6 items the ballots rank, once"
+    FINAL = "final_list: expected the first query.top_n consensus items"
+    RULE = "aggregate.rule: expected one of ['borda', 'copeland', 'kemeny', "
+    SCORES = "aggregate.scores: expected one entry per consensus item"
+    ACHIEVED = "per_agent_achieved: expected the agents of per_agent_regret"
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (_edit_aggregate("consensus", list.pop), CONSENSUS),
+            (_edit_aggregate("consensus", lambda c: c.append("market-old-town")), CONSENSUS),
+            (_edit_aggregate("consensus", _set_last("beach-hidden-cove")), CONSENSUS),
+            (_edit_aggregate("consensus", _set_last("no-such-item")), CONSENSUS),
+            (_edit_aggregate("consensus", _set_last(["trail-forest-loop"])), CONSENSUS),
+            (_set_aggregate(consensus="beach-hidden-cove"),
+             "aggregate.consensus: expected a list"),
+            (lambda outcome: outcome["final_list"].reverse(), FINAL),
+            (lambda outcome: outcome["final_list"].pop(), FINAL),
+            (lambda outcome: outcome["final_list"].append("beach-promenade"), FINAL),
+            (_edit_aggregate("consensus", list.reverse), FINAL),
+            (_set_aggregate(rule="plurality"), RULE),
+            (_set_aggregate(rule="Borda"), RULE),
+            (_set_aggregate(rule=5), RULE),
+            (_edit_aggregate("scores", lambda sc: sc.pop("beach-promenade")), SCORES),
+            (_edit_aggregate("scores", lambda sc: sc.update({"no-such-item": 1.0})), SCORES),
+            (lambda outcome: outcome["aggregate"].pop("scores"), SCORES),
+            (_edit_aggregate("scores", lambda sc: sc.update({"beach-promenade": True})),
+             "aggregate.scores.beach-promenade: expected a number"),
+            (_edit_aggregate("scores", lambda sc: sc.update({"beach-promenade": "6"})),
+             "aggregate.scores.beach-promenade: expected a number"),
+            (lambda outcome: outcome["per_agent_achieved"].pop("traveler"), ACHIEVED),
+            (lambda outcome: outcome["per_agent_achieved"].update(ghost=0.5), ACHIEVED),
+            (lambda outcome: outcome["per_agent_achieved"].update(traveler="high"),
+             "per_agent_achieved.traveler: expected a number or null"),
+            (lambda outcome: outcome["per_agent_achieved"].update(traveler=False),
+             "per_agent_achieved.traveler: expected a number or null"),
+        ],
+        ids=[
+            "consensus-short", "consensus-repeat-appended", "consensus-repeat",
+            "consensus-foreign-item", "consensus-unhashable", "consensus-not-list",
+            "final-reordered", "final-short", "final-long", "final-not-prefix",
+            "rule-unknown", "rule-case", "rule-number", "scores-missing-item",
+            "scores-extra-item", "scores-absent", "scores-bool", "scores-string",
+            "achieved-missing-agent", "achieved-extra-agent", "achieved-string",
+            "achieved-bool",
+        ],
+    )
+    def test_exit_2_and_nothing_written(self, tourism_dir, tmp_path, edit, message):
+        saved = tmp_path / "outcomes.json"
+        doc = json.loads((tourism_dir / "base" / "outcomes.json").read_text(encoding="utf-8"))
+        edit(doc["outcomes"][0])
+        saved.write_text(json.dumps(doc), encoding="utf-8")
+        proc = agorank(
+            "evaluate", "--scenario", "builtin:tourism",
+            "--out", str(tmp_path / "replay"), "--outcomes", str(saved),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"error: outcomes[0].{message}" in proc.stderr
+        assert list(tmp_path.glob("replay.*")) == []
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _edit_aggregate("consensus", lambda c: c.insert(3, c.pop())),
+            lambda outcome: outcome["per_agent_achieved"].update(traveler=None),
+            _set_aggregate(rule="kemeny-heuristic"),
+        ],
+        ids=["consensus-tail-reordered", "achieved-null", "rule-heuristic"],
+    )
+    def test_what_save_could_write_loads(self, tourism_dir, tmp_path, edit):
+        # the load checks the fields' shape, not that the rule would
+        # reproduce them
+        saved = tmp_path / "outcomes.json"
+        doc = json.loads((tourism_dir / "base" / "outcomes.json").read_text(encoding="utf-8"))
+        edit(doc["outcomes"][0])
+        saved.write_text(json.dumps(doc), encoding="utf-8")
+        proc = agorank(
+            "evaluate", "--scenario", "builtin:tourism",
+            "--out", str(tmp_path / "replay"), "--outcomes", str(saved),
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 _FUZZED = ("scenario.json", "catalog.csv", "outcomes.json")
 
 

@@ -135,6 +135,6 @@ def test_adapter_wire_frozen(tourism):
         preference_weights={"culture": 1.0},
         top_n=3,
     )
-    request = build_request(spec, query, tourism.catalog.items_sorted(), 6)
+    request = build_request(spec, query, tourism.catalog, 6)
     check_bytes("adapter_request.json", request)
     check_bytes("adapter_response.json", mock_serve(request))
