@@ -9,6 +9,7 @@ carried through to reports untouched.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -140,16 +141,34 @@ def generate_provider_exposure(
     return Ballot(agent_id="", ranking=ranking, justification=justification)
 
 
+# a catalog never changes after construction, so its popularity-mitigation
+# order is sorted on first use and kept, read-only, for as long as the catalog
+# itself lives
+_MITIGATION_ORDERS: weakref.WeakKeyDictionary[Catalog, np.ndarray] = weakref.WeakKeyDictionary()
+
+
+def _mitigation_order(catalog: Catalog) -> np.ndarray:
+    """Catalog positions by descending (1 - popularity) + sustainability, ties by id."""
+    order = _MITIGATION_ORDERS.get(catalog)
+    if order is None:
+        columns = catalog.columns
+        score = (1.0 - columns.popularity) + columns.sustainability
+        order = np.argsort(-score, kind="stable")
+        order.flags.writeable = False
+        _MITIGATION_ORDERS[catalog] = order
+    return order
+
+
 def generate_popularity_mitigation(query: Query, catalog: Catalog, k: int) -> Ballot:
     """Popularity-bias counterweight: favor unpopular, sustainable items.
 
-    score = (1 - popularity) + sustainability, descending, ties by id.
+    score = (1 - popularity) + sustainability, descending, ties by id.  The
+    order depends only on the catalog, so it is sorted once per catalog and
+    kept; each call takes its first ``k``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    columns = catalog.columns
-    score = (1.0 - columns.popularity) + columns.sustainability
-    order = np.argsort(-score, kind="stable")[:k]
+    order = _mitigation_order(catalog)[:k]
     ranking = tuple(catalog.ids[i] for i in order.tolist())
     if ranking:
         mean_pop = left_sum(catalog[i].popularity for i in ranking) / len(ranking)

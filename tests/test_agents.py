@@ -1,5 +1,15 @@
-import pytest
+import gc
+import sys
+import threading
+import weakref
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from agorank import agents
 from agorank.agents import (
     AgentObjective,
     AgentSpec,
@@ -12,7 +22,7 @@ from agorank.agents import (
     update_reliability,
 )
 from agorank.metrics import MetricId
-from agorank.model import Catalog, Constraint, Item, Query, StakeholderRole
+from agorank.model import Ballot, Catalog, Constraint, Item, Query, StakeholderRole, left_sum
 
 CATALOG = Catalog(
     [
@@ -117,12 +127,117 @@ class TestProviderExposureAgent:
         assert ballot.ranking == ("beach", "museum", "trail")
 
 
+def _reference_mitigation(catalog, k):
+    """The popularity-mitigation ballot from one stable argsort per call."""
+    score = (1.0 - catalog.columns.popularity) + catalog.columns.sustainability
+    order = np.argsort(-score, kind="stable")[:k]
+    ranking = tuple(catalog.ids[i] for i in order.tolist())
+    if ranking:
+        mean_pop = left_sum(catalog[i].popularity for i in ranking) / len(ranking)
+        justification = f"mean popularity of slate: {mean_pop:.6f}"
+    else:
+        justification = "catalog is empty"
+    return Ballot(agent_id="", ranking=ranking, justification=justification)
+
+
+# few distinct values, so scores tie exactly and also as unequal float sums
+_COARSE = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0])
+_MITIGATION_CATALOGS = st.lists(
+    st.builds(
+        Item,
+        id=st.text("abcdefgh", min_size=1, max_size=3),
+        provider_id=st.just("p"),
+        popularity=_COARSE,
+        sustainability=_COARSE,
+    ),
+    max_size=12,
+    unique_by=lambda item: item.id,
+).map(Catalog)
+
+
+def _fresh_catalogs(size=40):
+    return [
+        Catalog(
+            Item(id=f"i{n:02d}", provider_id="p", popularity=(n * seed % 7) / 7,
+                 sustainability=(n * seed % 5) / 5)
+            for n in range(size)
+        )
+        for seed in (3, 4)
+    ]
+
+
 class TestPopularityMitigationAgent:
     def test_ordering(self):
         ballot = generate_popularity_mitigation(Query(id="q"), CATALOG, k=3)
         # trail 1.8, museum 1.2, beach 0.3
         assert ballot.ranking == ("trail", "museum", "beach")
         assert "mean popularity" in ballot.justification
+
+    @settings(max_examples=150, deadline=None)
+    @given(catalogs=st.tuples(_MITIGATION_CATALOGS, _MITIGATION_CATALOGS))
+    def test_equals_per_call_argsort(self, catalogs):
+        # the two catalogs are called in turn, so each call reads its own order
+        query = Query(id="q")
+        for k in range(1, max(map(len, catalogs)) + 3):
+            for catalog in catalogs:
+                expected = _reference_mitigation(catalog, k)
+                assert generate_popularity_mitigation(query, catalog, k) == expected
+
+    def test_order_sorted_once_per_catalog(self):
+        first, second = _fresh_catalogs()
+        with mock.patch.object(agents.np, "argsort", wraps=np.argsort) as argsort:
+            for k in (1, 5, 40, 3):
+                generate_popularity_mitigation(Query(id="q"), first, k)
+            assert argsort.call_count == 1
+            generate_popularity_mitigation(Query(id="q"), second, 2)
+            generate_popularity_mitigation(Query(id="q"), first, 2)
+            assert argsort.call_count == 2
+
+    def test_kept_order_is_read_only(self):
+        order = agents._mitigation_order(_fresh_catalogs()[0])
+        assert not order.flags.writeable
+        with pytest.raises(ValueError):
+            order[0] = 1
+
+    def test_order_dies_with_its_catalog(self):
+        gc.collect()
+        before = len(agents._MITIGATION_ORDERS)
+        catalog = _fresh_catalogs()[0]
+        alive = weakref.ref(catalog)
+        generate_popularity_mitigation(Query(id="q"), catalog, 3)
+        assert len(agents._MITIGATION_ORDERS) == before + 1
+        del catalog
+        gc.collect()
+        assert alive() is None
+        assert len(agents._MITIGATION_ORDERS) == before
+
+    def test_threads_on_fresh_catalogs(self):
+        # each round hands new catalogs to four threads at once, so they race
+        # to fill the order table while the last round's entries die
+        query = Query(id="q")
+        failures: list[Ballot] = []
+
+        def generate(shared):
+            for n in range(40):
+                catalog, k = shared[n % 2], 1 + n % 7
+                ballot = generate_popularity_mitigation(query, catalog, k)
+                if ballot != _reference_mitigation(catalog, k):
+                    failures.append(ballot)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                shared = _fresh_catalogs()
+                threads = [threading.Thread(target=generate, args=(shared,)) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
 
 
 class TestReliability:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import string
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -225,12 +226,29 @@ class TestExportCatalog:
         ]
     )
 
+    # the same items without ``price``: the CSV form has no attributes column
+    CSV_CATALOG = Catalog(
+        [
+            Item(id="i1", provider_id="p1", categories=frozenset({"beach"}),
+                 popularity=0.1234567, sustainability=0.9, description="x"),
+            Item(id="i2", provider_id="p2"),
+        ]
+    )
+
     def test_csv_roundtrip_preserves_floats(self, tmp_path):
         path = tmp_path / "out.csv"
-        export_catalog(self.CATALOG, path)
+        export_catalog(self.CSV_CATALOG, path)
         loaded = load_catalog(path)
-        assert loaded["i1"].popularity == self.CATALOG["i1"].popularity
-        assert loaded.ids == self.CATALOG.ids
+        assert loaded["i1"].popularity == self.CSV_CATALOG["i1"].popularity
+        assert loaded.ids == self.CSV_CATALOG.ids
+
+    @pytest.mark.parametrize("name", ["out.csv", "out.CSV"])
+    def test_csv_refuses_attributes_and_writes_nothing(self, tmp_path, name):
+        catalog = Catalog([Item(id="i0", provider_id="p0"), *self.CATALOG.items_sorted()])
+        path = tmp_path / name
+        with pytest.raises(ValueError, match=r"item i1 has attributes.*\.json"):
+            export_catalog(catalog, path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_json_roundtrip_keeps_attributes(self, tmp_path):
         path = tmp_path / "out.json"
@@ -806,6 +824,63 @@ class TestCatalogHash:
             twin = generate_catalog(item_count=30, provider_count=4, seed=3)
             assert catalog_hash(twin) == fresh
             assert encode.call_count == 2 * len(catalog)
+
+
+def _one_shot_hash(catalog):
+    """The catalog hash as one dump of every record, with no slicing."""
+    records = [dataio._item_to_obj(item) for item in catalog.items_sorted()]
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+_SLICE = dataio._HASH_SLICE
+_NUMBER = st.one_of(st.integers(-10**6, 10**6), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _hash_catalogs(draw):
+    """Catalogs of 0, 1 and about one or two slices of items.
+
+    Each item copies one of a few drawn templates under its own id, so a
+    catalog of 2 * slice + 1 items costs only a few draws.
+    """
+    templates = draw(
+        st.lists(
+            st.builds(
+                dict,
+                provider_id=st.text(min_size=1, max_size=4),
+                categories=st.frozensets(st.text(max_size=4), max_size=3),
+                popularity=st.floats(0.0, 1.0),
+                sustainability=st.floats(0.0, 1.0),
+                attributes=st.dictionaries(st.text(max_size=4), _NUMBER, max_size=3),
+                description=st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    count = draw(st.sampled_from([0, 1, _SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1]))
+    prefix = draw(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3))
+    return Catalog(
+        Item(id=f"{prefix}{n}", **templates[n % len(templates)]) for n in range(count)
+    )
+
+
+class TestStreamedCatalogHash:
+    @settings(max_examples=60, deadline=None)
+    @given(catalog=_hash_catalogs())
+    def test_equals_one_shot_dump(self, catalog):
+        assert catalog_hash(catalog) == _one_shot_hash(catalog)
+
+    def test_bounded_memory_on_20k_items(self):
+        catalog = generate_catalog(item_count=20000, provider_count=200, seed=1)
+        tracemalloc.start()
+        try:
+            catalog_hash(catalog)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one dump of all 20k records peaks near 18 MiB
+        assert peak < 2 * 1024 * 1024
 
 
 # round trips through the one codec per record
