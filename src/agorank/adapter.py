@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import os
-import weakref
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -106,20 +105,14 @@ def resolve_endpoint(spec: "AgentSpec", url_override: str | None = None) -> str:
 
 _CANDIDATES_KEY = '{"candidates": '
 
-# the leading bytes of every request about a catalog, ``{"candidates": [...]``:
-# a catalog never changes after construction, so its candidate array is
-# encoded on first use and kept for as long as the catalog itself lives
-_CANDIDATE_PREFIXES: weakref.WeakKeyDictionary[Catalog, bytes] = weakref.WeakKeyDictionary()
-
 
 def _candidates_prefix(catalog: Catalog) -> bytes:
-    """``{"candidates": `` and the catalog's candidate array, in UTF-8."""
-    prefix = _CANDIDATE_PREFIXES.get(catalog)
-    if prefix is None:
-        candidates = [{"id": i, "description": catalog[i].description} for i in catalog.ids]
-        encoded = _CANDIDATES_KEY + json.dumps(candidates, sort_keys=True)
-        prefix = _CANDIDATE_PREFIXES[catalog] = encoded.encode("utf-8")
-    return prefix
+    """``{"candidates": `` and the catalog's candidate array, in UTF-8.
+
+    ``build_request`` keeps these leading bytes in ``Catalog.derived``.
+    """
+    candidates = [{"id": i, "description": catalog[i].description} for i in catalog.ids]
+    return (_CANDIDATES_KEY + json.dumps(candidates, sort_keys=True)).encode("utf-8")
 
 
 def build_request(spec: "AgentSpec", query: Query, catalog: Catalog, k: int) -> bytes:
@@ -143,7 +136,7 @@ def build_request(spec: "AgentSpec", query: Query, catalog: Catalog, k: int) -> 
     )
     assert header.startswith(_CANDIDATES_KEY + "[]"), "a body key sorts before candidates"
     rest = header[len(_CANDIDATES_KEY) + len("[]") :]
-    return _candidates_prefix(catalog) + rest.encode("utf-8")
+    return catalog.derived(_candidates_prefix) + rest.encode("utf-8")
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -9,7 +9,6 @@ carried through to reports untouched.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -141,21 +140,15 @@ def generate_provider_exposure(
     return Ballot(agent_id="", ranking=ranking, justification=justification)
 
 
-# a catalog never changes after construction, so its popularity-mitigation
-# order is sorted on first use and kept, read-only, for as long as the catalog
-# itself lives
-_MITIGATION_ORDERS: weakref.WeakKeyDictionary[Catalog, np.ndarray] = weakref.WeakKeyDictionary()
-
-
 def _mitigation_order(catalog: Catalog) -> np.ndarray:
-    """Catalog positions by descending (1 - popularity) + sustainability, ties by id."""
-    order = _MITIGATION_ORDERS.get(catalog)
-    if order is None:
-        columns = catalog.columns
-        score = (1.0 - columns.popularity) + columns.sustainability
-        order = np.argsort(-score, kind="stable")
-        order.flags.writeable = False
-        _MITIGATION_ORDERS[catalog] = order
+    """Catalog positions by descending (1 - popularity) + sustainability, ties by id.
+
+    Read-only: ``generate_popularity_mitigation`` keeps it in ``Catalog.derived``.
+    """
+    columns = catalog.columns
+    score = (1.0 - columns.popularity) + columns.sustainability
+    order = np.argsort(-score, kind="stable")
+    order.flags.writeable = False
     return order
 
 
@@ -168,7 +161,7 @@ def generate_popularity_mitigation(query: Query, catalog: Catalog, k: int) -> Ba
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    order = _mitigation_order(catalog)[:k]
+    order = catalog.derived(_mitigation_order)[:k]
     ranking = tuple(catalog.ids[i] for i in order.tolist())
     if ranking:
         mean_pop = left_sum(catalog[i].popularity for i in ranking) / len(ranking)

@@ -23,7 +23,6 @@ import io
 import json
 import logging
 import math
-import weakref
 from dataclasses import dataclass
 from datetime import datetime
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -229,21 +228,25 @@ def export_catalog(catalog: Catalog, path: str | Path) -> None:
     """Write a catalog back out (CSV or JSON by suffix); loaders round-trip it.
 
     The JSON form is ``_json_slabs`` of the item records, in id order,
-    and a newline; the CSV form is UTF-8.  The CSV form has no attributes
-    column, so a catalog with attributes is refused before the file is
-    opened (``ValueError`` naming the first such item) rather than written
-    without them.
+    and a newline; the CSV form is UTF-8.  It has no attributes column, and
+    its loader splits categories on ``;``, strips them and drops empty ones.
+    So attributes, or a category that is empty, holds ``;`` or has outer
+    whitespace, are refused before the file is opened (``ValueError`` naming
+    the first such item) rather than written in a form that reloads changed.
     """
     path = Path(path)
     as_json = path.suffix.lower() == ".json"
+    items = catalog.items_sorted()
     if not as_json:
-        carrier = next((i for i in catalog.ids if catalog[i].attributes), None)
-        if carrier is not None:
-            raise ValueError(
-                f"item {carrier} has attributes, which a CSV catalog cannot carry; "
-                "export to a .json path instead"
-            )
-    records = [_item_to_obj(item) for item in catalog.items_sorted()]
+        for item in items:
+            bad = [c for c in sorted(item.categories) if not c or ";" in c or c != c.strip()]
+            if item.attributes or bad:
+                what = "attributes" if item.attributes else f"category {bad[0]!r}"
+                raise ValueError(
+                    f"item {item.id} has {what}, which a CSV catalog cannot carry; "
+                    "export to a .json path instead"
+                )
+    records = [_item_to_obj(item) for item in items]
     if as_json:
         _write_json(path, _json_slabs(records))
         return
@@ -993,36 +996,32 @@ def write_report(
 # saved outcomes
 
 
-# a catalog never changes after construction, so its hash is kept for as long
-# as the catalog itself lives
-_CATALOG_HASHES: weakref.WeakKeyDictionary[Catalog, str] = weakref.WeakKeyDictionary()
-
 # item records per ``json.dumps`` call while hashing, which bounds its memory
 _HASH_SLICE = 256
 
 
 def catalog_hash(catalog: Catalog) -> str:
-    """Content hash of a catalog, for pinning outcomes to their data.
+    """Content hash of a catalog, for pinning outcomes; kept by ``Catalog.derived``."""
+    return catalog.derived(_hash_catalog)
 
-    The SHA-256 of ``json.dumps(records, sort_keys=True)`` in UTF-8, where
+
+def _hash_catalog(catalog: Catalog) -> str:
+    """The SHA-256 of ``json.dumps(records, sort_keys=True)`` in UTF-8.
+
     ``records`` are the ``_item_to_obj`` records in id order.  The text is
     fed to the hash in pieces: ``[``, each slice of ``_HASH_SLICE`` records
     dumped by one call with its brackets stripped, the slices joined by
     ``", "``, then ``]``, the same bytes as one dump without holding them.
-    Computed on the first call for each catalog and then kept.
     """
-    digest = _CATALOG_HASHES.get(catalog)
-    if digest is None:
-        ids = catalog.ids
-        sha = hashlib.sha256(b"[")
-        for start in range(0, len(ids), _HASH_SLICE):
-            records = [_item_to_obj(catalog[i]) for i in ids[start : start + _HASH_SLICE]]
-            if start:
-                sha.update(b", ")
-            sha.update(json.dumps(records, sort_keys=True)[1:-1].encode("utf-8"))
-        sha.update(b"]")
-        digest = _CATALOG_HASHES[catalog] = sha.hexdigest()
-    return digest
+    ids = catalog.ids
+    sha = hashlib.sha256(b"[")
+    for start in range(0, len(ids), _HASH_SLICE):
+        records = [_item_to_obj(catalog[i]) for i in ids[start : start + _HASH_SLICE]]
+        if start:
+            sha.update(b", ")
+        sha.update(json.dumps(records, sort_keys=True)[1:-1].encode("utf-8"))
+    sha.update(b"]")
+    return sha.hexdigest()
 
 
 def _outcome_to_obj(outcome: QueryOutcome) -> dict:

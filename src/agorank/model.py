@@ -1,7 +1,10 @@
 """Core domain types plus the ranking-distance primitives everything else builds on.
 
 All types are immutable values after construction and all operations are pure
-functions, so they are safe to evaluate concurrently without coordination.
+functions apart from one memo: ``Catalog.derived`` keeps data computed from a
+catalog.  That is sound because a catalog never changes and every derived value
+is immutable or read-only.  So all of it is safe to evaluate concurrently
+without coordination.
 """
 
 from __future__ import annotations
@@ -9,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -20,6 +22,8 @@ from .errors import (
     NoCandidates,
     PoolMismatch,
 )
+
+T = TypeVar("T")
 
 
 class StakeholderRole(Enum):
@@ -87,9 +91,10 @@ class CatalogColumns:
 class Catalog:
     """Immutable id-indexed collection of items with a provider index.
 
-    ``columns`` is derived from the items on first use and then kept; that is
-    sound only because neither the catalog nor its items change after
-    construction.
+    Data derived from the items, such as ``columns`` or the catalog hash, is
+    computed on first use and kept by ``derived``; that is sound only because
+    neither the catalog nor its items change after construction and every
+    derived value is immutable or read-only.
     """
 
     def __init__(self, items: Iterable[Item]):
@@ -103,6 +108,7 @@ class Catalog:
         self._provider_index = {p: tuple(sorted(ids)) for p, ids in by_provider.items()}
         self._providers = tuple(sorted(self._provider_index))
         self._sorted_ids = tuple(sorted(self._items))
+        self._derived: dict[Callable[[Catalog], object], object] = {}
 
     def __len__(self) -> int:
         return len(self._items)
@@ -123,46 +129,20 @@ class Catalog:
         """All provider ids, sorted ascending."""
         return self._providers
 
-    @cached_property
+    @property
     def columns(self) -> CatalogColumns:
         """Numpy columns of the items in id order, built on first access."""
-        items = self.items_sorted()
-        n = len(items)
-        category_rows: dict[str, list[int]] = {}
-        attribute_cells: dict[str, tuple[list[int], list[float]]] = {}
-        for i, item in enumerate(items):
-            for cat in item.categories:
-                category_rows.setdefault(cat, []).append(i)
-            for name, value in item.attributes.items():
-                rows, values = attribute_cells.setdefault(name, ([], []))
-                rows.append(i)
-                values.append(value)
-        incidence = {}
-        for cat, rows in category_rows.items():
-            incidence[cat] = np.zeros(n, dtype=bool)
-            incidence[cat][rows] = True
-        attributes = {}
-        for name, (rows, values) in attribute_cells.items():
-            attributes[name] = np.full(n, np.nan)
-            attributes[name][rows] = values
-        code_of = {p: c for c, p in enumerate(self._providers)}
-        columns = CatalogColumns(
-            incidence=incidence,
-            popularity=np.array([it.popularity for it in items], dtype=float),
-            sustainability=np.array([it.sustainability for it in items], dtype=float),
-            attributes=attributes,
-            provider_codes=np.array([code_of[it.provider_id] for it in items], dtype=np.intp),
-        )
-        # every caller shares these arrays, so none may write to them
-        for array in (
-            *incidence.values(),
-            *attributes.values(),
-            columns.popularity,
-            columns.sustainability,
-            columns.provider_codes,
-        ):
-            array.flags.writeable = False
-        return columns
+        return self.derived(_build_columns)
+
+    def derived(self, build: Callable[[Catalog], T]) -> T:
+        """``build(self)``, computed on the first call for ``build`` and then kept.
+
+        Racing first calls may each build it; ``setdefault`` gives all of them the first stored.
+        """
+        try:
+            return self._derived[build]
+        except KeyError:
+            return self._derived.setdefault(build, build(self))
 
     def items_sorted(self) -> list[Item]:
         return [self._items[i] for i in self._sorted_ids]
@@ -172,6 +152,47 @@ class Catalog:
 
     def provider_of(self, item_id: str) -> str:
         return self._items[item_id].provider_id
+
+
+def _build_columns(catalog: Catalog) -> CatalogColumns:
+    """Numpy columns of the items in id order, every array read-only."""
+    items = catalog.items_sorted()
+    n = len(items)
+    category_rows: dict[str, list[int]] = {}
+    attribute_cells: dict[str, tuple[list[int], list[float]]] = {}
+    for i, item in enumerate(items):
+        for cat in item.categories:
+            category_rows.setdefault(cat, []).append(i)
+        for name, value in item.attributes.items():
+            rows, values = attribute_cells.setdefault(name, ([], []))
+            rows.append(i)
+            values.append(value)
+    incidence = {}
+    for cat, rows in category_rows.items():
+        incidence[cat] = np.zeros(n, dtype=bool)
+        incidence[cat][rows] = True
+    attributes = {}
+    for name, (rows, values) in attribute_cells.items():
+        attributes[name] = np.full(n, np.nan)
+        attributes[name][rows] = values
+    code_of = {p: c for c, p in enumerate(catalog.providers)}
+    columns = CatalogColumns(
+        incidence=incidence,
+        popularity=np.array([it.popularity for it in items], dtype=float),
+        sustainability=np.array([it.sustainability for it in items], dtype=float),
+        attributes=attributes,
+        provider_codes=np.array([code_of[it.provider_id] for it in items], dtype=np.intp),
+    )
+    # every caller shares these arrays, so none may write to them
+    for array in (
+        *incidence.values(),
+        *attributes.values(),
+        columns.popularity,
+        columns.sustainability,
+        columns.provider_codes,
+    ):
+        array.flags.writeable = False
+    return columns
 
 
 @dataclass(frozen=True)

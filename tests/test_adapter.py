@@ -246,9 +246,10 @@ class TestRequestBytes:
         for query, body in zip(queries, bodies):
             assert body == _reference_build_request(external_spec(), query, catalog, 4)
 
+
     def test_threads_on_fresh_catalogs(self):
         # each round hands new catalogs to four threads at once, so they race
-        # to fill the prefix table while the last round's entries die
+        # to fill each catalog's kept prefix while the last round's catalogs die
         def catalogs():
             return [
                 Catalog(Item(id=f"i{n}", provider_id="p", description=f"{tag} {n}")
@@ -282,16 +283,15 @@ class TestRequestBytes:
         assert failures == []
 
     def test_prefix_dies_with_its_catalog(self):
-        gc.collect()
-        before = len(adapter._CANDIDATE_PREFIXES)
+        # the prefix is kept in the catalog's own memo, so nothing outside the
+        # catalog holds it or keeps the catalog alive
         catalog = Catalog([Item(id="x", provider_id="p", description="gone soon")])
         alive = weakref.ref(catalog)
         self.check(QUERY, catalog, 1, None)
-        assert len(adapter._CANDIDATE_PREFIXES) == before + 1
+        assert adapter._candidates_prefix in catalog._derived
         del catalog
         gc.collect()
         assert alive() is None
-        assert len(adapter._CANDIDATE_PREFIXES) == before
 
 
 class TestParseResponse:

@@ -199,21 +199,20 @@ class TestPopularityMitigationAgent:
         with pytest.raises(ValueError):
             order[0] = 1
 
+
     def test_order_dies_with_its_catalog(self):
-        gc.collect()
-        before = len(agents._MITIGATION_ORDERS)
         catalog = _fresh_catalogs()[0]
         alive = weakref.ref(catalog)
         generate_popularity_mitigation(Query(id="q"), catalog, 3)
-        assert len(agents._MITIGATION_ORDERS) == before + 1
+        order = weakref.ref(catalog.derived(agents._mitigation_order))
         del catalog
         gc.collect()
         assert alive() is None
-        assert len(agents._MITIGATION_ORDERS) == before
+        assert order() is None
 
     def test_threads_on_fresh_catalogs(self):
         # each round hands new catalogs to four threads at once, so they race
-        # to fill the order table while the last round's entries die
+        # to fill each catalog's kept order while the last round's catalogs die
         query = Query(id="q")
         failures: list[Ballot] = []
 

@@ -10,10 +10,12 @@ relevance values bit for bit.
 
 from __future__ import annotations
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agorank import dataio
+from agorank import dataio, model
 from agorank.agents import (
     ExposureLedger,
     generate_popularity_mitigation,
@@ -228,11 +230,12 @@ def test_bundled_scenarios_match_the_per_item_loops():
 
 
 def test_columns_are_built_on_first_use_only():
-    catalog = Catalog([Item(id="a", provider_id="p", categories={"art"})])
-    assert "columns" not in vars(catalog)
-    scenario = dataio.load_scenario("builtin:synthetic-200")
-    assert "columns" not in vars(scenario.catalog)
-    columns = scenario.catalog.columns
-    assert scenario.catalog.columns is columns
+    with mock.patch.object(model, "_build_columns", wraps=model._build_columns) as build:
+        Catalog([Item(id="a", provider_id="p", categories={"art"})])
+        scenario = dataio.load_scenario("builtin:synthetic-200")
+        assert build.call_count == 0
+        columns = scenario.catalog.columns
+        assert scenario.catalog.columns is columns
+        assert build.call_count == 1
     assert not columns.popularity.flags.writeable
     assert not columns.incidence[next(iter(columns.incidence))].flags.writeable

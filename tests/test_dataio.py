@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import string
 import tracemalloc
 from unittest import mock
@@ -248,6 +249,14 @@ class TestExportCatalog:
         path = tmp_path / name
         with pytest.raises(ValueError, match=r"item i1 has attributes.*\.json"):
             export_catalog(catalog, path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("category", ["", " a", "a\t", "a;b"])
+    def test_csv_refuses_unloadable_category_and_writes_nothing(self, tmp_path, category):
+        items = [Item(id=f"i{n}", provider_id="p", categories=c) for n, c in
+                 enumerate([{"a", "b c"}, {"a", category}, {";"}])]
+        with pytest.raises(ValueError, match=rf"item i1 has category {re.escape(repr(category))}"):
+            export_catalog(Catalog(items), tmp_path / "out.csv")
         assert list(tmp_path.iterdir()) == []
 
     def test_json_roundtrip_keeps_attributes(self, tmp_path):
@@ -887,6 +896,8 @@ class TestStreamedCatalogHash:
 
 _TEXT = st.text(string.ascii_letters + string.digits + " ,;\"'\n-é", max_size=12)
 _NAME = st.text(string.ascii_lowercase + "-_", min_size=1, max_size=8)
+# ``;``, spaces and "" are categories that the CSV form cannot carry
+_CATEGORY = st.text(string.ascii_lowercase + "-_; ", max_size=8)
 _UNIT = st.floats(0.0, 1.0)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -896,7 +907,7 @@ def _items(draw, with_attributes):
     return Item(
         id=draw(st.text(string.ascii_letters + string.digits + "-_ ,é", min_size=1, max_size=8)),
         provider_id=draw(_NAME),
-        categories=frozenset(draw(st.lists(_NAME, max_size=4))),
+        categories=frozenset(draw(st.lists(_CATEGORY, max_size=4))),
         popularity=draw(_UNIT),
         sustainability=draw(_UNIT),
         attributes=draw(st.dictionaries(_NAME, _FINITE, max_size=3)) if with_attributes else {},
@@ -927,8 +938,17 @@ def test_catalog_json_roundtrip(tmp_path, catalog):
 @_ROUNDTRIP
 @given(catalog=_catalogs(with_attributes=False))
 def test_catalog_csv_roundtrip(tmp_path, catalog):
+    # every example shares tmp_path; each round-trips exactly, or is refused
+    # with nothing written because the loader would read its categories back changed
     path = tmp_path / "catalog.csv"
-    export_catalog(catalog, path)
+    path.unlink(missing_ok=True)
+    try:
+        export_catalog(catalog, path)
+    except ValueError:
+        items = catalog.items_sorted()
+        reread = [{c.strip() for c in ";".join(i.categories).split(";")} - {""} for i in items]
+        assert not path.exists() and reread != [i.categories for i in items]
+        return
     loaded = load_catalog(path)
     assert loaded.items_sorted() == catalog.items_sorted()
     assert catalog_hash(loaded) == catalog_hash(catalog)

@@ -1,8 +1,15 @@
+import gc
 import itertools
 import math
+import sys
+import threading
+import weakref
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from agorank import adapter, agents, dataio, model
 from agorank.errors import (
     DuplicateItemId,
     EmptyAfterGrounding,
@@ -63,6 +70,62 @@ class TestCatalog:
         assert cat.providers == ("p1", "p2")
         assert cat.ids == ("a", "b", "c")
         assert cat.provider_of("c") == "p2"
+
+
+class TestCatalogDerived:
+    @pytest.mark.parametrize("value", [None, 0, "x"])
+    def test_computed_once_per_catalog_and_builder(self, value):
+        build = mock.Mock(return_value=value)
+        catalog = make_catalog("a")
+        assert catalog.derived(build) is value
+        assert catalog.derived(build) is value
+        build.assert_called_once_with(catalog)
+
+    def test_builders_and_equal_catalogs_have_separate_slots(self):
+        first, twin = make_catalog("a", "b"), make_catalog("a", "b")
+        ids, size = (lambda c: list(c.ids)), (lambda c: [len(c)])
+        assert (first.derived(ids), first.derived(size)) == (["a", "b"], [2])
+        assert twin.derived(ids) == first.derived(ids)
+        assert twin.derived(ids) is not first.derived(ids)
+
+    def test_value_dies_with_its_catalog(self):
+        catalog = make_catalog("a")
+        alive = weakref.ref(catalog.derived(lambda c: np.zeros(len(c))))
+        del catalog
+        gc.collect()
+        assert alive() is None
+
+    def test_threads_on_fresh_catalogs(self):
+        # each round hands new catalogs to four threads at once, so they race on
+        # every first call; all must get one kept value, equal to a fresh build
+        builders = (model._build_columns, dataio._hash_catalog, adapter._candidates_prefix,
+                    agents._mitigation_order)
+
+        def derive(shared, results):
+            results.append([catalog.derived(build) for catalog in shared for build in builders])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                shared = [dataio.generate_catalog(40, 3, seed=seed) for seed in (3, 4)]
+                results: list[list] = []
+                threads = [threading.Thread(target=derive, args=(shared, results)) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert len(results) == 4
+                for values in results[1:]:
+                    assert all(v is w for v, w in zip(values, results[0], strict=True))
+                fresh = [build(catalog) for catalog in shared for build in builders]
+                for value, reference in zip(results[0], fresh, strict=True):
+                    # columns compare field by field, the other values directly
+                    np.testing.assert_equal(
+                        getattr(value, "__dict__", value), getattr(reference, "__dict__", reference)
+                    )
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestConstraint:
