@@ -11,6 +11,9 @@ produce byte-identical files.
 The synthetic generator runs on a portable 64-bit linear congruential PRNG
 (constants below, documented in FORMATS.md) rather than a stdlib generator,
 so generated scenarios reproduce across implementations and platforms.
+``generate_catalog`` and ``generate_synthetic`` each take their draws from
+one ``PortableRng.uniforms`` call, which computes the stream in a numpy pass
+by LCG jump-ahead and returns the same floats as repeated ``uniform()``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from datetime import datetime
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
+
+import numpy as np
 
 from .agents import AgentObjective, AgentSpec
 from .aggregation import Rule, RuleConfig
@@ -73,6 +78,7 @@ class PortableRng:
 
     state' = state * LCG_MULT + LCG_INC (mod 2^64); uniform() returns the top
     53 bits of the new state divided by 2^53, i.e. a float in [0, 1).
+    ``uniforms(n)`` returns the next ``n`` of those draws at once.
     """
 
     def __init__(self, seed: int):
@@ -84,6 +90,30 @@ class PortableRng:
 
     def uniform(self) -> float:
         return (self.next_u64() >> 11) / float(1 << 53)
+
+    def uniforms(self, n: int) -> list[float]:
+        """The next ``n`` ``uniform()`` values, leaving ``state`` where ``n``
+        scalar draws would.
+
+        One numpy pass by the jump-ahead identity
+        ``s_k = a^k * s_0 + c * (1 + a + ... + a^(k-1)) mod 2^64``: the powers
+        come from a running product and the geometric sums from a running sum
+        of them, both on uint64 arrays, which wrap mod 2^64 without a warning.
+        Every operand is a uint64 array or ``np.uint64``, so numpy 1.x and 2.x
+        promote alike.
+        """
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        if n == 0:
+            return []
+        powers = np.multiply.accumulate(np.full(n, LCG_MULT, dtype=np.uint64))
+        geometric = np.empty(n, dtype=np.uint64)
+        geometric[0] = 1
+        geometric[1:] = powers[:-1]
+        np.cumsum(geometric, out=geometric)
+        states = powers * np.uint64(self.state) + geometric * np.uint64(LCG_INC)
+        self.state = int(states[-1])
+        return ((states >> np.uint64(11)).astype(np.float64) / float(1 << 53)).tolist()
 
 
 @dataclass(frozen=True)
@@ -99,6 +129,9 @@ class PersonaParams:
     def __post_init__(self):
         if self.query_count < 1:
             raise ValueError("query_count must be >= 1")
+        for cat, w in self.category_weights.items():
+            if not math.isfinite(w):
+                raise ValueError(f"non-finite weight for category {cat!r}")
         object.__setattr__(self, "category_weights", dict(self.category_weights))
         object.__setattr__(self, "constraint_templates", tuple(self.constraint_templates))
 
@@ -316,25 +349,39 @@ def generate_catalog(
     """
     if item_count < 1 or provider_count < 1 or not categories:
         raise ValueError("need item_count >= 1, provider_count >= 1, categories non-empty")
-    rng = PortableRng(seed ^ CATALOG_SEED_GAMMA)
+    draws = PortableRng(seed ^ CATALOG_SEED_GAMMA).uniforms(6 * item_count)
     cats = list(categories)
+    n_cats = len(cats)
+    providers = [f"provider-{p:02d}" for p in range(provider_count)]
+    # (first, second) category index -> (categories, description suffix);
+    # an item without a second category has second == first
+    labels: dict[tuple[int, int], tuple[frozenset[str], str]] = {}
     items: list[Item] = []
+    k = 0
     for i in range(item_count):
-        popularity = round(rng.uniform() ** 2, 6)
-        sustainability = round(rng.uniform(), 6)
-        chosen = {cats[int(rng.uniform() * len(cats)) % len(cats)]}
-        if rng.uniform() < 0.4:
-            chosen.add(cats[int(rng.uniform() * len(cats)) % len(cats)])
-        price = round(20.0 + 180.0 * rng.uniform(), 2)
+        popularity = round(draws[k] ** 2, 6)
+        sustainability = round(draws[k + 1], 6)
+        first = int(draws[k + 2] * n_cats) % n_cats
+        if draws[k + 3] < 0.4:
+            second = int(draws[k + 4] * n_cats) % n_cats
+            k += 6
+        else:
+            second = first
+            k += 5
+        price = round(20.0 + 180.0 * draws[k - 1], 2)
+        label = labels.get((first, second))
+        if label is None:
+            chosen = frozenset((cats[first], cats[second]))
+            label = labels[first, second] = (chosen, ", ".join(sorted(chosen)))
         items.append(
             Item(
-                id=f"item-{i:03d}",
-                provider_id=f"provider-{i % provider_count:02d}",
-                categories=frozenset(chosen),
-                popularity=popularity,
-                sustainability=sustainability,
-                attributes={"price": price},
-                description=f"synthetic item {i}: {', '.join(sorted(chosen))}",
+                f"item-{i:03d}",
+                providers[i % provider_count],
+                label[0],
+                popularity,
+                sustainability,
+                {"price": price},
+                f"synthetic item {i}: {label[1]}",
             )
         )
     return Catalog(items)
@@ -352,16 +399,24 @@ def generate_synthetic(
     """
     if len(catalog) == 0:
         raise ValueError("catalog must be non-empty")
-    rng = PortableRng(seed)
+    draws = iter(
+        PortableRng(seed).uniforms(
+            sum(
+                p.query_count * (len(p.category_weights) + len(p.constraint_templates))
+                for p in personas
+            )
+        )
+    )
     queries: list[Query] = []
     for p_idx, persona in enumerate(personas):
+        cats = sorted(persona.category_weights)
         for q_idx in range(persona.query_count):
             weights: dict[str, float] = {}
-            for cat in sorted(persona.category_weights):
-                noise = -0.1 + 0.2 * rng.uniform()
+            for cat in cats:
+                noise = -0.1 + 0.2 * next(draws)
                 weights[cat] = max(0.0, persona.category_weights[cat] + noise)
             constraints = tuple(
-                tpl for tpl in persona.constraint_templates if rng.uniform() < 0.5
+                tpl for tpl in persona.constraint_templates if next(draws) < 0.5
             )
             queries.append(
                 Query(
@@ -414,7 +469,10 @@ def _expect_str_list(v: object, path: str) -> list[str]:
 def _expect_number(v: object, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{path}: expected a number")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise SchemaError(f"{path}: integer too large for a float") from None
 
 
 def _expect_int(v: object, path: str) -> int:
@@ -615,6 +673,9 @@ def _parse_persona(raw: object, path: str) -> PersonaParams:
     obj = _expect_dict(raw, path)
     text = _expect_str(obj.get("persona_text"), f"{path}.persona_text")
     weights = _parse_number_map(obj.get("category_weights"), f"{path}.category_weights")
+    for cat, w in weights.items():
+        if not math.isfinite(w):
+            raise SchemaError(f"{path}.category_weights.{cat}: expected a finite number")
     templates = _parse_constraints(
         obj.get("constraint_templates", []), f"{path}.constraint_templates"
     )

@@ -316,6 +316,33 @@ _EDITS = st.tuples(
 )
 
 
+class TestPersonaWeights:
+    """A persona weight that is no finite float exits 2 and names the field;
+    these used to exit 1 with an internal error, or 0 with NaN read as 0."""
+
+    @pytest.mark.parametrize(
+        "literal,message",
+        [
+            pytest.param("1" + "0" * 400, "integer too large for a float", id="1e400-int"),
+            ("NaN", "expected a finite number"),
+            ("Infinity", "expected a finite number"),
+            ("-Infinity", "expected a finite number"),
+        ],
+    )
+    def test_exit_2_naming_the_field(self, tmp_path, capsys, literal, message):
+        doc = json.loads(
+            dataio.builtin_scenario_path("builtin:synthetic-200").read_text(encoding="utf-8")
+        )
+        doc["personas"][1]["category_weights"]["beach"] = "WEIGHT"
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc).replace('"WEIGHT"', literal), encoding="utf-8")
+        code = cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "rep")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: personas[1].category_weights.beach: {message}" in err
+        assert not (tmp_path / "rep").exists()
+
+
 def _mutate(data: bytes, edits) -> bytes:
     for kind, at, payload in edits:
         at %= len(data) + 1

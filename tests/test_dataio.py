@@ -65,6 +65,34 @@ class TestPortableRng:
     def test_seed_masked_to_64_bits(self):
         assert PortableRng(1 << 70).state == 0
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.one_of(
+            st.integers(0, (1 << 64) - 1),
+            st.integers(-(1 << 80), -1),
+            st.integers(1 << 64, 1 << 80),
+        ),
+        n=st.integers(0, 3000),
+        skip=st.integers(0, 20),
+        split=st.integers(0, 3000),
+    )
+    def test_uniforms_equal_scalar_draws(self, seed, n, skip, split):
+        # a stream started part-way, by scalar draws and by an earlier batch
+        batch, scalar = PortableRng(seed), PortableRng(seed)
+        for _ in range(skip):
+            assert batch.uniform() == scalar.uniform()
+        split = min(split, n)
+        draws = batch.uniforms(split) + batch.uniforms(n - split)
+        assert draws == [scalar.uniform() for _ in range(n)]
+        assert all(type(d) is float for d in draws)
+        assert batch.state == scalar.state
+
+    def test_uniforms_refuses_negative_count(self):
+        rng = PortableRng(3)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            rng.uniforms(-1)
+        assert rng.state == 3
+
 
 class TestLoadCatalogCsv:
     def write(self, tmp_path, body, name="catalog.csv"):
@@ -325,6 +353,139 @@ class TestLoadInteractions:
         assert err.value.line == 2
 
 
+def reference_catalog(item_count, provider_count, categories, seed):
+    """``generate_catalog`` as one ``uniform()`` call per draw."""
+    rng = PortableRng(seed ^ CATALOG_SEED_GAMMA)
+    cats = list(categories)
+    items: list[Item] = []
+    for i in range(item_count):
+        popularity = round(rng.uniform() ** 2, 6)
+        sustainability = round(rng.uniform(), 6)
+        chosen = {cats[int(rng.uniform() * len(cats)) % len(cats)]}
+        if rng.uniform() < 0.4:
+            chosen.add(cats[int(rng.uniform() * len(cats)) % len(cats)])
+        price = round(20.0 + 180.0 * rng.uniform(), 2)
+        items.append(
+            Item(
+                id=f"item-{i:03d}",
+                provider_id=f"provider-{i % provider_count:02d}",
+                categories=frozenset(chosen),
+                popularity=popularity,
+                sustainability=sustainability,
+                attributes={"price": price},
+                description=f"synthetic item {i}: {', '.join(sorted(chosen))}",
+            )
+        )
+    return Catalog(items)
+
+
+def reference_synthetic(personas, seed):
+    """``generate_synthetic`` as one ``uniform()`` call per draw."""
+    rng = PortableRng(seed)
+    queries: list[Query] = []
+    for p_idx, persona in enumerate(personas):
+        for q_idx in range(persona.query_count):
+            weights: dict[str, float] = {}
+            for cat in sorted(persona.category_weights):
+                noise = -0.1 + 0.2 * rng.uniform()
+                weights[cat] = max(0.0, persona.category_weights[cat] + noise)
+            constraints = tuple(
+                tpl for tpl in persona.constraint_templates if rng.uniform() < 0.5
+            )
+            queries.append(
+                Query(
+                    id=f"{p_idx}-{q_idx}",
+                    text=f"{persona.persona_text} (request {q_idx})",
+                    preference_weights=weights,
+                    constraints=constraints,
+                    user_history=(),
+                    top_n=persona.top_n,
+                )
+            )
+    return queries
+
+
+def item_fields(catalog):
+    return [
+        (it.id, it.provider_id, it.categories, it.popularity, it.sustainability,
+         it.attributes, it.description)
+        for it in catalog.items_sorted()
+    ]
+
+
+# duplicate, single and non-ASCII category names
+_CATEGORY_LISTS = st.lists(st.text(alphabet="ab\u00e9\u4e2d_", max_size=3), min_size=1, max_size=9)
+_SEEDS = st.integers(-(1 << 70), 1 << 70)
+
+
+class TestGeneratorsMatchScalarReference:
+    """The batched generators equal the one-draw-at-a-time loops FORMATS.md
+    specifies, item by item and query by query."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        item_count=st.one_of(st.integers(1, 40), st.integers(1001, 1400)),
+        provider_count=st.integers(1, 120),
+        categories=_CATEGORY_LISTS,
+        seed=_SEEDS,
+    )
+    def test_catalog(self, item_count, provider_count, categories, seed):
+        got = generate_catalog(item_count, provider_count, categories, seed)
+        want = reference_catalog(item_count, provider_count, categories, seed)
+        assert item_fields(got) == item_fields(want)
+        assert catalog_hash(got) == catalog_hash(want)
+
+    @pytest.mark.parametrize(
+        "categories", [("museum",), ("a", "a", "b"), ("caf\u00e9", "\u4e2d", "caf\u00e9")]
+    )
+    def test_catalog_past_item_999(self, categories):
+        got = generate_catalog(1200, 120, categories, seed=11)
+        want = reference_catalog(1200, 120, categories, seed=11)
+        assert item_fields(got) == item_fields(want)
+        assert catalog_hash(got) == catalog_hash(want)
+
+    def test_catalog_hash_pinned_past_item_999(self):
+        # recorded from the one-draw-at-a-time generator
+        assert catalog_hash(generate_catalog(1200, 7, seed=3)) == (
+            "1904f3f227598d19ce8b2f90586a5547b6e1542aa340ca54c5239c4884a0f0cd"
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        personas=st.lists(
+            st.builds(
+                PersonaParams,
+                persona_text=st.text(max_size=5),
+                category_weights=st.dictionaries(
+                    st.text(alphabet="ab\u00e9\u4e2d_", max_size=3),
+                    st.floats(0.0, 2.0),
+                    max_size=5,
+                ),
+                constraint_templates=st.lists(
+                    st.builds(
+                        Constraint,
+                        attribute=st.just("price"),
+                        direction=st.sampled_from(["<=", ">="]),
+                        value=st.floats(0.0, 200.0),
+                    ),
+                    max_size=3,
+                ),
+                query_count=st.integers(1, 30),
+                top_n=st.integers(1, 6),
+            ),
+            max_size=4,
+        ),
+        seed=_SEEDS,
+    )
+    def test_synthetic(self, personas, seed):
+        got = generate_synthetic(personas, TestGenerateSynthetic.CATALOG, seed)
+        want = reference_synthetic(personas, seed)
+        assert got == want
+        assert [list(q.preference_weights.items()) for q in got] == [
+            list(q.preference_weights.items()) for q in want
+        ]
+
+
 class TestGenerateCatalog:
     def test_deterministic(self):
         a = generate_catalog(item_count=30, provider_count=5, seed=9)
@@ -421,6 +582,11 @@ class TestGenerateSynthetic:
         assert all(
             q.constraints[0].attribute == "price" for q in with_constraint
         )
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_persona_params_refuses_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="non-finite weight for category 'beach'"):
+            PersonaParams(persona_text="w", category_weights={"beach": weight})
 
 
 def minimal_scenario_doc(**overrides):
@@ -577,6 +743,22 @@ class TestLoadScenario:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(SchemaError, match=r"queries\[0\].*non-finite weight"):
             load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "old,field",
+        [
+            ('"objective_target": 0.9', "agents[0].objective_target"),
+            ('"beach": 1.0', "queries[0].preference_weights.beach"),
+        ],
+    )
+    def test_integer_too_large_for_float(self, scenario_dir, old, field):
+        key = old.split(":")[0]
+        text = json.dumps(minimal_scenario_doc()).replace(old, f"{key}: 1{'0' * 400}")
+        path = scenario_dir / "scenario.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            load_scenario(path)
+        assert str(err.value) == f"{field}: integer too large for a float"
 
     def test_duplicate_agent_ids(self, scenario_dir):
         doc = minimal_scenario_doc()
