@@ -45,10 +45,14 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", required=True, help="output path prefix for report files")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+
+    def add_agent_options(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--parallel-agents",
             action="store_true",
-            help="generate candidates concurrently (output is identical)",
+            help="generate candidates concurrently (output is identical); this only helps "
+            "http(s):// agents: the built-in and mock:// agents are CPU-bound, and threads "
+            "slow them down",
         )
         p.add_argument(
             "--adapter-url",
@@ -58,6 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="process a scenario's query stream")
     add_common(p_run)
+    add_agent_options(p_run)
     p_run.add_argument("--rule", default=None, help="override the scenario's rule")
     p_run.add_argument(
         "--save-outcomes", default=None, help="also write replayable outcomes JSON here"
@@ -65,6 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="run the same stream once per rule")
     add_common(p_cmp)
+    add_agent_options(p_cmp)
     p_cmp.add_argument(
         "--rule",
         default="all",

@@ -3,7 +3,9 @@ report serialization.
 
 Loaders reject structurally invalid input outright; row-level droppable
 issues (interactions referencing unknown items) are counted and logged,
-never silent.  Every JSON file is written by ``_write_json`` from
+never silent.  Every JSON record read is decoded by ``_decode`` from its
+field table (``_AGENT``, ``_QUERY``, ``_OUTCOME``, ...), which FORMATS.md
+restates.  Every JSON file is written by ``_write_json`` from
 ``_json_slabs``, whose text equals ``json.dumps(obj, indent=2,
 sort_keys=True)``; reports round floats to 6 decimals, so identical runs
 produce byte-identical files.
@@ -28,6 +30,7 @@ import logging
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from enum import Enum
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
@@ -129,9 +132,13 @@ class PersonaParams:
     def __post_init__(self):
         if self.query_count < 1:
             raise ValueError("query_count must be >= 1")
+        if self.top_n < 1:
+            raise ValueError(f"top_n must be >= 1, got {self.top_n}")
         for cat, w in self.category_weights.items():
             if not math.isfinite(w):
                 raise ValueError(f"non-finite weight for category {cat!r}")
+            if w < 0:
+                raise ValueError(f"negative weight for category {cat!r}")
         object.__setattr__(self, "category_weights", dict(self.category_weights))
         object.__setattr__(self, "constraint_templates", tuple(self.constraint_templates))
 
@@ -220,7 +227,7 @@ def _csv_number(cell: str, key: str, line: int) -> float:
 
 
 def _item_from_obj(rec: object, where: str, line: int | None = None) -> Item:
-    """Decode one item record; both catalog loaders build every item here.
+    """Decode one item record by ``_ITEM``; both catalog loaders build every item here.
 
     ``where`` names the record in messages.  A CSV row also passes its
     ``line``, which ``MalformedRecord`` carries and prints itself.
@@ -231,16 +238,8 @@ def _item_from_obj(rec: object, where: str, line: int | None = None) -> Item:
         if not rec.get(key):
             raise MissingRequiredField(f"{where}: missing {key}")
     try:
-        return Item(
-            id=_expect_str(rec["id"], "id"),
-            provider_id=_expect_str(rec["provider_id"], "provider_id"),
-            categories=frozenset(_expect_str_list(rec.get("categories", []), "categories")),
-            popularity=_expect_number(rec.get("popularity", 0.5), "popularity"),
-            sustainability=_expect_number(rec.get("sustainability", 0.5), "sustainability"),
-            attributes=_parse_number_map(rec.get("attributes") or {}, "attributes"),
-            description=_expect_str(rec.get("description", ""), "description"),
-        )
-    except (SchemaError, ValueError) as exc:
+        return _decode(_ITEM, rec, "", Item)
+    except SchemaError as exc:
         raise MalformedRecord(str(exc) if line else f"{where}: {exc}", line) from exc
 
 
@@ -435,16 +434,22 @@ def generate_synthetic(
 # scenario files
 
 
-def _expect_dict(v: object, path: str) -> dict:
-    if not isinstance(v, dict):
-        raise SchemaError(f"{path}: expected an object")
-    return v
+def _typed(kind: type, expected: str) -> Callable[[object, str], object]:
+    """The check that a value is of type ``kind`` exactly, as JSON decodes
+    it, so a ``true`` is not an integer."""
+
+    def check(v: object, path: str) -> object:
+        if type(v) is not kind:
+            raise SchemaError(f"{path}: expected {expected}")
+        return v
+
+    return check
 
 
-def _expect_list(v: object, path: str) -> list:
-    if not isinstance(v, list):
-        raise SchemaError(f"{path}: expected a list")
-    return v
+_expect_dict = _typed(dict, "an object")
+_expect_list = _typed(list, "a list")
+_expect_int = _typed(int, "an integer")
+_expect_bool = _typed(bool, "a boolean")
 
 
 def _expect_str(v: object, path: str) -> str:
@@ -462,8 +467,13 @@ def _expect_str(v: object, path: str) -> str:
     return v
 
 
-def _expect_str_list(v: object, path: str) -> list[str]:
-    return [_expect_str(s, f"{path}[{i}]") for i, s in enumerate(_expect_list(v, path))]
+def _expect_str_list(v: object, path: str) -> tuple[str, ...]:
+    """A list of strings as a tuple; a path is built only for an entry that fails."""
+    items = _expect_list(v, path)
+    for i, s in enumerate(items):
+        if type(s) is not str or not s.isascii():
+            _expect_str(s, f"{path}[{i}]")
+    return tuple(items)
 
 
 def _expect_number(v: object, path: str) -> float:
@@ -475,44 +485,69 @@ def _expect_number(v: object, path: str) -> float:
         raise SchemaError(f"{path}: integer too large for a float") from None
 
 
-def _expect_int(v: object, path: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(f"{path}: expected an integer")
-    return v
+_REQUIRED = object()  # a ``_Field`` default: the key must be written
+_ABSENT = object()  # a ``_Field`` default: an absent key passes nothing to ``build``
 
 
-def _expect_bool(v: object, path: str) -> bool:
-    if not isinstance(v, bool):
-        raise SchemaError(f"{path}: expected a boolean")
-    return v
+def _Field(key: str, check: Callable, default: object = _REQUIRED, arg: str | None = None) -> tuple:
+    """One row of a record's field table: (key, check, default, arg).
+
+    ``check(value, path)`` returns the decoded value or raises
+    ``SchemaError`` naming ``path``.  ``default`` is the JSON value that an
+    absent key reads as, checked like a written one, or ``_REQUIRED`` or
+    ``_ABSENT``.  ``arg`` is ``build``'s keyword for the value, the key if
+    None.  The row is a plain tuple, which the walker unpacks fastest.
+    """
+    return key, check, default, arg or key
 
 
-def _construct(cls: Callable[..., T], path: str, **fields: object) -> T:
-    """Build a validated record, reporting its ``ValueError`` at ``path``."""
+def _decode(
+    table: Sequence[tuple], raw: object, path: str, build: Callable[..., T] | None, **given: object
+) -> T:
+    """``build(**given, <arg>=<checked value>, ...)`` for the JSON object
+    ``raw`` at ``path``, one keyword per field of ``table``; with ``build``
+    None, that dict of keywords.
+
+    Keys that the table lacks are ignored.  A missing required key, and a
+    ``ValueError`` from ``build``, raise ``SchemaError`` naming the path.
+    The path "" names a root record, whose fields are named by bare keys.
+    """
+    if type(raw) is not dict:
+        raise SchemaError(f"{path}: expected an object")
+    prefix = path + "." if path else ""
+    get = raw.get
+    for key, check, default, arg in table:
+        value = get(key, default)
+        if value is _REQUIRED:
+            raise SchemaError(f"{prefix}{key}: missing required field")
+        if value is not _ABSENT:
+            given[arg] = check(value, prefix + key)
+    if build is None:
+        return given
     try:
-        return cls(**fields)
+        return build(**given)
     except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+        raise SchemaError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
-def _optional_fields(
-    obj: dict, path: str, table: Mapping[str, Callable[[object, str], object]]
-) -> dict[str, object]:
-    """Check and collect the keys of ``table`` that ``obj`` sets."""
-    return {key: expect(obj[key], f"{path}.{key}") for key, expect in table.items() if key in obj}
+def _member(enum: type[Enum], what: str, error: type[Exception] = SchemaError) -> Callable:
+    """The check that reads a string as a member of ``enum``."""
+
+    def check(v: object, path: str) -> Enum:
+        name = _expect_str(v, path)
+        try:
+            return enum(name)
+        except ValueError:
+            raise error(f"{path}: unknown {what} {name!r}") from None
+
+    return check
 
 
-_POLICY_FIELDS = {
-    "fairness_threshold": _expect_number,
-    "window": _expect_int,
-    "compatibility_min": _expect_number,
-}
-_RULE_FIELDS = {
-    "use_weights": _expect_bool,
-    "kemeny_exact_limit": _expect_int,
-    "kemeny_search_iters": _expect_int,
-    "seed": _expect_int,
-}
+def parse_rule_name(name: str) -> Rule:
+    try:
+        return Rule(name)
+    except ValueError:
+        raise UnknownRule(f"unknown rule {name!r}") from None
 
 
 def _expect_endpoint(v: object, path: str) -> str:
@@ -529,94 +564,123 @@ def _expect_timeout(v: object, path: str) -> float:
     return timeout
 
 
-# the params an external agent's adapter reads; each is optional
-_EXTERNAL_PARAMS = {
-    "endpoint": _expect_endpoint,
-    "persona": _expect_str,
-    "timeout_s": _expect_timeout,
-}
-
-
 def _parse_number_map(raw: object, path: str) -> dict[str, float]:
-    """Decode a string-to-number object: query and persona weights, item attributes."""
-    return {
-        _expect_str(k, f"{path} key"): _expect_number(v, f"{path}.{k}")
-        for k, v in _expect_dict(raw, path).items()
-    }
+    """Decode a string-to-number object: query and persona weights, item
+    attributes.  A path is built only for a key or value that fails."""
+    out = {}
+    for key, value in _expect_dict(raw, path).items():
+        if not key.isascii():
+            _expect_str(key, f"{path} key")
+        out[key] = value if type(value) is float else _expect_number(value, f"{path}.{key}")
+    return out
 
 
-def _parse_constraint(raw: object, path: str) -> Constraint:
-    obj = _expect_dict(raw, path)
-    return _construct(
-        Constraint,
-        path,
-        attribute=_expect_str(obj.get("attribute"), f"{path}.attribute"),
-        direction=_expect_str(obj.get("direction"), f"{path}.direction"),
-        value=_expect_number(obj.get("value"), f"{path}.value"),
-    )
+def _weight_map(raw: object, path: str) -> dict[str, float]:
+    """A number map whose values are finite and at least 0."""
+    weights = _parse_number_map(raw, path)
+    for key, weight in weights.items():
+        if not 0.0 <= weight < math.inf:
+            raise SchemaError(f"{path}.{key}: expected a finite number >= 0")
+    return weights
 
 
-def _parse_constraints(raw: object, path: str) -> tuple[Constraint, ...]:
-    entries = _expect_list(raw, path)
-    return tuple(_parse_constraint(c, f"{path}[{i}]") for i, c in enumerate(entries))
+_CONSTRAINT = (
+    _Field("attribute", _expect_str),
+    _Field("direction", _expect_str),
+    _Field("value", _expect_number),
+)
 
 
-def _parse_agent(raw: object, path: str) -> AgentSpec:
-    obj = _expect_dict(raw, path)
-    agent_id = _expect_str(obj.get("agent_id"), f"{path}.agent_id")
-    role_raw = _expect_str(obj.get("role"), f"{path}.role")
-    try:
-        role = StakeholderRole(role_raw)
-    except ValueError:
-        raise SchemaError(f"{path}.role: unknown role {role_raw!r}") from None
-    objective_raw = _expect_str(obj.get("objective"), f"{path}.objective")
-    try:
-        objective = AgentObjective(objective_raw)
-    except ValueError:
-        raise SchemaError(f"{path}.objective: unknown objective {objective_raw!r}") from None
-    metric_raw = _expect_str(obj.get("objective_metric"), f"{path}.objective_metric")
-    try:
-        metric = MetricId(metric_raw)
-    except ValueError:
-        raise UnknownMetricId(f"{path}.objective_metric: {metric_raw!r}") from None
-    target = _expect_number(obj.get("objective_target"), f"{path}.objective_target")
-    params = _expect_dict(obj.get("params", {}), f"{path}.params")
-    if objective is AgentObjective.EXTERNAL:
-        _optional_fields(params, f"{path}.params", _EXTERNAL_PARAMS)
-    tags = _expect_str_list(obj.get("compatibility_tags", []), f"{path}.compatibility_tags")
-    return _construct(
-        AgentSpec,
-        path,
-        agent_id=agent_id,
-        role=role,
-        objective=objective,
-        objective_metric=metric,
-        objective_target=target,
-        params=params,
-        compatibility_tags=frozenset(tags),
-    )
+def _record(table: Sequence[tuple], build: Callable[..., T] | None) -> Callable[[object, str], T]:
+    """The check that decodes an object by ``table``."""
+    return lambda raw, path: _decode(table, raw, path, build)
 
 
-def _parse_policy(raw: object, path: str) -> ActivationPolicy:
-    if raw is None:
-        return ActivationPolicy()
-    obj = _expect_dict(raw, path)
-    mode_raw = obj.get("mode", "static")
-    mode_str = _expect_str(mode_raw, f"{path}.mode")
-    try:
-        mode = ActivationMode(mode_str)
-    except ValueError:
-        raise SchemaError(f"{path}.mode: unknown mode {mode_str!r}") from None
-    return _construct(
-        ActivationPolicy, path, mode=mode, **_optional_fields(obj, path, _POLICY_FIELDS)
-    )
+def _records(
+    table: Sequence[tuple], build: Callable[..., T]
+) -> Callable[[object, str], tuple[T, ...]]:
+    """The check that decodes a list of objects by ``table``, as a tuple."""
+
+    def check(raw: object, path: str) -> tuple[T, ...]:
+        entries = _expect_list(raw, path)
+        return tuple([_decode(table, e, f"{path}[{i}]", build) for i, e in enumerate(entries)])
+
+    return check
 
 
-def parse_rule_name(name: str) -> Rule:
-    try:
-        return Rule(name)
-    except ValueError:
-        raise UnknownRule(f"unknown rule {name!r}") from None
+# the catalog generator's parameters; ``load_scenario`` passes the seed
+_SYNTHETIC_CATALOG = (
+    _Field("item_count", _expect_int, 200),
+    _Field("provider_count", _expect_int, 20),
+    _Field("categories", _expect_str_list, list(DEFAULT_CATEGORIES)),
+)
+
+_AGENT = (
+    _Field("agent_id", _expect_str),
+    _Field("role", _member(StakeholderRole, "role")),
+    _Field("objective", _member(AgentObjective, "objective")),
+    _Field("objective_metric", _member(MetricId, "metric", UnknownMetricId)),
+    _Field("objective_target", _expect_number),
+    _Field("params", _expect_dict, {}),
+    _Field("compatibility_tags", _expect_str_list, []),
+)
+
+# the params an external agent's adapter reads
+_EXTERNAL_PARAMS = (
+    _Field("endpoint", _expect_endpoint, _ABSENT),
+    _Field("persona", _expect_str, _ABSENT),
+    _Field("timeout_s", _expect_timeout, _ABSENT),
+)
+
+_POLICY = (
+    _Field("mode", _member(ActivationMode, "mode"), "static"),
+    _Field("fairness_threshold", _expect_number, 0.1),
+    _Field("window", _expect_int, 10),
+    _Field("compatibility_min", _expect_number, 0.0),
+)
+
+# a rule object; its seed is the scenario seed unless written
+_RULE = (
+    _Field("name", _member(Rule, "rule", UnknownRule), _REQUIRED, "rule"),
+    _Field("use_weights", _expect_bool, True),
+    _Field("kemeny_exact_limit", _expect_int, 8),
+    _Field("kemeny_search_iters", _expect_int, 1000),
+    _Field("seed", _expect_int, _ABSENT),
+)
+
+_QUERY = (
+    _Field("id", _expect_str),
+    _Field("text", _expect_str, ""),
+    _Field("preference_weights", _parse_number_map, {}),
+    _Field("constraints", _records(_CONSTRAINT, Constraint), []),
+    _Field("user_history", _expect_str_list, []),
+    _Field("top_n", _expect_int, 5),
+)
+
+_PERSONA = (
+    _Field("persona_text", _expect_str),
+    _Field("category_weights", _weight_map),
+    _Field("constraint_templates", _records(_CONSTRAINT, Constraint), []),
+    _Field("query_count", _expect_int),
+    _Field("top_n", _expect_int, 5),
+)
+
+_ITEM = (
+    _Field("id", _expect_str),
+    _Field("provider_id", _expect_str),
+    _Field("categories", _expect_str_list, []),
+    _Field("popularity", _expect_number, 0.5),
+    _Field("sustainability", _expect_number, 0.5),
+    _Field("attributes", _parse_number_map, {}),
+    _Field("description", _expect_str, ""),
+)
+
+
+def _known_ids(ids: Sequence[str], path: str, known: Catalog | frozenset[str]) -> None:
+    """Raise naming the first of ``ids`` that ``known`` lacks."""
+    for i, item_id in enumerate(ids):
+        if item_id not in known:
+            raise SchemaError(f"{path}[{i}]: unknown item {item_id!r}")
 
 
 def _parse_rule(raw: object, path: str, default_seed: int) -> RuleConfig:
@@ -624,35 +688,7 @@ def _parse_rule(raw: object, path: str, default_seed: int) -> RuleConfig:
         return RuleConfig(seed=default_seed)
     if isinstance(raw, str):
         return RuleConfig(rule=parse_rule_name(raw), seed=default_seed)
-    obj = _expect_dict(raw, path)
-    name = _expect_str(obj.get("name"), f"{path}.name")
-    rule = parse_rule_name(name)
-    kwargs = {"seed": default_seed, **_optional_fields(obj, path, _RULE_FIELDS)}
-    return _construct(RuleConfig, path, rule=rule, **kwargs)
-
-
-def _parse_query(raw: object, path: str, catalog: Catalog) -> Query:
-    """Decode a query: a scenario's ``queries[i]`` or a saved outcome's ``query``."""
-    obj = _expect_dict(raw, path)
-    qid = _expect_str(obj.get("id"), f"{path}.id")
-    text = _expect_str(obj.get("text", ""), f"{path}.text")
-    weights = _parse_number_map(obj.get("preference_weights", {}), f"{path}.preference_weights")
-    constraints = _parse_constraints(obj.get("constraints", []), f"{path}.constraints")
-    history = _expect_str_list(obj.get("user_history", []), f"{path}.user_history")
-    for i, item_id in enumerate(history):
-        if item_id not in catalog:
-            raise SchemaError(f"{path}.user_history[{i}]: unknown item {item_id!r}")
-    top_n = _expect_int(obj.get("top_n", 5), f"{path}.top_n")
-    return _construct(
-        Query,
-        path,
-        id=qid,
-        text=text,
-        preference_weights=weights,
-        constraints=constraints,
-        user_history=tuple(history),
-        top_n=top_n,
-    )
+    return _decode(_RULE, raw, path, RuleConfig, seed=default_seed)
 
 
 def _query_to_obj(query: Query) -> dict:
@@ -667,29 +703,6 @@ def _query_to_obj(query: Query) -> dict:
         "user_history": list(query.user_history),
         "top_n": query.top_n,
     }
-
-
-def _parse_persona(raw: object, path: str) -> PersonaParams:
-    obj = _expect_dict(raw, path)
-    text = _expect_str(obj.get("persona_text"), f"{path}.persona_text")
-    weights = _parse_number_map(obj.get("category_weights"), f"{path}.category_weights")
-    for cat, w in weights.items():
-        if not math.isfinite(w):
-            raise SchemaError(f"{path}.category_weights.{cat}: expected a finite number")
-    templates = _parse_constraints(
-        obj.get("constraint_templates", []), f"{path}.constraint_templates"
-    )
-    count = _expect_int(obj.get("query_count"), f"{path}.query_count")
-    top_n = _expect_int(obj.get("top_n", 5), f"{path}.top_n")
-    return _construct(
-        PersonaParams,
-        path,
-        persona_text=text,
-        category_weights=weights,
-        constraint_templates=templates,
-        query_count=count,
-        top_n=top_n,
-    )
 
 
 def builtin_scenario_path(alias: str) -> Path:
@@ -715,7 +728,8 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     seed.  The catalog entry is a file path (relative to the scenario file),
     or {"synthetic": {...}} generator parameters.  "builtin:<name>" aliases
     resolve to bundled scenarios.  ``seed_override`` replaces the file's seed
-    before anything (catalog, queries, rule) derives from it.
+    before anything (catalog, queries, rule) derives from it.  Each record
+    inside is decoded by its field table (``_AGENT``, ``_QUERY``, ...).
     """
     if isinstance(path, str) and path.startswith("builtin:"):
         path = builtin_scenario_path(path)
@@ -746,34 +760,32 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
             raise SchemaError(f"catalog: cannot read {catalog_raw!r}: {exc}") from exc
         catalog_source = catalog_raw
     elif isinstance(catalog_raw, dict):
-        params = _expect_dict(catalog_raw.get("synthetic"), "catalog.synthetic")
-        item_count = _expect_int(params.get("item_count", 200), "catalog.synthetic.item_count")
-        provider_count = _expect_int(
-            params.get("provider_count", 20), "catalog.synthetic.provider_count"
+        catalog = _decode(
+            _SYNTHETIC_CATALOG,
+            catalog_raw.get("synthetic"),
+            "catalog.synthetic",
+            generate_catalog,
+            seed=seed,
         )
-        cats_raw = _expect_list(
-            params.get("categories", list(DEFAULT_CATEGORIES)), "catalog.synthetic.categories"
-        )
-        cats = [
-            _expect_str(c, f"catalog.synthetic.categories[{i}]") for i, c in enumerate(cats_raw)
-        ]
-        try:
-            catalog = generate_catalog(item_count, provider_count, cats, seed)
-        except ValueError as exc:
-            raise SchemaError(f"catalog.synthetic: {exc}") from exc
         catalog_source = "synthetic"
     else:
         raise SchemaError("catalog: expected a file path or {'synthetic': {...}}")
 
-    agents_raw = _expect_list(doc.get("agents"), "agents")
-    if not agents_raw:
+    agents = _records(_AGENT, AgentSpec)(doc.get("agents"), "agents")
+    if not agents:
         raise SchemaError("agents: at least one agent is required")
-    agents = tuple(_parse_agent(a, f"agents[{i}]") for i, a in enumerate(agents_raw))
+    for i, agent in enumerate(agents):
+        if agent.objective is AgentObjective.EXTERNAL:
+            _decode(_EXTERNAL_PARAMS, agent.params, f"agents[{i}].params", dict)
     ids = [a.agent_id for a in agents]
     if len(set(ids)) != len(ids):
         raise SchemaError("agents: duplicate agent_id")
 
-    policy = _parse_policy(doc.get("policy"), "policy")
+    policy_raw = doc.get("policy")
+    if policy_raw is None:
+        policy = ActivationPolicy()
+    else:
+        policy = _decode(_POLICY, policy_raw, "policy", ActivationPolicy)
     rule_config = _parse_rule(doc.get("rule"), "rule", seed)
 
     has_queries = "queries" in doc
@@ -781,19 +793,15 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     if has_queries == has_personas:
         raise SchemaError("exactly one of 'queries' or 'personas' is required")
     if has_queries:
-        queries_raw = _expect_list(doc.get("queries"), "queries")
-        if not queries_raw:
+        queries = _records(_QUERY, Query)(doc["queries"], "queries")
+        if not queries:
             raise SchemaError("queries: at least one query is required")
-        queries = tuple(
-            _parse_query(q, f"queries[{i}]", catalog) for i, q in enumerate(queries_raw)
-        )
+        for i, query in enumerate(queries):
+            _known_ids(query.user_history, f"queries[{i}].user_history", catalog)
     else:
-        personas_raw = _expect_list(doc.get("personas"), "personas")
-        if not personas_raw:
+        personas = _records(_PERSONA, PersonaParams)(doc["personas"], "personas")
+        if not personas:
             raise SchemaError("personas: at least one persona is required")
-        personas = [
-            _parse_persona(p, f"personas[{i}]") for i, p in enumerate(personas_raw)
-        ]
         queries = tuple(generate_synthetic(personas, catalog, seed))
 
     return Scenario(
@@ -1116,194 +1124,178 @@ def _outcome_to_obj(outcome: QueryOutcome) -> dict:
     }
 
 
-def _checked_map(raw: object, path: str, types: tuple[type, ...], expected: str) -> dict:
-    """A copy of the object ``raw``, every value of one of ``types`` and kept as written.
+def _map_of(
+    types: tuple[type, ...], expected: str, unit: bool = False
+) -> Callable[[object, str], dict]:
+    """The check for an object whose values are each of one of ``types``,
+    compared exactly, so a JSON ``true`` is not an integer, and in [0, 1]
+    if ``unit``.  It returns a copy and builds no message unless a value
+    fails: ``evaluate`` decodes a dozen of these per outcome."""
 
-    Types are compared exactly, so a JSON ``true`` is not an integer.  No
-    message is built unless a value fails: a saved outcome has a dozen of
-    these values, and ``evaluate`` decodes every outcome of a stream.
-    """
-    obj = _expect_dict(raw, path)
-    for key, value in obj.items():
-        if type(value) not in types:
-            raise SchemaError(f"{path}.{key}: expected {expected}")
-    return dict(obj)
+    def check(raw: object, path: str) -> dict:
+        obj = _expect_dict(raw, path)
+        for key, value in obj.items():
+            # NaN fails both comparisons
+            if type(value) not in types or unit and not 0.0 <= value <= 1.0:
+                raise SchemaError(f"{path}.{key}: expected {expected}")
+        return dict(obj)
 
-
-def _checked_influence(raw: object, path: str, ballots: Sequence[Ballot]) -> dict[str, float]:
-    """Leave-one-out influence as ``influence_loo`` writes it: one value in
-    [0, 1] for each agent that cast a ballot, and no other key."""
-    influence = _checked_map(raw, path, (float, int), "a number")
-    agents = {b.agent_id for b in ballots}
-    if influence.keys() != agents:
-        raise SchemaError(
-            f"{path}: expected one entry per ballot agent {sorted(agents)}, got {sorted(influence)}"
-        )
-    for agent, value in influence.items():
-        if not 0.0 <= value <= 1.0:
-            raise SchemaError(f"{path}.{agent}: expected a number in [0, 1]")
-    return influence
+    return check
 
 
-def _catalog_ids(raw: object, path: str, catalog: Catalog) -> list[str]:
-    """A list of catalog ids, as a final list or a ballot ranking holds them."""
-    ids = _expect_list(raw, path)
-    for i, item_id in enumerate(ids):
-        if type(item_id) is not str:
-            raise SchemaError(f"{path}[{i}]: expected a string")
-        if item_id not in catalog:
-            raise SchemaError(f"{path}[{i}]: unknown item {item_id!r}")
-    return ids
+_number_map = _map_of((float, int), "a number")
 
 
-def _ballot_from_obj(raw: object, path: str, catalog: Catalog) -> Ballot:
-    """A saved ballot: a string agent id, distinct catalog ids, a weight in
-    [0, 1] and a string or null justification."""
-    obj = _expect_dict(raw, path)
-    ranking = _catalog_ids(obj["ranking"], f"{path}.ranking", catalog)
+def _unit(v: object, path: str) -> float:
+    if type(v) not in (float, int) or not 0.0 <= v <= 1.0:
+        raise SchemaError(f"{path}: expected a number in [0, 1]")
+    return v
+
+
+def _optional_str(v: object, path: str) -> str | None:
+    return None if v is None else _expect_str(v, path)
+
+
+def _ranking(raw: object, path: str) -> tuple[str, ...]:
+    ranking = _expect_str_list(raw, path)
     if len(set(ranking)) != len(ranking):
-        raise SchemaError(f"{path}.ranking: an item is ranked twice")
-    weight = obj["weight"]
-    # NaN fails both comparisons
-    if type(weight) not in (float, int) or not 0.0 <= weight <= 1.0:
-        raise SchemaError(f"{path}.weight: expected a number in [0, 1]")
-    justification = obj.get("justification")
-    if justification is not None:
-        _expect_str(justification, f"{path}.justification")
-    return Ballot(
-        agent_id=_expect_str(obj["agent_id"], f"{path}.agent_id"),
-        ranking=tuple(ranking),
-        justification=justification,
-        weight=weight,
-    )
+        raise SchemaError(f"{path}: an item is ranked twice")
+    return ranking
 
 
 # every label a rule writes into ``AggregateResult.rule``
 _RULE_LABELS = frozenset({*(rule.value for rule in Rule), Rule.KEMENY.value + "-heuristic"})
 
 
-def _checked_consensus(
-    raw: object, path: str, ballots: Sequence[Ballot]
-) -> tuple[list[str], set[str]]:
-    """The consensus, each item the ballots rank once in any order, and the set of those items."""
-    consensus = _expect_list(raw, path)
-    pool: set[str] = set()
+def _rule_label(v: object, path: str) -> str:
+    if type(v) is not str or v not in _RULE_LABELS:
+        raise SchemaError(f"{path}: expected one of {sorted(_RULE_LABELS)}")
+    return v
+
+
+_BALLOT = (
+    _Field("agent_id", _expect_str),
+    _Field("ranking", _ranking),
+    _Field("justification", _optional_str, None),
+    _Field("weight", _unit),
+)
+
+_TIE = (
+    _Field("description", _expect_str),
+    _Field("resolution", _expect_str),
+)
+
+# ``_outcome_from_obj`` checks the consensus against the ballots and shares
+# the tie events
+_AGGREGATE = (
+    _Field("rule", _rule_label),
+    _Field("consensus", _expect_list),
+    _Field("influence", _map_of((float, int), "a number in [0, 1]", unit=True)),
+    _Field("tiebreak_trace", _expect_list, []),
+    _Field("scores", _number_map, {}),
+)
+
+_OUTCOME = (
+    _Field("query", _record(_QUERY, Query)),
+    _Field("final_list", _expect_str_list),
+    _Field("ballots", _records(_BALLOT, Ballot), _REQUIRED, "per_agent_ballots"),
+    _Field("aggregate", _record(_AGGREGATE, None)),
+    _Field("skipped_agents", _map_of((str,), "a string"), {}),
+    _Field("justifications", _map_of((str,), "a string"), {}),
+    _Field("per_agent_achieved", _map_of((float, int, type(None)), "a number or null"), {}),
+    _Field("per_agent_regret", _number_map, {}),
+    _Field("stage_calls", _map_of((int,), "an integer"), {}),
+)
+
+
+def _outcome_from_obj(
+    raw: object, path: str, known: frozenset[str], ties: dict[tuple[str, str], TieEvent]
+) -> QueryOutcome:
+    """Decode one saved outcome by ``_OUTCOME``, then check what no single
+    field shows: the query's history, the final list and each ballot
+    ranking hold catalog ids; the consensus orders exactly the items the
+    ballots rank, and the final list is its first ``top_n``; scores map
+    exactly the consensus ids; achieved values have exactly the agents of
+    the regrets; influence has exactly the agents that cast a ballot.  Tie
+    events come from ``ties``, one shared ``TieEvent`` per distinct
+    (description, resolution), added to as new ones are met.
+    """
+    fields = _decode(_OUTCOME, raw, path, None)
+    query, final_list, ballots = fields["query"], fields["final_list"], fields["per_agent_ballots"]
+    agg = fields["aggregate"]
+    pool = set()
     for ballot in ballots:
         pool.update(ballot.ranking)
+    if not (pool <= known and known.issuperset(final_list)
+            and known.issuperset(query.user_history)):
+        _known_ids(query.user_history, f"{path}.query.user_history", known)
+        _known_ids(final_list, f"{path}.final_list", known)
+        for i, ballot in enumerate(ballots):
+            _known_ids(ballot.ranking, f"{path}.ballots[{i}].ranking", known)
+    consensus = agg["consensus"]
     try:
         permutation = len(consensus) == len(pool) and set(consensus) == pool
     except TypeError:  # an unhashable entry
         permutation = False
     if not permutation:
-        raise SchemaError(f"{path}: expected each of the {len(pool)} items the ballots rank, once")
-    return consensus, pool
-
-
-def _outcome_from_obj(
-    obj: dict, path: str, catalog: Catalog, ties: dict[tuple[str, str], TieEvent]
-) -> QueryOutcome:
-    """Decode one saved outcome; its query is checked like a scenario query.
-
-    Every other field is checked against what ``save_outcomes`` could have
-    written: the final list and each ballot ranking hold catalog ids,
-    ballots are well formed, the rule is a rule's label, the consensus
-    orders exactly the items the ballots rank and the final list is its
-    first ``top_n``, scores map the consensus ids to numbers, regrets are
-    numbers, achieved values are numbers or null for exactly the agents
-    with a regret, influence holds a value in [0, 1] for exactly the agents
-    that cast a ballot, skipped agents and justifications map to strings,
-    stage calls are integers.  Tie events come from ``ties``, one shared
-    ``TieEvent`` per distinct (description, resolution), added to as new
-    ones are met.
-    """
-    query = _parse_query(obj["query"], f"{path}.query", catalog)
-    final_list = _catalog_ids(obj["final_list"], f"{path}.final_list", catalog)
-    ballots = tuple(
-        _ballot_from_obj(b, f"{path}.ballots[{i}]", catalog)
-        for i, b in enumerate(_expect_list(obj["ballots"], f"{path}.ballots"))
-    )
-    agg = obj["aggregate"]
-    rule = agg["rule"]
-    if type(rule) is not str or rule not in _RULE_LABELS:
-        raise SchemaError(f"{path}.aggregate.rule: expected one of {sorted(_RULE_LABELS)}")
-    consensus, pool = _checked_consensus(agg["consensus"], f"{path}.aggregate.consensus", ballots)
+        raise SchemaError(
+            f"{path}.aggregate.consensus: "
+            f"expected each of the {len(pool)} items the ballots rank, once"
+        )
+    consensus = tuple(consensus)
     if final_list != consensus[: query.top_n]:
         raise SchemaError(f"{path}.final_list: expected the first query.top_n consensus items")
-    scores = _checked_map(
-        agg.get("scores", {}), f"{path}.aggregate.scores", (float, int), "a number"
-    )
-    if scores.keys() != pool:
+    if agg["scores"].keys() != pool:
         raise SchemaError(f"{path}.aggregate.scores: expected one entry per consensus item")
-    regret = _checked_map(
-        obj.get("per_agent_regret", {}), f"{path}.per_agent_regret", (float, int), "a number"
-    )
-    achieved = _checked_map(
-        obj.get("per_agent_achieved", {}),
-        f"{path}.per_agent_achieved",
-        (float, int, type(None)),
-        "a number or null",
-    )
+    regret, achieved = fields["per_agent_regret"], fields["per_agent_achieved"]
     if achieved.keys() != regret.keys():
         raise SchemaError(
             f"{path}.per_agent_achieved: expected the agents of per_agent_regret "
             f"{sorted(regret)}, got {sorted(achieved)}"
         )
-    return QueryOutcome(
-        query_id=query.id,
-        final_list=tuple(final_list),
-        per_agent_ballots=ballots,
-        aggregate=AggregateResult(
-            rule=rule,
-            consensus=tuple(consensus),
-            influence=_checked_influence(agg["influence"], f"{path}.aggregate.influence", ballots),
-            tiebreak_trace=_shared_ties(
-                ties, agg.get("tiebreak_trace", []), f"{path}.aggregate.tiebreak_trace"
-            ),
-            scores=scores,
+    agents = {b.agent_id for b in ballots}
+    if agg["influence"].keys() != agents:
+        raise SchemaError(
+            f"{path}.aggregate.influence: expected one entry per ballot agent "
+            f"{sorted(agents)}, got {sorted(agg['influence'])}"
+        )
+    fields["aggregate"] = AggregateResult(
+        rule=agg["rule"],
+        consensus=consensus,
+        influence=agg["influence"],
+        tiebreak_trace=_shared_ties(
+            ties, agg["tiebreak_trace"], f"{path}.aggregate.tiebreak_trace"
         ),
-        skipped_agents=_checked_map(
-            obj.get("skipped_agents", {}), f"{path}.skipped_agents", (str,), "a string"
-        ),
-        justifications=_checked_map(
-            obj.get("justifications", {}), f"{path}.justifications", (str,), "a string"
-        ),
-        query=query,
-        per_agent_achieved=achieved,
-        per_agent_regret=regret,
-        stage_calls=_checked_map(
-            obj.get("stage_calls", {}), f"{path}.stage_calls", (int,), "an integer"
-        ),
+        scores=agg["scores"],
     )
+    return QueryOutcome(query_id=query.id, **fields)
 
 
 def _shared_ties(
-    ties: dict[tuple[str, str], TieEvent], raw: object, path: str
+    ties: dict[tuple[str, str], TieEvent], entries: list, path: str
 ) -> tuple[TieEvent, ...]:
     """A saved tiebreak trace.  Each distinct (description, resolution) is
     checked and built once, and every equal event after it shares that
     ``TieEvent``: only checked pairs of strings are ever in ``ties``."""
     events = []
-    for i, entry in enumerate(_expect_list(raw, path)):
+    for i, entry in enumerate(entries):
         try:
             key = (entry["description"], entry["resolution"])
             event = ties.get(key)
         except (KeyError, TypeError):
             key = event = None
         if event is None:
-            # two ASCII strings need no more checks; anything else is checked by field
-            if not (
+            # two ASCII strings need no more checks; anything else is decoded by ``_TIE``
+            if (
                 key is not None
                 and type(key[0]) is type(key[1]) is str
                 and key[0].isascii()
                 and key[1].isascii()
             ):
-                where = f"{path}[{i}]"
-                obj = _expect_dict(entry, where)
-                key = (
-                    _expect_str(obj["description"], where + ".description"),
-                    _expect_str(obj["resolution"], where + ".resolution"),
-                )
-            event = ties[key] = TieEvent(*key)
+                event = ties[key] = TieEvent(*key)
+            else:
+                event = _decode(_TIE, entry, f"{path}[{i}]", TieEvent)
+                ties[event.description, event.resolution] = event
         events.append(event)
     return tuple(events)
 
@@ -1342,7 +1334,8 @@ def load_outcomes(
     Raises:
         SchemaError: unreadable/invalid file, catalog hash mismatch, a
             query that breaks the scenario-query rules, any other outcome
-            field that ``save_outcomes`` could not have written (see
+            field that is missing though required or that ``save_outcomes``
+            could not have written (see ``_OUTCOME`` and
             ``_outcome_from_obj``), or a scenario or rule name that is not
             a string encodable as UTF-8.  The message names the field.
     """
@@ -1362,9 +1355,9 @@ def load_outcomes(
             )
         scenario_name = _expect_str(doc.get("scenario", ""), "scenario")
         rule_name = _expect_str(doc.get("rule", ""), "rule")
-        ties: dict[tuple[str, str], TieEvent] = {}
+        known, ties = frozenset(catalog.ids), {}
         outcomes = [
-            _outcome_from_obj(obj, f"outcomes[{i}]", catalog, ties)
+            _outcome_from_obj(obj, f"outcomes[{i}]", known, ties)
             for i, obj in enumerate(doc["outcomes"])
         ]
         if not outcomes:

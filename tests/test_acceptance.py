@@ -420,8 +420,10 @@ def test_criterion07_grounding_end_to_end(tourism):
 
 def test_criterion08_cli_byte_determinism(tmp_path):
     def launch(*args):
+        # the warnings that pyproject's pytest filters make errors in this process
         proc = subprocess.run(
-            [sys.executable, "-m", "agorank", *args],
+            [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+             "-m", "agorank", *args],
             capture_output=True,
             text=True,
             timeout=300,

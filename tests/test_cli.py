@@ -10,9 +10,13 @@ from agorank import cli, dataio
 from agorank.errors import SchemaError
 
 
+# the warnings that pyproject's pytest filters make errors in this process
+WARNINGS_AS_ERRORS = ("-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning")
+
+
 def agorank(*args, cwd=None):
     return subprocess.run(
-        [sys.executable, "-m", "agorank", *args],
+        [sys.executable, *WARNINGS_AS_ERRORS, "-m", "agorank", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -268,6 +272,17 @@ class TestArgparse:
         assert proc.returncode == 2
         assert "usage" in proc.stderr
 
+    @pytest.mark.parametrize("option", [["--parallel-agents"], ["--adapter-url", "mock://x"]])
+    def test_evaluate_refuses_agent_options(self, tmp_path, option):
+        # evaluate runs no agent, so it takes neither option
+        proc = agorank(
+            "evaluate", "--scenario", "builtin:tourism", "--out", str(tmp_path / "replay"),
+            "--outcomes", str(tmp_path / "outcomes.json"), *option,
+        )
+        assert proc.returncode == 2
+        assert "usage" in proc.stderr
+        assert f"unrecognized arguments: {option[0]}" in proc.stderr
+
     def test_help_mentions_subcommands(self):
         proc = agorank("--help")
         assert proc.returncode == 0
@@ -327,6 +342,8 @@ class TestPersonaWeights:
             ("NaN", "expected a finite number"),
             ("Infinity", "expected a finite number"),
             ("-Infinity", "expected a finite number"),
+            # a negative weight used to be read as 0.0 in every generated query
+            ("-5", "expected a finite number >= 0"),
         ],
     )
     def test_exit_2_naming_the_field(self, tmp_path, capsys, literal, message):
@@ -341,6 +358,19 @@ class TestPersonaWeights:
         err = capsys.readouterr().err
         assert f"error: personas[1].category_weights.beach: {message}" in err
         assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("top_n", [0, -3])
+    def test_top_n_below_one_names_the_persona(self, tmp_path, capsys, top_n):
+        # this used to exit 1 from the query generator, naming query 0-0
+        doc = json.loads(
+            dataio.builtin_scenario_path("builtin:synthetic-200").read_text(encoding="utf-8")
+        )
+        doc["personas"][1]["top_n"] = top_n
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        code = cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "rep")])
+        assert code == 2
+        assert f"error: personas[1]: top_n must be >= 1, got {top_n}" in capsys.readouterr().err
 
 
 def _mutate(data: bytes, edits) -> bytes:

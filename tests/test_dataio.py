@@ -588,6 +588,12 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="non-finite weight for category 'beach'"):
             PersonaParams(persona_text="w", category_weights={"beach": weight})
 
+    def test_persona_params_refuses_negative_weight_and_top_n_below_one(self):
+        with pytest.raises(ValueError, match="negative weight for category 'beach'"):
+            PersonaParams(persona_text="w", category_weights={"beach": -0.5})
+        with pytest.raises(ValueError, match="top_n must be >= 1, got 0"):
+            PersonaParams(persona_text="w", category_weights={"beach": 1.0}, top_n=0)
+
 
 def minimal_scenario_doc(**overrides):
     doc = {
