@@ -46,14 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output path prefix for report files")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
 
-    def add_agent_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--parallel-agents",
-            action="store_true",
-            help="generate candidates concurrently (output is identical); this only helps "
-            "http(s):// agents: the built-in and mock:// agents are CPU-bound, and threads "
-            "slow them down",
-        )
+    def add_adapter_url(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--adapter-url",
             default=None,
@@ -62,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="process a scenario's query stream")
     add_common(p_run)
-    add_agent_options(p_run)
+    add_adapter_url(p_run)
     p_run.add_argument("--rule", default=None, help="override the scenario's rule")
     p_run.add_argument(
         "--save-outcomes", default=None, help="also write replayable outcomes JSON here"
@@ -70,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="run the same stream once per rule")
     add_common(p_cmp)
-    add_agent_options(p_cmp)
+    add_adapter_url(p_cmp)
     p_cmp.add_argument(
         "--rule",
         default="all",
@@ -94,7 +87,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         scenario.catalog,
         scenario.policy,
         rule_config,
-        parallel=args.parallel_agents,
         adapter_url=args.adapter_url,
     )
     report = build_report(outcomes, scenario.agents, scenario.catalog)
@@ -129,7 +121,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             scenario.catalog,
             scenario.policy,
             replace(scenario.rule_config, rule=rule),
-            parallel=args.parallel_agents,
             adapter_url=args.adapter_url,
         )
         runs[rule.value] = (

@@ -1129,15 +1129,22 @@ def _map_of(
 ) -> Callable[[object, str], dict]:
     """The check for an object whose values are each of one of ``types``,
     compared exactly, so a JSON ``true`` is not an integer, and in [0, 1]
-    if ``unit``.  It returns a copy and builds no message unless a value
-    fails: ``evaluate`` decodes a dozen of these per outcome."""
+    if ``unit``.  Keys, and values if ``types`` is ``(str,)``, must be
+    encodable as UTF-8, as ``_expect_str`` checks.  It returns a copy and
+    builds no message unless a key or value fails: ``evaluate`` decodes a
+    dozen of these per outcome."""
+    strings = types == (str,)
 
     def check(raw: object, path: str) -> dict:
         obj = _expect_dict(raw, path)
         for key, value in obj.items():
+            if not key.isascii():
+                _expect_str(key, f"{path} key")
             # NaN fails both comparisons
             if type(value) not in types or unit and not 0.0 <= value <= 1.0:
                 raise SchemaError(f"{path}.{key}: expected {expected}")
+            if strings and not value.isascii():
+                _expect_str(value, f"{path}.{key}")
         return dict(obj)
 
     return check

@@ -3,9 +3,8 @@ aggregation, result assembly, and cross-query fairness bookkeeping.
 
 Queries are processed strictly in stream order because the fairness ledger
 (regret windows, provider exposure, reliability weights) carries state
-between them.  Candidate generation within one query may fan out to a thread
-pool; results are collected in agent-id order so concurrency never changes
-any output byte.
+between them.  Within one query the active agents generate their ballots
+one after another, in agent-id order.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Sequence
@@ -190,38 +188,6 @@ class QueryOutcome:
     stage_calls: Mapping[str, int]
 
 
-def _generate_all(
-    active: Sequence[AgentSpec],
-    query: Query,
-    catalog: Catalog,
-    exposure: ExposureLedger,
-    k: int,
-    adapter_url: str | None,
-    parallel: bool,
-) -> dict[str, Ballot | Exception]:
-    """Run every active generator, capturing per-agent adapter failures."""
-
-    def run_one(spec: AgentSpec) -> Ballot:
-        return generate_candidates(spec, query, catalog, exposure, k, adapter_url)
-
-    results: dict[str, Ballot | Exception] = {}
-    if parallel and len(active) > 1:
-        with ThreadPoolExecutor(max_workers=len(active)) as pool:
-            futures = {spec.agent_id: pool.submit(run_one, spec) for spec in active}
-        for agent_id in sorted(futures):
-            try:
-                results[agent_id] = futures[agent_id].result()
-            except (AdapterTimeout, AdapterMalformed) as exc:
-                results[agent_id] = exc
-    else:
-        for spec in sorted(active, key=lambda s: s.agent_id):
-            try:
-                results[spec.agent_id] = run_one(spec)
-            except (AdapterTimeout, AdapterMalformed) as exc:
-                results[spec.agent_id] = exc
-    return results
-
-
 def process_query(
     query: Query,
     specs: Sequence[AgentSpec],
@@ -229,10 +195,7 @@ def process_query(
     ledger: FairnessLedger,
     policy: ActivationPolicy,
     rule_config: RuleConfig,
-    parallel: bool = False,
     adapter_url: str | None = None,
-    lam: float = 0.5,
-    w_min: float = 0.1,
 ) -> tuple[QueryOutcome, FairnessLedger]:
     """Run the full pipeline for one query, updating the ledger in place.
 
@@ -247,24 +210,30 @@ def process_query(
     active, skipped = select_agents(query, specs, ledger, policy)
     k = candidate_count_policy(query.top_n)
 
-    raw_results = _generate_all(
-        active, query, catalog, ledger.exposure, k, adapter_url, parallel
-    )
+    # every generator runs before the first ledger write, so an exception
+    # that escapes one leaves the ledger untouched
+    raw_results: dict[str, Ballot | Exception] = {}
+    for spec in sorted(active, key=lambda s: s.agent_id):
+        try:
+            raw_results[spec.agent_id] = generate_candidates(
+                spec, query, catalog, ledger.exposure, k, adapter_url
+            )
+        except (AdapterTimeout, AdapterMalformed) as exc:
+            raw_results[spec.agent_id] = exc
     stage_calls["generate"] = len(active)
 
     ballots: list[Ballot] = []
     justifications: dict[str, str] = {}
-    for agent_id in sorted(raw_results):
-        raw = raw_results[agent_id]
+    for agent_id, raw in raw_results.items():
         state = ledger.agent_states[agent_id]
         if isinstance(raw, Exception):
             kind = "timeout" if isinstance(raw, AdapterTimeout) else "malformed response"
             skipped[agent_id] = f"adapter {kind}"
-            ledger.agent_states[agent_id] = update_reliability(state, 1, 1, lam, w_min)
+            ledger.agent_states[agent_id] = update_reliability(state, 1, 1)
             continue
         if not raw.ranking:
             skipped[agent_id] = "empty ballot"
-            ledger.agent_states[agent_id] = update_reliability(state, 0, 0, lam, w_min)
+            ledger.agent_states[agent_id] = update_reliability(state, 0, 0)
             continue
         stage_calls["ground"] += 1
         try:
@@ -272,10 +241,10 @@ def process_query(
         except EmptyAfterGrounding:
             skipped[agent_id] = "no ballot items exist in the catalog"
             ledger.agent_states[agent_id] = update_reliability(
-                state, len(raw.ranking), len(raw.ranking), lam, w_min
+                state, len(raw.ranking), len(raw.ranking)
             )
             continue
-        new_state = update_reliability(state, violations, len(raw.ranking), lam, w_min)
+        new_state = update_reliability(state, violations, len(raw.ranking))
         ledger.agent_states[agent_id] = new_state
         ballots.append(replace(grounded, weight=new_state.reliability_weight))
         if grounded.justification is not None:
@@ -343,7 +312,6 @@ def run_stream(
     catalog: Catalog,
     policy: ActivationPolicy,
     rule_config: RuleConfig,
-    parallel: bool = False,
     adapter_url: str | None = None,
 ) -> tuple[list[QueryOutcome], FairnessLedger]:
     """Process a query stream in order over a fresh ledger."""
@@ -352,7 +320,7 @@ def run_stream(
     for query in queries:
         t0 = time.perf_counter()
         outcome, ledger = process_query(
-            query, specs, catalog, ledger, policy, rule_config, parallel, adapter_url
+            query, specs, catalog, ledger, policy, rule_config, adapter_url
         )
         wall = time.perf_counter() - t0
         voted = sorted({b.agent_id for b in outcome.per_agent_ballots})

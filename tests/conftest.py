@@ -14,7 +14,7 @@ CRITERIA = {
     5: "metric identities",
     6: "activation state machine sequence",
     7: "end-to-end grounding and reliability penalty",
-    8: "byte-identical CLI runs (including --parallel-agents)",
+    8: "byte-identical CLI runs under different string hash seeds",
     9: "leave-one-out influence sanity",
     10: "desk-scale performance budget",
     11: "directional fairness check on the synthetic scenario",

@@ -8,6 +8,7 @@ code with the module under test.
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -419,26 +420,25 @@ def test_criterion07_grounding_end_to_end(tourism):
 
 
 def test_criterion08_cli_byte_determinism(tmp_path):
-    def launch(*args):
-        # the warnings that pyproject's pytest filters make errors in this process
+    def launch(hash_seed, *args):
+        # the warnings that pyproject's pytest filters make errors in this
+        # process; each launch hashes strings under its own seed
         proc = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
              "-m", "agorank", *args],
             capture_output=True,
             text=True,
             timeout=300,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
         )
         assert proc.returncode == 0, proc.stderr
         return proc
 
-    launch("run", "--scenario", "builtin:tourism", "--seed", "42",
-           "--out", str(tmp_path / "run_a"))
-    launch("run", "--scenario", "builtin:tourism", "--seed", "42",
-           "--parallel-agents", "--out", str(tmp_path / "run_b"))
-    launch("compare", "--scenario", "builtin:tourism", "--seed", "42",
-           "--out", str(tmp_path / "cmp_a"))
-    launch("compare", "--scenario", "builtin:tourism", "--seed", "42",
-           "--parallel-agents", "--out", str(tmp_path / "cmp_b"))
+    for hash_seed, tag in (("0", "a"), ("1", "b")):
+        launch(hash_seed, "run", "--scenario", "builtin:tourism", "--seed", "42",
+               "--out", str(tmp_path / f"run_{tag}"))
+        launch(hash_seed, "compare", "--scenario", "builtin:tourism", "--seed", "42",
+               "--out", str(tmp_path / f"cmp_{tag}"))
 
     for stem_a, stem_b in (("run_a", "run_b"), ("cmp_a", "cmp_b")):
         for suffix in (".report.json", ".metrics.csv", ".summary.md"):

@@ -1,6 +1,9 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 from agorank import cli, dataio
 from agorank.errors import SchemaError
 
+
+FORMATS = Path(__file__).resolve().parent.parent / "FORMATS.md"
 
 # the warnings that pyproject's pytest filters make errors in this process
 WARNINGS_AS_ERRORS = ("-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning")
@@ -129,18 +134,6 @@ class TestDeterminism:
             assert (tmp_path / ("a" + suffix)).read_bytes() == (
                 tmp_path / ("b" + suffix)
             ).read_bytes()
-
-    def test_parallel_agents_identical(self, tmp_path):
-        agorank(
-            "run", "--scenario", "builtin:tourism", "--out", str(tmp_path / "serial")
-        )
-        agorank(
-            "run", "--scenario", "builtin:tourism",
-            "--out", str(tmp_path / "parallel"), "--parallel-agents",
-        )
-        assert (tmp_path / "serial.report.json").read_bytes() == (
-            tmp_path / "parallel.report.json"
-        ).read_bytes()
 
     def test_seed_changes_synthetic_run(self, tmp_path):
         for name, seed in (("a", "7"), ("b", "8")):
@@ -272,22 +265,96 @@ class TestArgparse:
         assert proc.returncode == 2
         assert "usage" in proc.stderr
 
-    @pytest.mark.parametrize("option", [["--parallel-agents"], ["--adapter-url", "mock://x"]])
-    def test_evaluate_refuses_agent_options(self, tmp_path, option):
-        # evaluate runs no agent, so it takes neither option
-        proc = agorank(
-            "evaluate", "--scenario", "builtin:tourism", "--out", str(tmp_path / "replay"),
-            "--outcomes", str(tmp_path / "outcomes.json"), *option,
-        )
+    REQUIRED = {
+        "run": ("--scenario", "builtin:tourism"),
+        "compare": ("--scenario", "builtin:tourism"),
+        "evaluate": ("--scenario", "builtin:tourism", "--outcomes", "outcomes.json"),
+    }
+
+    @pytest.mark.parametrize(
+        "command,option",
+        [
+            ("evaluate", ["--parallel-agents"]),
+            # evaluate runs no agent, so it takes no adapter endpoint
+            ("evaluate", ["--adapter-url", "mock://x"]),
+            ("run", ["--parallel-agents"]),
+            ("compare", ["--parallel-agents"]),
+        ],
+        ids=["option0", "option1", "run-option0", "compare-option0"],
+    )
+    def test_evaluate_refuses_agent_options(self, tmp_path, command, option):
+        # agents generate one after another: no command takes --parallel-agents
+        proc = agorank(command, *self.REQUIRED[command], "--out", str(tmp_path / "o"), *option)
         assert proc.returncode == 2
         assert "usage" in proc.stderr
         assert f"unrecognized arguments: {option[0]}" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_run_and_compare_take_an_adapter_url(self, command):
+        args = cli._build_parser().parse_args(
+            [command, *self.REQUIRED[command], "--out", "o", "--adapter-url", "mock://x"]
+        )
+        assert args.adapter_url == "mock://x"
 
     def test_help_mentions_subcommands(self):
         proc = agorank("--help")
         assert proc.returncode == 0
         for word in ("run", "compare", "evaluate"):
             assert word in proc.stdout
+
+
+# FORMATS.md's "CLI" synopses against the parser
+
+def documented_options(text):
+    """{command: [option]} from each ``- `command ...` `` synopsis of the
+    "CLI" section: the options in its first code span."""
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return {
+        synopsis.split()[0]: re.findall(r"--[\w-]+", synopsis)
+        for synopsis in re.findall(r"^- `([^`]*)`", section, re.MULTILINE)
+    }
+
+
+def parser_options():
+    """{command: [option]} of ``cli._build_parser()``, without -h/--help."""
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: [
+            option
+            for action in sub._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        ]
+        for command, sub in commands.choices.items()
+    }
+
+
+def cli_faults(text):
+    documented, parsed = documented_options(text), parser_options()
+    faults = [f"{c} is not documented" for c in sorted(set(parsed) - set(documented))]
+    faults += [f"{c} is no command" for c in sorted(set(documented) - set(parsed))]
+    for c in sorted(set(parsed) & set(documented)):
+        if sorted(documented[c]) != sorted(parsed[c]):
+            faults.append(
+                f"{c}: FORMATS.md lists {sorted(documented[c])}, the parser {sorted(parsed[c])}"
+            )
+    return faults
+
+
+def test_formats_md_states_every_option():
+    assert cli_faults(FORMATS.read_text(encoding="utf-8")) == []
+
+
+def test_cli_check_sees_drift():
+    text = FORMATS.read_text(encoding="utf-8")
+    added = text.replace("[--seed N]`;", "[--seed N] [--parallel-agents]`;")
+    assert any(f.startswith("evaluate: FORMATS.md lists") for f in cli_faults(added))
+    dropped = text.replace(" [--save-outcomes PATH]", "")
+    assert any(f.startswith("run: FORMATS.md lists") for f in cli_faults(dropped))
+    unlisted = re.sub(r"^- `compare [^`]*`", "- compare", text, flags=re.MULTILINE)
+    assert cli_faults(unlisted) == ["compare is not documented"]
 
 
 class TestDeepNesting:
@@ -476,6 +543,10 @@ class TestSavedInfluence:
         assert list(tmp_path.glob("replay.*")) == []
 
 
+# a lone surrogate, which a JSON escape can write and UTF-8 cannot encode
+UNENCODABLE = "not encodable as UTF-8 (surrogates not allowed at index 1)"
+
+
 def _set_trace(*events):
     return lambda outcome: outcome["aggregate"].update(tiebreak_trace=list(events))
 
@@ -490,7 +561,7 @@ def _repeat_first_item(outcome):
 
 
 class TestSavedBallotsAndTies:
-    """Saved ballots, tie events, skipped agents and justifications are
+    """Saved ballots, tie events and the outcome's string-keyed maps are
     checked at load: each fault is invalid input that names its field."""
 
     @pytest.mark.parametrize(
@@ -514,12 +585,23 @@ class TestSavedBallotsAndTies:
              "skipped_agents.ecology: expected a string"),
             (lambda outcome: outcome.update(justifications={"traveler": None}),
              "justifications.traveler: expected a string"),
+            (lambda outcome: outcome.update(skipped_agents={"ghost": "r\udc00"}),
+             f"skipped_agents.ghost: {UNENCODABLE}"),
+            (lambda outcome: outcome.update(justifications={"g\udc00": "why"}),
+             f"justifications key: {UNENCODABLE}"),
+            (lambda outcome: outcome["per_agent_achieved"].update({"g\udc00": 0.5}),
+             f"per_agent_achieved key: {UNENCODABLE}"),
+            (lambda outcome: outcome["per_agent_regret"].update({"g\udc00": 0.5}),
+             f"per_agent_regret key: {UNENCODABLE}"),
+            (lambda outcome: outcome["stage_calls"].update({"x\udc00": 1}),
+             f"stage_calls key: {UNENCODABLE}"),
         ],
         ids=[
             "tie-description", "tie-resolution", "tie-not-object", "unknown-item",
             "non-string-item", "repeated-item", "weight-string", "weight-bool",
             "weight-above-one", "agent-id", "justification", "skipped-reason",
-            "justifications-value",
+            "justifications-value", "skipped-reason-surrogate", "justifications-key-surrogate",
+            "achieved-key-surrogate", "regret-key-surrogate", "stage-calls-key-surrogate",
         ],
     )
     def test_exit_2_and_nothing_written(self, tourism_dir, tmp_path, edit, message):

@@ -151,11 +151,10 @@ class TestCandidateCount:
 
 
 class TestProcessQuery:
-    def run(self, q=None, agents=THREE_AGENTS, **kw):
+    def run(self, q=None, agents=THREE_AGENTS):
         ledger = FairnessLedger([s.agent_id for s in agents], window=10)
         return process_query(
-            q or query(), agents, CATALOG, ledger, ActivationPolicy(),
-            RuleConfig(), **kw
+            q or query(), agents, CATALOG, ledger, ActivationPolicy(), RuleConfig()
         )
 
     def test_final_list_truncated_to_top_n(self):
@@ -205,13 +204,6 @@ class TestProcessQuery:
         q = query(constraints=(Constraint("price", "<=", 0.0),))
         outcome, _ = self.run(q)
         assert "traveler" in outcome.per_agent_regret
-
-    def test_parallel_matches_serial(self):
-        serial, _ = self.run(parallel=False)
-        parallel, _ = self.run(parallel=True)
-        assert serial.final_list == parallel.final_list
-        assert serial.aggregate.scores == parallel.aggregate.scores
-        assert serial.per_agent_regret == parallel.per_agent_regret
 
     def test_stage_calls_recorded(self):
         outcome, _ = self.run()
