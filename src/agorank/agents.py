@@ -171,23 +171,23 @@ def generate_popularity_mitigation(query: Query, catalog: Catalog, k: int) -> Ba
     return Ballot(agent_id="", ranking=ranking, justification=justification)
 
 
+RELIABILITY_DECAY = 0.5
+RELIABILITY_FLOOR = 0.1
+
+
 def update_reliability(
-    state: AgentState,
-    violations_this_query: int,
-    items_this_query: int,
-    lam: float = 0.5,
-    w_min: float = 0.1,
+    state: AgentState, violations_this_query: int, items_this_query: int
 ) -> AgentState:
     """Multiplicative reliability decay with a floor.
 
     Violation rate r = violations/items (0 when the ballot was empty); the
-    weight decays by factor (1 - lam*r), never below w_min.  Decay instead of
-    exclusion keeps every stakeholder's voice non-zero.
+    weight decays by factor (1 - RELIABILITY_DECAY*r), never below
+    RELIABILITY_FLOOR: decay, not exclusion, keeps every voice non-zero.
     """
     if violations_this_query < 0 or items_this_query < violations_this_query:
         raise ValueError("need items >= violations >= 0")
     r = violations_this_query / items_this_query if items_this_query > 0 else 0.0
-    weight = max(w_min, state.reliability_weight * (1.0 - lam * r))
+    weight = max(RELIABILITY_FLOOR, state.reliability_weight * (1.0 - RELIABILITY_DECAY * r))
     return AgentState(
         reliability_weight=weight,
         cumulative_violations=state.cumulative_violations + violations_this_query,

@@ -6,10 +6,12 @@ items; two unranked items are tied (contribute to neither side); for Borda,
 each of a ballot's u unranked items receives the mean of the u lowest
 position scores, preserving the ballot's total score mass.
 
-Copeland, Ranked Pairs and Kemeny read one ``PairwiseTally`` per profile:
-an m×m support matrix over the sorted pool.  Each rule has one body, which
-records tie events only when it is given a trace; leave-one-out influence
-runs the same bodies without one and keeps only the consensus.
+Every rule reads each weight rounded to a multiple of 2^-24, so its sums
+are exact in any ballot order.  Copeland, Ranked Pairs and Kemeny read one
+``PairwiseTally`` per profile: an m×m support matrix over the sorted pool.
+Each rule has one body, which records tie events only when it is given a
+trace; leave-one-out influence runs the same bodies without one and keeps
+only the consensus.
 
 Every tie anywhere resolves lexicographically by item id, and Ranked Pairs
 orders equal margins by the (winner, loser) pair; resolutions are recorded
@@ -95,11 +97,10 @@ def pairwise_tally(profile: PreferenceProfile, use_weights: bool = True) -> Pair
     """Tally weighted pairwise preferences under truncation semantics.
 
     A ballot supports a over b when it ranks both with a higher, or ranks a
-    and omits b.  Omitting both counts for neither side.  Ballots are added
-    one at a time in ballot order, each to every cell it supports, so every
-    cell gets the same IEEE additions in the same order whatever the
-    weights; a leave-one-out profile is tallied from its own ballots, never
-    by subtracting one agent's.
+    and omits b.  Omitting both counts for neither side.  Each ballot adds
+    its weight, rounded to a multiple of 2^-24, to every cell it supports:
+    below 2^29 ballots every cell is then an exact sum, the same in any
+    ballot order.  A leave-one-out profile is tallied from its own ballots.
     """
     pool = profile.pool
     m = len(pool)
@@ -108,7 +109,7 @@ def pairwise_tally(profile: PreferenceProfile, use_weights: bool = True) -> Pair
     # rank[i]: where the ballot ranks pool[i], m when it omits it
     rank = np.empty(m, dtype=np.intp)
     for ballot in profile.ballots:
-        w = ballot.weight if use_weights else 1.0
+        w = round(ballot.weight * 2**24) / 2**24 if use_weights else 1.0
         if w == 0.0:
             continue
         rank.fill(m)
@@ -139,7 +140,7 @@ def _borda_totals(profile: PreferenceProfile, use_weights: bool) -> dict[str, fl
     m = len(pool)
     totals = {item: 0.0 for item in pool}
     for ballot in profile.ballots:
-        w = ballot.weight if use_weights else 1.0
+        w = round(ballot.weight * 2**24) / 2**24 if use_weights else 1.0
         if w == 0.0:
             continue
         ranked = set(ballot.ranking)

@@ -197,79 +197,68 @@ def process_query(
     rule_config: RuleConfig,
     adapter_url: str | None = None,
 ) -> tuple[QueryOutcome, FairnessLedger]:
-    """Run the full pipeline for one query, updating the ledger in place.
+    """Run the full pipeline for one query, then commit it to the ledger.
 
     Agents whose ballots die (adapter failure, empty generation, nothing
     surviving grounding) are dropped with a recorded reason and a reliability
     penalty; the query fails with NoActiveAgents only if nobody survives.
+    The stages only read the ledger and ``_commit`` writes it once at the
+    end, so a query that raises leaves it unchanged.
     """
     if len(catalog) == 0:
         raise ValueError("catalog must be non-empty")
-    stage_calls = {"generate": 0, "ground": 0, "aggregate": 0, "evaluate": 0}
-
     active, skipped = select_agents(query, specs, ledger, policy)
     k = candidate_count_policy(query.top_n)
 
-    # every generator runs before the first ledger write, so an exception
-    # that escapes one leaves the ledger untouched
-    raw_results: dict[str, Ballot | Exception] = {}
-    for spec in sorted(active, key=lambda s: s.agent_id):
-        try:
-            raw_results[spec.agent_id] = generate_candidates(
-                spec, query, catalog, ledger.exposure, k, adapter_url
-            )
-        except (AdapterTimeout, AdapterMalformed) as exc:
-            raw_results[spec.agent_id] = exc
-    stage_calls["generate"] = len(active)
-
+    states: dict[str, AgentState] = {}
     ballots: list[Ballot] = []
     justifications: dict[str, str] = {}
-    for agent_id, raw in raw_results.items():
+    grounded = 0
+    for spec in sorted(active, key=lambda s: s.agent_id):
+        agent_id = spec.agent_id
         state = ledger.agent_states[agent_id]
-        if isinstance(raw, Exception):
-            kind = "timeout" if isinstance(raw, AdapterTimeout) else "malformed response"
-            skipped[agent_id] = f"adapter {kind}"
-            ledger.agent_states[agent_id] = update_reliability(state, 1, 1)
-            continue
-        if not raw.ranking:
-            skipped[agent_id] = "empty ballot"
-            ledger.agent_states[agent_id] = update_reliability(state, 0, 0)
-            continue
-        stage_calls["ground"] += 1
         try:
-            grounded, violations = validate_ballot(raw, catalog)
+            raw = generate_candidates(spec, query, catalog, ledger.exposure, k, adapter_url)
+        except (AdapterTimeout, AdapterMalformed) as exc:
+            kind = "timeout" if isinstance(exc, AdapterTimeout) else "malformed response"
+            skipped[agent_id] = f"adapter {kind}"
+            states[agent_id] = update_reliability(state, 1, 1)
+            continue
+        items = len(raw.ranking)
+        if items == 0:
+            skipped[agent_id] = "empty ballot"
+            states[agent_id] = update_reliability(state, 0, 0)
+            continue
+        grounded += 1
+        try:
+            ballot, violations = validate_ballot(raw, catalog)
         except EmptyAfterGrounding:
             skipped[agent_id] = "no ballot items exist in the catalog"
-            ledger.agent_states[agent_id] = update_reliability(
-                state, len(raw.ranking), len(raw.ranking)
-            )
+            states[agent_id] = update_reliability(state, items, items)
             continue
-        new_state = update_reliability(state, violations, len(raw.ranking))
-        ledger.agent_states[agent_id] = new_state
-        ballots.append(replace(grounded, weight=new_state.reliability_weight))
-        if grounded.justification is not None:
-            justifications[agent_id] = grounded.justification
+        states[agent_id] = update_reliability(state, violations, items)
+        ballots.append(replace(ballot, weight=states[agent_id].reliability_weight))
+        if ballot.justification is not None:
+            justifications[agent_id] = ballot.justification
 
     if not ballots:
         raise NoActiveAgents("every active agent was dropped during this query")
 
     profile = PreferenceProfile.from_ballots(ballots)
     result = aggregate(profile, rule_config, ledger.kemeny_memo)
-    stage_calls["aggregate"] = 1
-
     final_list = result.consensus[: query.top_n]
 
     # monitoring covers every configured agent, voting or not, against the
     # exposure state as it stands after this query's recommendations; a
     # metric's value depends on nothing agent-specific, so agents sharing an
     # objective metric share one evaluation
+    credits = exposure_delta(final_list, catalog)
     exposure_after = ledger.exposure.as_mapping()
-    delta = exposure_delta(final_list, catalog)
-    for provider, credit in delta.items():
+    for provider, credit in credits.items():
         exposure_after[provider] = exposure_after.get(provider, 0.0) + credit
     achieved_by_metric: dict[MetricId, float | None] = {}
     achieved_map: dict[str, float | None] = {}
-    regret_map: dict[str, float] = {}
+    regrets: dict[str, float] = {}
     for spec in sorted(specs, key=lambda s: s.agent_id):
         metric = spec.objective_metric
         if metric not in achieved_by_metric:
@@ -277,20 +266,12 @@ def process_query(
                 metric, query, final_list, catalog, exposure_after
             )
         achieved = achieved_by_metric[metric]
-        regret = (
-            0.0
-            if achieved is None
-            else fairness_regret(metric, spec.objective_target, achieved)
-        )
         achieved_map[spec.agent_id] = achieved
-        regret_map[spec.agent_id] = regret
-        ledger.push_regret(spec.agent_id, regret)
-        stage_calls["evaluate"] += 1
+        regrets[spec.agent_id] = (
+            0.0 if achieved is None else fairness_regret(metric, spec.objective_target, achieved)
+        )
 
-    for provider, credit in delta.items():
-        ledger.exposure.add(provider, credit)
-    ledger.queries_processed += 1
-
+    _commit(ledger, states, regrets, credits)
     outcome = QueryOutcome(
         query_id=query.id,
         final_list=final_list,
@@ -300,10 +281,26 @@ def process_query(
         justifications=justifications,
         query=query,
         per_agent_achieved=achieved_map,
-        per_agent_regret=regret_map,
-        stage_calls=stage_calls,
+        per_agent_regret=regrets,
+        stage_calls=dict(generate=len(active), ground=grounded, aggregate=1, evaluate=len(regrets)),
     )
     return outcome, ledger
+
+
+def _commit(
+    ledger: FairnessLedger,
+    states: Mapping[str, AgentState],
+    regrets: Mapping[str, float],
+    credits: Mapping[str, float],
+) -> None:
+    """Apply one query's reliability states, regrets and exposure credits:
+    the only code that writes the ledger, the Kemeny memo aside."""
+    ledger.agent_states.update(states)
+    for agent_id, regret in regrets.items():
+        ledger.push_regret(agent_id, regret)
+    for provider, credit in credits.items():
+        ledger.exposure.add(provider, credit)
+    ledger.queries_processed += 1
 
 
 def run_stream(

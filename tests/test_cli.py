@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -13,7 +14,8 @@ from agorank import cli, dataio
 from agorank.errors import SchemaError
 
 
-FORMATS = Path(__file__).resolve().parent.parent / "FORMATS.md"
+ROOT = Path(__file__).resolve().parent.parent
+FORMATS = ROOT / "FORMATS.md"
 
 # the warnings that pyproject's pytest filters make errors in this process
 WARNINGS_AS_ERRORS = ("-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning")
@@ -757,3 +759,16 @@ class TestLoaderFuzz:
             argv[0] = "evaluate"
             argv += ["--outcomes", str(tourism_dir / "outcomes.json")]
         assert cli.main(argv) in (0, 2, 3)
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, *WARNINGS_AS_ERRORS, str(ROOT / "demos" / demo)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

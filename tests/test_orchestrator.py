@@ -1,12 +1,16 @@
+import copy
+import itertools
 import logging
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agorank.agents import AgentObjective, AgentSpec
 from agorank.aggregation import Rule, RuleConfig, aggregate
 from agorank.dataio import load_interactions
-from agorank.errors import NoActiveAgents
+from agorank.errors import EmptyAfterGrounding, NoActiveAgents
 from agorank import adapter, orchestrator
 from agorank.metrics import MetricId, evaluate_metric, exposure_delta, fairness_regret
 from agorank.model import Catalog, Constraint, Item, PreferenceProfile, Query, StakeholderRole
@@ -332,6 +336,114 @@ class TestAdapterFailureHandling:
         with pytest.raises(NoActiveAgents):
             process_query(query(), remote_only, CATALOG, ledger,
                           ActivationPolicy(), RuleConfig())
+
+
+def ledger_fields(ledger):
+    """Every ledger field but the Kemeny memo, a cache, as plain values."""
+    fields = {key: value for key, value in vars(ledger).items() if key != "kemeny_memo"}
+    fields["exposure"] = ledger.exposure.as_mapping()
+    return copy.deepcopy(fields)
+
+
+class Injected(Exception):
+    pass
+
+
+class TestOneLedgerCommit:
+    """``_commit`` is the only writer of the ledger, so a query that raises
+    leaves it as it was."""
+
+    FAILING_REMOTE = AgentSpec(
+        agent_id="remote",
+        role=StakeholderRole.THIRD_PARTY,
+        objective=AgentObjective.EXTERNAL,
+        objective_metric=MetricId.NDCG,
+        objective_target=0.5,
+        params={"endpoint": "mock://"},
+    )
+    POLICIES = {
+        "static": ActivationPolicy(),
+        "dynamic": ActivationPolicy(mode=ActivationMode.DYNAMIC, window=2,
+                                    fairness_threshold=1.0, compatibility_min=0.5),
+    }
+    HEURISTIC_KEMENY = RuleConfig(rule=Rule.KEMENY, kemeny_exact_limit=2,
+                                  kemeny_search_iters=20)
+    STAGES = ("generate_candidates", "validate_ballot", "aggregate", "evaluate_metric",
+              "exposure_delta")
+
+    def fresh_ledger(self, tourism, policy):
+        specs = [*tourism.agents, self.FAILING_REMOTE]
+        return specs, FairnessLedger([s.agent_id for s in specs], policy.window)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_no_stage_writes_the_ledger(self, tourism, policy):
+        policy = self.POLICIES[policy]
+        specs, ledger = self.fresh_ledger(tourism, policy)
+        fresh = ledger_fields(ledger)
+        with mock.patch.object(adapter, "mock_serve", return_value=b"{"), \
+                mock.patch.object(orchestrator, "_commit") as commit:
+            for n, q in enumerate(tourism.queries, start=1):
+                outcome, _ = process_query(q, specs, tourism.catalog, ledger, policy,
+                                           self.HEURISTIC_KEMENY)
+                assert outcome.skipped_agents["remote"] == "adapter malformed response"
+                assert commit.call_count == n
+                assert ledger_fields(ledger) == fresh
+        # the memo is a cache, and the one thing the stages may fill
+        assert ledger.kemeny_memo.nbytes > 0
+        # the commit the stages skipped holds every write
+        states, regrets, credits = commit.call_args.args[1:]
+        assert set(states) == set(regrets) == {s.agent_id for s in specs}
+        assert credits == exposure_delta(outcome.final_list, tourism.catalog)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stage=st.sampled_from(STAGES + ("grounding drops every ballot",)),
+        policy=st.sampled_from(sorted(POLICIES)),
+        before=st.integers(min_value=0, max_value=3),
+        data=st.data(),
+    )
+    def test_a_query_that_raises_leaves_the_ledger_as_it_was(
+        self, tourism, stage, policy, before, data
+    ):
+        policy = self.POLICIES[policy]
+
+        def ledger_after_queries():
+            specs, ledger = self.fresh_ledger(tourism, policy)
+            for q in tourism.queries[:before]:
+                process_query(q, specs, tourism.catalog, ledger, policy, tourism.rule_config)
+            return specs, ledger
+
+        def target(specs, ledger):
+            return process_query(tourism.queries[before], specs, tourism.catalog, ledger,
+                                 policy, tourism.rule_config)
+
+        with mock.patch.object(adapter, "mock_serve", return_value=b"{"):
+            if stage not in self.STAGES:
+                specs, ledger = ledger_after_queries()
+                snapshot = ledger_fields(ledger)
+                fault = EmptyAfterGrounding("injected")
+                with mock.patch.object(orchestrator, "validate_ballot", side_effect=fault), \
+                        pytest.raises(NoActiveAgents):
+                    target(specs, ledger)
+                assert ledger_fields(ledger) == snapshot
+                return
+            original = getattr(orchestrator, stage)
+            replay = ledger_after_queries()
+            with mock.patch.object(orchestrator, stage, wraps=original) as spy:
+                target(*replay)
+            raise_at = data.draw(st.integers(0, spy.call_count - 1), label="failing call")
+            calls = itertools.count()
+
+            def fault(*args, **kwargs):
+                if next(calls) == raise_at:
+                    raise Injected(stage)
+                return original(*args, **kwargs)
+
+            specs, ledger = ledger_after_queries()
+            snapshot = ledger_fields(ledger)
+            with mock.patch.object(orchestrator, stage, fault), pytest.raises(Injected):
+                target(specs, ledger)
+            assert ledger_fields(ledger) == snapshot
 
 
 class TestKemenyMemo:

@@ -7,6 +7,8 @@ events and scores, the Kemeny searches pricing one ranking at a time,
 and leave-one-out influence re-running the whole rule on each sub-profile.
 ``pairwise_tally`` must equal that tally bit for bit, and ``aggregate``
 must equal that pipeline in every field, with or without a shared memo.
+Both read each weight on the 2^-24 grid, so neither depends on the order
+of the ballots, which the anonymity property checks.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import random
 from dataclasses import replace
 from typing import Mapping, Sequence
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agorank import aggregation
@@ -37,7 +39,8 @@ Support = Mapping[str, Mapping[str, float]]
 def reference_support(profile: PreferenceProfile, use_weights: bool) -> Support:
     support = {a: {b: 0.0 for b in profile.pool} for a in profile.pool}
     for ballot in profile.ballots:
-        w = ballot.weight if use_weights else 1.0
+        # the library reads every weight on the 2^-24 grid
+        w = round(ballot.weight * 2**24) / 2**24 if use_weights else 1.0
         if w == 0.0:
             continue
         pos = {item: i for i, item in enumerate(ballot.ranking)}
@@ -337,3 +340,26 @@ def test_aggregate_equals_reference_pipeline(stream, use_weights, exact_limit, i
         for i, profile in enumerate(stream):
             for config in configs:
                 assert _exact(aggregate(profile, config, memo)) == expected[i, config.rule]
+
+
+_REORDERED = PreferenceProfile(
+    ballots=(Ballot("p", ("b",), weight=0.1), Ballot("q", ("b",), weight=0.2),
+             Ballot("r", ("b",), weight=0.3), Ballot("s", ("a",), weight=0.6)),
+    pool=("a", "b"),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    profile=profiles(),
+    permutation=st.permutations(range(6)),
+    exact_limit=st.sampled_from([2, 6]),
+)
+# float addition in ballot order read 0.1 + 0.2 + 0.3 > 0.6 but 0.2 + 0.3 + 0.1 == 0.6
+@example(profile=_REORDERED, permutation=(1, 2, 0, 3, 4, 5), exact_limit=6)
+def test_ballot_order_never_changes_the_result(profile, permutation, exact_limit):
+    order = [i for i in permutation if i < len(profile.ballots)]
+    reordered = replace(profile, ballots=tuple(profile.ballots[i] for i in order))
+    for rule in Rule:
+        config = RuleConfig(rule, kemeny_exact_limit=exact_limit, kemeny_search_iters=20)
+        assert _exact(aggregate(reordered, config)) == _exact(aggregate(profile, config))
