@@ -646,7 +646,7 @@ def influence_loo(
     convention; so does an agent whose removal empties the profile.  Every
     recomputation shares ``memo`` (a fresh one when none is given).
     """
-    agents = sorted({b.agent_id for b in profile.ballots})
+    agents = profile.agent_ids()
     if len(agents) == 1:
         return {agents[0]: 1.0}
     memo = KemenyMemo() if memo is None else memo

@@ -5,7 +5,8 @@ Loaders reject structurally invalid input outright; row-level droppable
 issues (interactions referencing unknown items) are counted and logged,
 never silent.  Every JSON record read is decoded by ``_decode`` from its
 field table (``_AGENT``, ``_QUERY``, ``_OUTCOME``, ...), which FORMATS.md
-restates.  Every JSON file is written by ``_write_json`` from
+restates, and every record written is encoded by ``_encode`` from the
+same table.  Every JSON file is written by ``_write_json`` from
 ``_json_slabs``, whose text equals ``json.dumps(obj, indent=2,
 sort_keys=True)``; reports round floats to 6 decimals, so identical runs
 produce byte-identical files.
@@ -243,19 +244,6 @@ def _item_from_obj(rec: object, where: str, line: int | None = None) -> Item:
         raise MalformedRecord(str(exc) if line else f"{where}: {exc}", line) from exc
 
 
-def _item_to_obj(item: Item) -> dict:
-    """The one record of an item: ``export_catalog`` writes it, ``catalog_hash`` hashes it."""
-    return {
-        "id": item.id,
-        "provider_id": item.provider_id,
-        "categories": sorted(item.categories),
-        "popularity": item.popularity,
-        "sustainability": item.sustainability,
-        "attributes": dict(sorted(item.attributes.items())),
-        "description": item.description,
-    }
-
-
 def export_catalog(catalog: Catalog, path: str | Path) -> None:
     """Write a catalog back out (CSV or JSON by suffix); loaders round-trip it.
 
@@ -278,7 +266,7 @@ def export_catalog(catalog: Catalog, path: str | Path) -> None:
                     f"item {item.id} has {what}, which a CSV catalog cannot carry; "
                     "export to a .json path instead"
                 )
-    records = [_item_to_obj(item) for item in items]
+    records = [_encode(item) for item in items]
     if as_json:
         _write_json(path, _json_slabs(records))
         return
@@ -691,20 +679,6 @@ def _parse_rule(raw: object, path: str, default_seed: int) -> RuleConfig:
     return _decode(_RULE, raw, path, RuleConfig, seed=default_seed)
 
 
-def _query_to_obj(query: Query) -> dict:
-    return {
-        "id": query.id,
-        "text": query.text,
-        "preference_weights": dict(query.preference_weights),
-        "constraints": [
-            {"attribute": c.attribute, "direction": c.direction, "value": c.value}
-            for c in query.constraints
-        ],
-        "user_history": list(query.user_history),
-        "top_n": query.top_n,
-    }
-
-
 def builtin_scenario_path(alias: str) -> Path:
     """Resolve a "builtin:<name>" alias to the bundled scenario file."""
     name = alias.split(":", 1)[1]
@@ -1077,7 +1051,7 @@ def catalog_hash(catalog: Catalog) -> str:
 def _hash_catalog(catalog: Catalog) -> str:
     """The SHA-256 of ``json.dumps(records, sort_keys=True)`` in UTF-8.
 
-    ``records`` are the ``_item_to_obj`` records in id order.  The text is
+    ``records`` are the items' ``_encode`` records in id order.  The text is
     fed to the hash in pieces: ``[``, each slice of ``_HASH_SLICE`` records
     dumped by one call with its brackets stripped, the slices joined by
     ``", "``, then ``]``, the same bytes as one dump without holding them.
@@ -1085,43 +1059,12 @@ def _hash_catalog(catalog: Catalog) -> str:
     ids = catalog.ids
     sha = hashlib.sha256(b"[")
     for start in range(0, len(ids), _HASH_SLICE):
-        records = [_item_to_obj(catalog[i]) for i in ids[start : start + _HASH_SLICE]]
+        records = [_encode(catalog[i]) for i in ids[start : start + _HASH_SLICE]]
         if start:
             sha.update(b", ")
         sha.update(json.dumps(records, sort_keys=True)[1:-1].encode("utf-8"))
     sha.update(b"]")
     return sha.hexdigest()
-
-
-def _outcome_to_obj(outcome: QueryOutcome) -> dict:
-    return {
-        "query": _query_to_obj(outcome.query),
-        "final_list": list(outcome.final_list),
-        "ballots": [
-            {
-                "agent_id": b.agent_id,
-                "ranking": list(b.ranking),
-                "justification": b.justification,
-                "weight": b.weight,
-            }
-            for b in outcome.per_agent_ballots
-        ],
-        "aggregate": {
-            "rule": outcome.aggregate.rule,
-            "consensus": list(outcome.aggregate.consensus),
-            "influence": dict(outcome.aggregate.influence),
-            "tiebreak_trace": [
-                {"description": e.description, "resolution": e.resolution}
-                for e in outcome.aggregate.tiebreak_trace
-            ],
-            "scores": dict(outcome.aggregate.scores),
-        },
-        "skipped_agents": dict(outcome.skipped_agents),
-        "justifications": dict(outcome.justifications),
-        "per_agent_achieved": dict(outcome.per_agent_achieved),
-        "per_agent_regret": dict(outcome.per_agent_regret),
-        "stage_calls": dict(outcome.stage_calls),
-    }
 
 
 def _map_of(
@@ -1213,6 +1156,53 @@ _OUTCOME = (
     _Field("per_agent_regret", _number_map, {}),
     _Field("stage_calls", _map_of((int,), "an integer"), {}),
 )
+
+# the saved-outcomes document; ``load_outcomes`` checks the hash, then
+# decodes each outcome by ``_outcome_from_obj``
+_OUTCOMES_FILE = (
+    _Field("scenario", _expect_str, ""),
+    _Field("rule", _expect_str, ""),
+    _Field("catalog_hash", _expect_str),
+    _Field("outcomes", _expect_list),
+)
+
+# the field table of each record type that a file holds
+_TABLE_OF = {
+    Item: _ITEM,
+    Query: _QUERY,
+    Constraint: _CONSTRAINT,
+    Ballot: _BALLOT,
+    TieEvent: _TIE,
+    AggregateResult: _AGGREGATE,
+    QueryOutcome: _OUTCOME,
+}
+
+
+def _encode(record: object) -> dict:
+    """The JSON object of ``record``: ``key: getattr(record, arg)`` for each
+    row of its type's field table, the table that reads it back.
+
+    A frozenset is written as a sorted list, and a nested record, or a
+    non-empty tuple of records, by its own table.  Every other value, maps
+    and tuples included, is shared with the record, not copied, so the
+    object is for writing, not for changing.  ``_json_slabs`` and
+    ``json.dumps`` both write a tuple as a list and sort keys, so the bytes
+    are those of a copy.
+    """
+    obj = {}
+    for key, _, _, arg in _TABLE_OF[type(record)]:
+        value = getattr(record, arg)
+        kind = type(value)
+        # dispatched inline, not by a helper per value: this runs for every
+        # field of every item that a catalog hash covers
+        if kind is frozenset:
+            value = sorted(value)
+        elif kind in _TABLE_OF:
+            value = _encode(value)
+        elif kind is tuple and value and type(value[0]) in _TABLE_OF:
+            value = [_encode(v) for v in value]
+        obj[key] = value
+    return obj
 
 
 def _outcome_from_obj(
@@ -1325,7 +1315,7 @@ def save_outcomes(
         "scenario": scenario_name,
         "rule": rule_name,
         "catalog_hash": catalog_hash(catalog),
-        "outcomes": [_outcome_to_obj(o) for o in outcomes],
+        "outcomes": [_encode(o) for o in outcomes],
     }
     _write_json(Path(path), _json_slabs(payload))
 
@@ -1339,12 +1329,12 @@ def load_outcomes(
     the file share one ``TieEvent``; nothing is kept between calls.
 
     Raises:
-        SchemaError: unreadable/invalid file, catalog hash mismatch, a
-            query that breaks the scenario-query rules, any other outcome
-            field that is missing though required or that ``save_outcomes``
-            could not have written (see ``_OUTCOME`` and
-            ``_outcome_from_obj``), or a scenario or rule name that is not
-            a string encodable as UTF-8.  The message names the field.
+        SchemaError: unreadable/invalid file, a document field that
+            ``_OUTCOMES_FILE`` refuses, catalog hash mismatch, a query that
+            breaks the scenario-query rules, or any other outcome field that
+            is missing though required or that ``save_outcomes`` could not
+            have written (see ``_OUTCOME`` and ``_outcome_from_obj``).  The
+            message names the field.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -1353,6 +1343,7 @@ def load_outcomes(
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"outcomes file is not valid JSON: {exc}") from exc
     try:
+        doc = _decode(_OUTCOMES_FILE, _expect_dict(doc, "outcomes file"), "", None)
         expected = doc["catalog_hash"]
         actual = catalog_hash(catalog)
         if expected != actual:
@@ -1360,8 +1351,6 @@ def load_outcomes(
                 "catalog hash mismatch: outcomes were recorded against a "
                 f"different catalog (recorded {expected[:12]}…, current {actual[:12]}…)"
             )
-        scenario_name = _expect_str(doc.get("scenario", ""), "scenario")
-        rule_name = _expect_str(doc.get("rule", ""), "rule")
         known, ties = frozenset(catalog.ids), {}
         outcomes = [
             _outcome_from_obj(obj, f"outcomes[{i}]", known, ties)
@@ -1369,7 +1358,7 @@ def load_outcomes(
         ]
         if not outcomes:
             raise SchemaError("outcomes: at least one outcome is required")
-        return outcomes, scenario_name, rule_name
+        return outcomes, doc["scenario"], doc["rule"]
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

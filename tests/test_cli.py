@@ -545,6 +545,41 @@ class TestSavedInfluence:
         assert list(tmp_path.glob("replay.*")) == []
 
 
+def _without_hash(doc):
+    del doc["catalog_hash"]
+    return doc
+
+
+class TestSavedDocument:
+    """The saved-outcomes document is decoded by its own field table: a
+    fault in it exits 2 naming the field, or the file if it is no object."""
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda doc: {**doc, "outcomes": {"a": 1}}, "outcomes: expected a list"),
+            (lambda doc: {**doc, "outcomes": "xy"}, "outcomes: expected a list"),
+            (_without_hash, "catalog_hash: missing required field"),
+            (lambda doc: {**doc, "catalog_hash": None}, "catalog_hash: expected a string"),
+            (lambda doc: {**doc, "catalog_hash": 5}, "catalog_hash: expected a string"),
+            (lambda doc: [doc], "outcomes file: expected an object"),
+        ],
+        ids=["outcomes-object", "outcomes-string", "hash-missing", "hash-null", "hash-int",
+             "top-level-list"],
+    )
+    def test_exit_2_naming_the_field(self, tourism_dir, tmp_path, capsys, edit, message):
+        saved = tmp_path / "outcomes.json"
+        doc = json.loads((tourism_dir / "base" / "outcomes.json").read_text(encoding="utf-8"))
+        saved.write_text(json.dumps(edit(doc)), encoding="utf-8")
+        code = cli.main([
+            "evaluate", "--scenario", "builtin:tourism",
+            "--out", str(tmp_path / "replay"), "--outcomes", str(saved),
+        ])
+        assert code == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert list(tmp_path.glob("replay.*")) == []
+
+
 # a lone surrogate, which a JSON escape can write and UTF-8 cannot encode
 UNENCODABLE = "not encodable as UTF-8 (surrogates not allowed at index 1)"
 

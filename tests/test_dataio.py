@@ -1012,9 +1012,9 @@ class TestCatalogHash:
 
     def test_kept_per_catalog(self):
         catalog = generate_catalog(item_count=30, provider_count=4, seed=3)
-        records = [dataio._item_to_obj(item) for item in catalog.items_sorted()]
+        records = [dataio._encode(item) for item in catalog.items_sorted()]
         fresh = hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8")).hexdigest()
-        with mock.patch.object(dataio, "_item_to_obj", wraps=dataio._item_to_obj) as encode:
+        with mock.patch.object(dataio, "_encode", wraps=dataio._encode) as encode:
             assert catalog_hash(catalog) == fresh
             assert catalog_hash(catalog) == fresh
             assert encode.call_count == len(catalog)
@@ -1025,7 +1025,7 @@ class TestCatalogHash:
 
 def _one_shot_hash(catalog):
     """The catalog hash as one dump of every record, with no slicing."""
-    records = [dataio._item_to_obj(item) for item in catalog.items_sorted()]
+    records = [dataio._encode(item) for item in catalog.items_sorted()]
     return hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8")).hexdigest()
 
 

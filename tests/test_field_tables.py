@@ -1,5 +1,5 @@
-"""The field tables that ``dataio`` decodes every JSON record by, held
-against FORMATS.md, the hand-written encoders and the files they describe.
+"""The field tables that ``dataio`` decodes and encodes every JSON record
+by, held against FORMATS.md, the record types and the files they describe.
 
 The properties start from the tourism scenario (with an external agent and
 the rule and policy written out in full), the synthetic-200 scenario and
@@ -7,6 +7,7 @@ outcomes saved from a tourism run.
 """
 
 import copy
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 from agorank import dataio
 from agorank.errors import SchemaError
-from agorank.orchestrator import run_stream
+from agorank.model import Item
+from agorank.orchestrator import QueryOutcome, run_stream
 
 FORMATS = Path(__file__).resolve().parent.parent / "FORMATS.md"
 
@@ -104,7 +106,7 @@ def test_formats_check_sees_drift():
     assert any(f.startswith("_POLICY: FORMATS.md lists") for f in formats_faults(missing_key))
 
 
-# the encoders
+# the codec
 
 @pytest.fixture(scope="module")
 def tourism_outcomes(tourism):
@@ -114,22 +116,30 @@ def tourism_outcomes(tourism):
     return outcomes
 
 
-def test_encoders_write_exactly_their_tables_keys(tourism, tourism_outcomes):
-    # an outcome with a constraint and a tie event, so every nested record shows
-    outcome = next(
-        o for o in tourism_outcomes if o.query.constraints and o.aggregate.tiebreak_trace
-    )
-    obj = dataio._outcome_to_obj(outcome)
-    assert sorted(obj) == sorted(keys(dataio._OUTCOME))
-    assert sorted(obj["query"]) == sorted(keys(dataio._QUERY))
-    assert sorted(obj["query"]["constraints"][0]) == sorted(keys(dataio._CONSTRAINT))
-    assert sorted(obj["aggregate"]) == sorted(keys(dataio._AGGREGATE))
-    assert sorted(obj["aggregate"]["tiebreak_trace"][0]) == sorted(keys(dataio._TIE))
-    for ballot in obj["ballots"]:
-        assert sorted(ballot) == sorted(keys(dataio._BALLOT))
-    assert sorted(dataio._query_to_obj(outcome.query)) == sorted(keys(dataio._QUERY))
-    item = tourism.catalog[tourism.catalog.ids[0]]
-    assert sorted(dataio._item_to_obj(item)) == sorted(keys(dataio._ITEM))
+# fields that a load derives from other fields rather than reading them
+DERIVED = {QueryOutcome: {"query_id"}}
+
+
+@pytest.mark.parametrize("record_type", list(dataio._TABLE_OF), ids=lambda t: t.__name__)
+def test_every_field_has_a_row(record_type):
+    """A field with no row would be left out of every file that holds the record."""
+    args = {row[3] for row in dataio._TABLE_OF[record_type]}
+    derived = DERIVED.get(record_type, set())
+    assert args == {f.name for f in dataclasses.fields(record_type)} - derived
+
+
+def test_records_read_back_equal(tourism, tourism_outcomes):
+    """``_encode`` then ``_decode`` gives back an equal record, every nested one included."""
+    assert any(o.query.constraints for o in tourism_outcomes)
+    assert any(o.aggregate.tiebreak_trace for o in tourism_outcomes)
+    known, ties = frozenset(tourism.catalog.ids), {}
+    for i, outcome in enumerate(tourism_outcomes):
+        raw = json.loads(json.dumps(dataio._encode(outcome)))
+        # ``_decode(_OUTCOME, ...)``, then the aggregate built from its decoded fields
+        assert dataio._outcome_from_obj(raw, f"outcomes[{i}]", known, ties) == outcome
+    item = Item("a", "p", frozenset({"beach", "art"}), 0.25, 0.75, {"price": 12.5, "km": 3}, "cove")
+    raw = json.loads(json.dumps(dataio._encode(item)))
+    assert dataio._decode(dataio._ITEM, raw, "", Item) == item
 
 
 # the documents the properties start from
@@ -184,7 +194,9 @@ def scenario_records(doc):
 
 
 def outcome_records(doc):
-    """(path, object, table) for every record of a saved outcomes document."""
+    """(path, object, table) for every record of a saved outcomes document;
+    the path "" names the document itself."""
+    yield "", doc, dataio._OUTCOMES_FILE
     for i, outcome in enumerate(doc["outcomes"]):
         path = f"outcomes[{i}]"
         yield path, outcome, dataio._OUTCOME
@@ -273,10 +285,11 @@ def test_a_wrong_or_missing_field_is_named(documents, tourism, tmp_path, name, k
     with pytest.raises(SchemaError) as err:
         load(kind, doc, tmp_path / "doc.json", tourism)
     message = str(err.value)
+    field = f"{where}.{key}" if where else key
     if delete:
-        assert message == f"{where}.{key}: missing required field"
+        assert message == f"{field}: missing required field"
     else:
-        assert message.startswith(f"{where}.{key}: "), message
+        assert message.startswith(f"{field}: "), message
 
 
 # round trips: what loads re-encodes to the JSON it came from, defaults filled in
@@ -341,5 +354,5 @@ def test_scenario_queries_reencode_with_defaults(documents, tourism, tmp_path, d
     dropped = data.draw(st.sets(st.sampled_from(query_keys), max_size=6))
     bare, filled = drop_and_fill(doc, records, dropped)
     scenario = load("tourism", bare, tmp_path / "scenario.json", tourism)
-    encoded = [dataio._query_to_obj(q) for q in scenario.queries]
+    encoded = [dataio._encode(q) for q in scenario.queries]
     assert json.loads(json.dumps(encoded)) == filled["queries"]
