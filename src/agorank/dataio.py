@@ -15,8 +15,8 @@ The synthetic generator runs on a portable 64-bit linear congruential PRNG
 (constants below, documented in FORMATS.md) rather than a stdlib generator,
 so generated scenarios reproduce across implementations and platforms.
 ``generate_catalog`` and ``generate_synthetic`` each take their draws from
-one ``PortableRng.uniforms`` call, which computes the stream in a numpy pass
-by LCG jump-ahead and returns the same floats as repeated ``uniform()``.
+one ``PortableRng`` pass, which computes the stream in numpy by LCG
+jump-ahead and gives the same floats as repeated ``uniform()``.
 """
 
 from __future__ import annotations
@@ -106,10 +106,14 @@ class PortableRng:
         Every operand is a uint64 array or ``np.uint64``, so numpy 1.x and 2.x
         promote alike.
         """
+        return self._uniform_array(n).tolist()
+
+    def _uniform_array(self, n: int) -> np.ndarray:
+        """``uniforms(n)`` as a float64 array, for callers that compute on it."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         if n == 0:
-            return []
+            return np.empty(0)
         powers = np.multiply.accumulate(np.full(n, LCG_MULT, dtype=np.uint64))
         geometric = np.empty(n, dtype=np.uint64)
         geometric[0] = 1
@@ -117,7 +121,7 @@ class PortableRng:
         np.cumsum(geometric, out=geometric)
         states = powers * np.uint64(self.state) + geometric * np.uint64(LCG_INC)
         self.state = int(states[-1])
-        return ((states >> np.uint64(11)).astype(np.float64) / float(1 << 53)).tolist()
+        return (states >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
 @dataclass(frozen=True)
@@ -328,50 +332,85 @@ def generate_catalog(
 ) -> Catalog:
     """Deterministic synthetic catalog.
 
-    Providers are assigned round-robin.  Popularity is a squared uniform
-    draw (few popular items, long unpopular tail); sustainability is
+    Providers are assigned round-robin.  Popularity is a uniform draw times
+    itself (few popular items, long unpopular tail); sustainability is
     uniform.  Per-item draw order: popularity, sustainability, first
     category, second-category gate (p=0.4), second category if gated in,
-    price.
+    price.  So an item takes 5 draws, or 6 when the gate opens.
+
+    All draws come from one ``PortableRng`` pass.  One Python loop finds
+    each item's first draw; every field is then a numpy column gathered at
+    those offsets, with IEEE products and ``_round_each``, so each value is
+    the float that the per-draw loop FORMATS.md specifies gives with
+    Python's ``round``.  Only the ``Item`` objects are built per item.
     """
     if item_count < 1 or provider_count < 1 or not categories:
         raise ValueError("need item_count >= 1, provider_count >= 1, categories non-empty")
-    draws = PortableRng(seed ^ CATALOG_SEED_GAMMA).uniforms(6 * item_count)
-    cats = list(categories)
-    n_cats = len(cats)
-    providers = [f"provider-{p:02d}" for p in range(provider_count)]
-    # (first, second) category index -> (categories, description suffix);
-    # an item without a second category has second == first
-    labels: dict[tuple[int, int], tuple[frozenset[str], str]] = {}
-    items: list[Item] = []
+    draws = PortableRng(seed ^ CATALOG_SEED_GAMMA)._uniform_array(6 * item_count)
+    below = draws < 0.4
+    gated = below.tobytes()  # one 0/1 byte per draw
+    starts = [0] * item_count
     k = 0
     for i in range(item_count):
-        popularity = round(draws[k] ** 2, 6)
-        sustainability = round(draws[k + 1], 6)
-        first = int(draws[k + 2] * n_cats) % n_cats
-        if draws[k + 3] < 0.4:
-            second = int(draws[k + 4] * n_cats) % n_cats
-            k += 6
-        else:
-            second = first
-            k += 5
-        price = round(20.0 + 180.0 * draws[k - 1], 2)
-        label = labels.get((first, second))
+        starts[i] = k
+        k += 5 + gated[k + 3]
+    at = np.array(starts)
+    cats = list(categories)
+    n_cats = len(cats)
+    popularity = _round_each(draws[at] * draws[at], 6)
+    sustainability = _round_each(draws[at + 1], 6)
+    first = (draws[at + 2] * n_cats).astype(np.int64) % n_cats
+    gate = below[at + 3]
+    # an item without a second category has second == first
+    second = np.where(gate, (draws[at + 4] * n_cats).astype(np.int64) % n_cats, first)
+    price = _round_each(20.0 + 180.0 * draws[at + 4 + gate], 2)
+    providers = [f"provider-{p:02d}" for p in range(provider_count)]
+    # (first, second) category index -> (categories, description suffix)
+    labels: dict[tuple[int, int], tuple[frozenset[str], str]] = {}
+    items: list[Item] = []
+    for i, pair in enumerate(zip(first.tolist(), second.tolist())):
+        label = labels.get(pair)
         if label is None:
-            chosen = frozenset((cats[first], cats[second]))
-            label = labels[first, second] = (chosen, ", ".join(sorted(chosen)))
+            chosen = frozenset((cats[pair[0]], cats[pair[1]]))
+            label = labels[pair] = (chosen, ", ".join(sorted(chosen)))
         items.append(
             Item(
                 f"item-{i:03d}",
                 providers[i % provider_count],
                 label[0],
-                popularity,
-                sustainability,
-                {"price": price},
+                popularity[i],
+                sustainability[i],
+                {"price": price[i]},
                 f"synthetic item {i}: {label[1]}",
             )
         )
     return Catalog(items)
+
+
+def _round_each(x: np.ndarray, ndigits: int) -> list[float]:
+    """``[round(float(v), ndigits) for v in x]``, bit for bit, mostly in numpy.
+
+    ``round`` is correctly rounded: it rounds the exact value of ``v`` times
+    ``10**ndigits`` to an integer ``K`` and returns the float nearest to
+    ``K / 10**ndigits``.  ``np.rint(x * s) / s`` with ``s = 10**ndigits``
+    gets that float whenever it finds the same ``K``, since ``s`` is exact
+    and IEEE division is correctly rounded.  It can find another ``K`` only
+    when the exact product lies within the product's rounding error,
+    ``|x * s| * 2**-53``, of a half: ``round(2.5e-06, 6)`` is ``3e-06`` but
+    ``rint`` gives ``2e-06``.  So each value whose scaled fraction lies within
+    1e-6 of one half goes through ``round`` instead.  That band covers the
+    error only while ``|x * s| < 2**31``, where the error is below 2.4e-7;
+    values outside that domain, NaN included, raise ``ValueError``.
+    """
+    s = float(10**ndigits)
+    scaled = x * s
+    if not np.all(np.abs(scaled) < float(2**31)):
+        raise ValueError(f"_round_each needs |x * 10**{ndigits}| < 2**31")
+    out = (np.rint(scaled) / s).tolist()
+    near_half = np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6
+    for j in np.flatnonzero(near_half).tolist():
+        out[j] = round(float(x[j]), ndigits)
+    return out
 
 
 def generate_synthetic(

@@ -225,7 +225,8 @@ def l_half_balance(per_agent_fairness: Sequence[float]) -> float:
     for f in per_agent_fairness:
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"fairness value {f} outside [0, 1]")
-    return left_sum(math.sqrt(f) for f in per_agent_fairness) ** 2
+    root_sum = left_sum(math.sqrt(f) for f in per_agent_fairness)
+    return root_sum * root_sum
 
 
 def relevance_scores(query: Query, catalog: Catalog) -> tuple[np.ndarray, np.ndarray]:
@@ -338,6 +339,8 @@ def evaluate_metric(
             return None
         return normalized_entropy([v / total for v in values])
     if metric in (MetricId.KL_DIV, MetricId.JS_DIV):
+        if not query.user_history:
+            return None
         dists = category_distributions(query.user_history, final_list, catalog)
         if dists is None:
             return None

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import math
 import re
 import string
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -354,12 +356,14 @@ class TestLoadInteractions:
 
 
 def reference_catalog(item_count, provider_count, categories, seed):
-    """``generate_catalog`` as one ``uniform()`` call per draw."""
+    """``generate_catalog`` as one ``uniform()`` call per draw, squaring by
+    the IEEE product and rounding by ``round``, as FORMATS.md specifies."""
     rng = PortableRng(seed ^ CATALOG_SEED_GAMMA)
     cats = list(categories)
     items: list[Item] = []
     for i in range(item_count):
-        popularity = round(rng.uniform() ** 2, 6)
+        u = rng.uniform()
+        popularity = round(u * u, 6)
         sustainability = round(rng.uniform(), 6)
         chosen = {cats[int(rng.uniform() * len(cats)) % len(cats)]}
         if rng.uniform() < 0.4:
@@ -444,6 +448,23 @@ class TestGeneratorsMatchScalarReference:
         assert item_fields(got) == item_fields(want)
         assert catalog_hash(got) == catalog_hash(want)
 
+    @pytest.mark.parametrize(
+        "item_count, seeds",
+        [(1, (0, 1, 2)), (3, (0, 5, -7)), (200, (0, 7, 11)), (2000, (0, 7, 11)), (20000, (7, 11))],
+    )
+    def test_catalog_at_workload_sizes(self, item_count, seeds):
+        provider_count = max(1, item_count // 10)
+        for seed in seeds:
+            got = generate_catalog(item_count, provider_count, seed=seed)
+            want = reference_catalog(item_count, provider_count, dataio.DEFAULT_CATEGORIES, seed)
+            assert item_fields(got) == item_fields(want)
+            assert catalog_hash(got) == catalog_hash(want)
+            assert all(
+                type(v) is float
+                for it in got.items_sorted()
+                for v in (it.popularity, it.sustainability, it.attributes["price"])
+            )
+
     def test_catalog_hash_pinned_past_item_999(self):
         # recorded from the one-draw-at-a-time generator
         assert catalog_hash(generate_catalog(1200, 7, seed=3)) == (
@@ -484,6 +505,62 @@ class TestGeneratorsMatchScalarReference:
         assert [list(q.preference_weights.items()) for q in got] == [
             list(q.preference_weights.items()) for q in want
         ]
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def _near_halves(n, ks):
+    """``(k + 0.5) / 10**n`` for each k and its neighbours 1 to 4 ulps away."""
+    out = []
+    for k in ks:
+        mid = (k + 0.5) / 10**n
+        out.append(mid)
+        for direction in (math.inf, -math.inf):
+            v = mid
+            for _ in range(4):
+                v = math.nextafter(v, direction)
+                out.append(v)
+    return out
+
+
+class TestRoundEach:
+    """``_round_each`` is ``round`` applied to each value, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1), st.just(6)),
+            st.tuples(st.lists(st.floats(20.0, 200.0, exclude_max=True), min_size=1), st.just(2)),
+        )
+    )
+    def test_equals_round(self, case):
+        values, ndigits = case
+        got = dataio._round_each(np.array(values), ndigits)
+        assert _hexes(got) == _hexes(round(v, ndigits) for v in values)
+        assert all(type(v) is float for v in got)
+
+    @pytest.mark.parametrize(
+        "ndigits, ks",
+        [
+            # 2.5e-06 and 3.5e-06, then a spread over [0, 1); round(2.5e-06, 6)
+            # is 3e-06 but rint of the scaled product gives 2e-06
+            (6, [*range(0, 40), *range(40, 10**6, 997), 999_999]),
+            # every half-cent in [20, 200), 20.055 and 20.075 among them;
+            # round(20.055, 2) is 20.05 but rint gives 20.06
+            (2, range(2000, 20000)),
+        ],
+    )
+    def test_equals_round_next_to_halves(self, ndigits, ks):
+        values = _near_halves(ndigits, ks)
+        got = dataio._round_each(np.array(values), ndigits)
+        assert _hexes(got) == _hexes(round(v, ndigits) for v in values)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2148.0, -2148.0])
+    def test_refuses_values_outside_its_domain(self, value):
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            dataio._round_each(np.array([0.5, value]), 6)
 
 
 class TestGenerateCatalog:

@@ -226,6 +226,11 @@ class TestLHalfBalance:
         with pytest.raises(ValueError):
             l_half_balance([1.5])
 
+    def test_squares_by_correctly_rounded_product(self):
+        # the exact square lies 0.498 ulp from this float; glibc's pow
+        # returns the neighbour 0.502 ulp away
+        assert l_half_balance([0.2671735203967178]).hex() == "0x1.1195ef71d8287p-2"
+
 
 class TestCodomain:
     def test_every_metric_has_a_codomain(self):
@@ -325,6 +330,19 @@ class TestEvaluateMetric:
         q = Query(id="q", top_n=2)
         assert evaluate_metric(MetricId.KL_DIV, q, ["a"], cat, {}) is None
         assert evaluate_metric(MetricId.POP_LIFT, q, ["a"], cat, {}) is None
+
+    @pytest.mark.parametrize("metric", [MetricId.KL_DIV, MetricId.JS_DIV])
+    def test_divergences_skip_profiles_without_history(self, metric):
+        q = Query(id="q", top_n=2)
+        with mock.patch.object(metrics, "category_distributions", side_effect=AssertionError):
+            assert evaluate_metric(metric, q, ["c", "a"], _catalog(), {}) is None
+
+    @pytest.mark.parametrize(
+        "metric, value", [(MetricId.KL_DIV, "0x1.c7b7904feb5e1p+3"), (MetricId.JS_DIV, "0x1.b37d8a6c25498p-2")]
+    )
+    def test_divergences_from_history(self, metric, value):
+        q = Query(id="q", user_history=("a", "b"), top_n=2)
+        assert evaluate_metric(metric, q, ["c", "a"], _catalog(), {}).hex() == value
 
     def test_poplift_from_history(self):
         cat = _catalog()
