@@ -111,7 +111,9 @@ def _candidates_prefix(catalog: Catalog) -> bytes:
 
     ``build_request`` keeps these leading bytes in ``Catalog.derived``.
     """
-    candidates = [{"id": i, "description": catalog[i].description} for i in catalog.ids]
+    candidates = [
+        {"id": i, "description": d} for i, d in zip(catalog.ids, catalog.columns.descriptions)
+    ]
     return (_CANDIDATES_KEY + json.dumps(candidates, sort_keys=True)).encode("utf-8")
 
 

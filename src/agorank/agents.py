@@ -104,14 +104,15 @@ def generate_relevance(query: Query, catalog: Catalog, k: int) -> Ballot:
     if not ranking:
         justification = "all items violate the query constraints"
     else:
-        top = catalog[ranking[0]]
         matched = sorted(
-            c for c in top.categories if query.preference_weights.get(c, 0.0) > 0
+            c
+            for c in catalog.columns.categories[order[0]]
+            if query.preference_weights.get(c, 0.0) > 0
         )
         if matched:
-            justification = f"top pick {top.id} matches: {', '.join(matched)}"
+            justification = f"top pick {ranking[0]} matches: {', '.join(matched)}"
         else:
-            justification = f"top pick {top.id} matches no weighted category"
+            justification = f"top pick {ranking[0]} matches no weighted category"
     return Ballot(agent_id="", ranking=ranking, justification=justification)
 
 
@@ -125,12 +126,12 @@ def generate_provider_exposure(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    codes = catalog.columns.provider_codes
     provider_exposure = np.array([ledger.get(p) for p in catalog.providers], dtype=float)
-    exposure = provider_exposure[catalog.columns.provider_codes]
-    order = np.argsort(exposure, kind="stable")[:k]
+    order = np.argsort(provider_exposure[codes], kind="stable")[:k]
     ranking = tuple(catalog.ids[i] for i in order.tolist())
     if ranking:
-        top_provider = catalog.provider_of(ranking[0])
+        top_provider = catalog.providers[codes[order[0]]]
         justification = (
             f"promoting provider {top_provider} "
             f"(cumulative exposure {ledger.get(top_provider):.6f})"
@@ -164,7 +165,7 @@ def generate_popularity_mitigation(query: Query, catalog: Catalog, k: int) -> Ba
     order = catalog.derived(_mitigation_order)[:k]
     ranking = tuple(catalog.ids[i] for i in order.tolist())
     if ranking:
-        mean_pop = left_sum(catalog[i].popularity for i in ranking) / len(ranking)
+        mean_pop = left_sum(catalog.columns.popularity[order].tolist()) / len(ranking)
         justification = f"mean popularity of slate: {mean_pop:.6f}"
     else:
         justification = "catalog is empty"

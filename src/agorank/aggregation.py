@@ -25,7 +25,7 @@ import heapq
 import itertools
 import random
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -118,51 +118,44 @@ def pairwise_tally(profile: PreferenceProfile, use_weights: bool = True) -> Pair
     return PairwiseTally(pool=pool, matrix=support)
 
 
-def _score_tie_events(totals: Mapping[str, float], label: str) -> tuple[TieEvent, ...]:
-    by_score: dict[float, list[str]] = {}
-    for item, score in totals.items():
-        by_score.setdefault(score, []).append(item)
-    events = []
-    for score in sorted(by_score, reverse=True):
-        group = sorted(by_score[score])
-        if len(group) > 1:
-            events.append(
-                TieEvent(
-                    description=f"{label} score tie at {score:.6f}: {', '.join(group)}",
-                    resolution="id order",
-                )
-            )
-    return tuple(events)
-
-
 def _borda_totals(profile: PreferenceProfile, use_weights: bool) -> dict[str, float]:
     pool = profile.pool
     m = len(pool)
-    totals = {item: 0.0 for item in pool}
+    totals = dict.fromkeys(pool, 0.0)
+    # each item's additions come in ballot order, whatever the order over items
+    unranked_of = set(pool).difference
     for ballot in profile.ballots:
         w = round(ballot.weight * 2**24) / 2**24 if use_weights else 1.0
         if w == 0.0:
             continue
-        ranked = set(ballot.ranking)
-        for i, item in enumerate(ballot.ranking):
-            totals[item] += w * (m - 1 - i)
-        u = m - len(ranked)
+        for points, item in enumerate(reversed(ballot.ranking), m - len(ballot.ranking)):
+            totals[item] += w * points
+        u = m - len(ballot.ranking)
         if u > 0:
             # the u lowest scores are 0..u-1; their mean preserves score mass
-            fill = (u - 1) / 2.0
-            for item in pool:
-                if item not in ranked:
-                    totals[item] += w * fill
+            fill = w * ((u - 1) / 2.0)
+            for item in unranked_of(ballot.ranking):
+                totals[item] += fill
     return totals
 
 
 def _by_score(
     scores: Mapping[str, float], label: str, trace: list[TieEvent] | None
 ) -> tuple[str, tuple[str, ...], Mapping[str, float]]:
-    """Highest score first, ties by id; score ties go to ``trace``."""
+    """Highest score first, ties by id; each group of equal scores goes to ``trace``."""
+    # a stable sort keeps the id order of equal scores, reverse=True included
+    order = tuple(sorted(sorted(scores), key=scores.__getitem__, reverse=True))
     if trace is not None:
-        trace.extend(_score_tie_events(scores, label))
-    return label, tuple(sorted(scores, key=lambda item: (-scores[item], item))), scores
+        for score, group in itertools.groupby(order, key=scores.__getitem__):
+            group = list(group)
+            if len(group) > 1:
+                trace.append(
+                    TieEvent(
+                        description=f"{label} score tie at {score:.6f}: {', '.join(group)}",
+                        resolution="id order",
+                    )
+                )
+    return label, order, scores
 
 
 def _borda(profile, config, memo, trace):
@@ -178,21 +171,26 @@ def _copeland(profile, config, memo, trace):
 
 
 def _result(
-    body, profile: PreferenceProfile, config: RuleConfig, memo: KemenyMemo | None = None
+    body,
+    profile: PreferenceProfile,
+    config: RuleConfig,
+    memo: KemenyMemo | None = None,
+    with_influence: bool = False,
 ) -> AggregateResult:
     """Run a rule body with a trace and wrap what it returns.
 
     A body takes (profile, config, memo, trace) and returns (rule label,
     consensus, scores).  It appends its tie events to ``trace``, and builds
     none when ``trace`` is None, as the leave-one-out reruns and Kemeny's
-    Borda start call it.
+    Borda start call it.  With ``with_influence`` the result carries
+    ``influence_loo`` of the consensus, which shares ``memo``.
     """
     trace: list[TieEvent] = []
     rule, consensus, scores = body(profile, config, memo, trace)
     return AggregateResult(
         rule=rule,
         consensus=consensus,
-        influence={},
+        influence=influence_loo(profile, config, consensus, memo) if with_influence else {},
         tiebreak_trace=tuple(trace),
         scores=scores,
     )
@@ -663,8 +661,7 @@ def influence_loo(
         # zero-weight ballots, which from_ballots rightly rejects
         sub_profile = PreferenceProfile(ballots=remaining, pool=sub_pool)
         _, sub_consensus, _ = body(sub_profile, config, memo, None)
-        common = set(sub_pool)
-        restricted = tuple(item for item in consensus if item in common)
+        restricted = tuple(filter(set(sub_pool).__contains__, consensus))
         _, normalized = kendall_tau(restricted, sub_consensus)
         influence[agent] = normalized
     return influence
@@ -681,5 +678,4 @@ def aggregate(
     fresh memo for this call only.
     """
     memo = KemenyMemo() if memo is None else memo
-    result = _result(_RULES[config.rule], profile, config, memo)
-    return replace(result, influence=influence_loo(profile, config, result.consensus, memo))
+    return _result(_RULES[config.rule], profile, config, memo, with_influence=True)

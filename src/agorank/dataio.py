@@ -342,7 +342,8 @@ def generate_catalog(
     each item's first draw; every field is then a numpy column gathered at
     those offsets, with IEEE products and ``_round_each``, so each value is
     the float that the per-draw loop FORMATS.md specifies gives with
-    Python's ``round``.  Only the ``Item`` objects are built per item.
+    Python's ``round``.  The columns go to ``Catalog.from_columns`` as they
+    are; no ``Item`` is built.
     """
     if item_count < 1 or provider_count < 1 or not categories:
         raise ValueError("need item_count >= 1, provider_count >= 1, categories non-empty")
@@ -367,24 +368,24 @@ def generate_catalog(
     providers = [f"provider-{p:02d}" for p in range(provider_count)]
     # (first, second) category index -> (categories, description suffix)
     labels: dict[tuple[int, int], tuple[frozenset[str], str]] = {}
-    items: list[Item] = []
+    item_categories: list[frozenset[str]] = []
+    descriptions: list[str] = []
     for i, pair in enumerate(zip(first.tolist(), second.tolist())):
         label = labels.get(pair)
         if label is None:
             chosen = frozenset((cats[pair[0]], cats[pair[1]]))
             label = labels[pair] = (chosen, ", ".join(sorted(chosen)))
-        items.append(
-            Item(
-                f"item-{i:03d}",
-                providers[i % provider_count],
-                label[0],
-                popularity[i],
-                sustainability[i],
-                {"price": price[i]},
-                f"synthetic item {i}: {label[1]}",
-            )
-        )
-    return Catalog(items)
+        item_categories.append(label[0])
+        descriptions.append(f"synthetic item {i}: {label[1]}")
+    return Catalog.from_columns(
+        [f"item-{i:03d}" for i in range(item_count)],
+        [providers[i % provider_count] for i in range(item_count)],
+        item_categories,
+        popularity,
+        sustainability,
+        {"price": price},
+        descriptions,
+    )
 
 
 def _round_each(x: np.ndarray, ndigits: int) -> list[float]:
@@ -602,6 +603,22 @@ def _parse_number_map(raw: object, path: str) -> dict[str, float]:
     return out
 
 
+def _expect_finite(v: object, path: str) -> float:
+    number = _expect_number(v, path)
+    if not math.isfinite(number):
+        raise SchemaError(f"{path}: expected a finite number")
+    return number
+
+
+def _finite_map(raw: object, path: str) -> dict[str, float]:
+    """A number map whose values are finite."""
+    numbers = _parse_number_map(raw, path)
+    for key, number in numbers.items():
+        if not math.isfinite(number):
+            raise SchemaError(f"{path}.{key}: expected a finite number")
+    return numbers
+
+
 def _weight_map(raw: object, path: str) -> dict[str, float]:
     """A number map whose values are finite and at least 0."""
     weights = _parse_number_map(raw, path)
@@ -614,7 +631,7 @@ def _weight_map(raw: object, path: str) -> dict[str, float]:
 _CONSTRAINT = (
     _Field("attribute", _expect_str),
     _Field("direction", _expect_str),
-    _Field("value", _expect_number),
+    _Field("value", _expect_finite),
 )
 
 
@@ -698,7 +715,7 @@ _ITEM = (
     _Field("categories", _expect_str_list, []),
     _Field("popularity", _expect_number, 0.5),
     _Field("sustainability", _expect_number, 0.5),
-    _Field("attributes", _parse_number_map, {}),
+    _Field("attributes", _finite_map, {}),
     _Field("description", _expect_str, ""),
 )
 

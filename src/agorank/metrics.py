@@ -191,13 +191,14 @@ def poplift(
     """
     if not profile_items:
         raise UndefinedBaseline("empty interaction profile")
-    base = left_sum(catalog[i].popularity for i in profile_items) / len(profile_items)
+    popularity = catalog.columns.popularity
+    base = left_sum(popularity[catalog.positions(profile_items)].tolist()) / len(profile_items)
     if base == 0.0:
         raise UndefinedBaseline("historical mean popularity is zero")
     if not rec_items:
         rec_mean = 0.0
     else:
-        rec_mean = left_sum(catalog[i].popularity for i in rec_items) / len(rec_items)
+        rec_mean = left_sum(popularity[catalog.positions(rec_items)].tolist()) / len(rec_items)
     return (rec_mean - base) / base
 
 
@@ -279,9 +280,10 @@ def category_distributions(
     None when either side carries no category mass, or when the support is a
     single category (no distribution to compare).
     """
+    categories = catalog.columns.categories
     support: set[str] = set()
-    for item_id in list(history) + list(final_list):
-        support.update(catalog[item_id].categories)
+    for pos in catalog.positions(list(history) + list(final_list)):
+        support.update(categories[pos])
     cats = sorted(support)
     if len(cats) < 2:
         return None
@@ -289,8 +291,8 @@ def category_distributions(
     def freq(ids: Sequence[str]) -> tuple[float, ...] | None:
         counts = {c: 0 for c in cats}
         total = 0
-        for item_id in ids:
-            for c in catalog[item_id].categories:
+        for pos in catalog.positions(ids):
+            for c in categories[pos]:
                 counts[c] += 1
                 total += 1
         if total == 0:

@@ -2,13 +2,19 @@
 
 All types are immutable values after construction and all operations are pure
 functions apart from one memo: ``Catalog.derived`` keeps data computed from a
-catalog.  That is sound because a catalog never changes and every derived value
-is immutable or read-only.  So all of it is safe to evaluate concurrently
+catalog (its hash, the adapter's candidate prefix, the mitigation order).
+That is sound because a catalog never changes and every derived value is
+immutable or read-only.  So all of it is safe to evaluate concurrently
 without coordination.
+
+A ``Catalog`` stores its items only as columns (``CatalogColumns``), built
+once at construction; the ``Item`` values it hands out are built from a row
+on each call.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -39,7 +45,9 @@ class Item:
     """One catalog entry; the unit every recommendation is grounded in.
 
     ``popularity`` and ``sustainability`` are normalized to [0, 1];
-    ``attributes`` holds any further named numeric facts (price, rating, ...).
+    ``attributes`` holds any further named numeric facts (price, rating, ...),
+    each finite.  The three are stored as floats, the values a catalog's
+    float64 columns give back, so an item equals its row in any catalog.
     """
 
     id: str
@@ -59,25 +67,53 @@ class Item:
             raise ValueError(
                 f"item {self.id}: sustainability {self.sustainability} outside [0, 1]"
             )
-        object.__setattr__(self, "categories", frozenset(self.categories))
-        object.__setattr__(self, "attributes", dict(self.attributes))
+        attributes = dict(self.attributes)
+        for name, value in attributes.items():
+            if type(value) is not float or not math.isfinite(value):
+                attributes[name] = _finite(value, f"item {self.id}: attribute {name!r}")
+        object.__setattr__(self, "attributes", attributes)
+        # a catalog builds an item from every row it hands out, and its rows
+        # hold floats and shared frozensets already: skip what would not change
+        if type(self.categories) is not frozenset:
+            object.__setattr__(self, "categories", frozenset(self.categories))
+        if type(self.popularity) is not float:
+            object.__setattr__(self, "popularity", float(self.popularity))
+        if type(self.sustainability) is not float:
+            object.__setattr__(self, "sustainability", float(self.sustainability))
+
+
+def _finite(value: float, what: str) -> float:
+    """``value`` as a float, or ``ValueError`` naming ``what`` when it is NaN,
+    infinite or an integer too large for a float."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{what}: {value!r} is not a finite number")
+    return float(value)
 
 
 @dataclass(frozen=True)
 class CatalogColumns:
-    """Item fields as numpy arrays in catalog id order, for whole-catalog scans.
+    """Every item field in catalog id order: numpy arrays for whole-catalog
+    scans, tuples for the per-item values that are not numbers.
 
-    ``incidence[c][i]`` is True when item i carries category c;
-    ``attributes[a][i]`` is NaN when item i has no attribute a, so that every
-    comparison with it is False; ``provider_codes[i]`` indexes
-    ``Catalog.providers``.
+    ``provider_codes[i]`` indexes ``Catalog.providers``.  ``categories[i]``
+    is item i's category set, one frozenset shared by the items whose sets
+    are equal, and ``incidence[c][i]`` is True when item i carries category
+    c.  ``attributes[a][i]`` is NaN when item i has no attribute a, so that
+    every comparison with it is False; an attribute itself is never NaN.
+    Every array is read-only.
     """
 
+    provider_codes: np.ndarray
+    categories: tuple[frozenset[str], ...]
     incidence: Mapping[str, np.ndarray]
     popularity: np.ndarray
     sustainability: np.ndarray
     attributes: Mapping[str, np.ndarray]
-    provider_codes: np.ndarray
+    descriptions: tuple[str, ...]
 
     def constraint_values(self, attribute: str) -> np.ndarray | None:
         """The column ``Constraint.satisfied_by`` reads, None if no item has it."""
@@ -89,50 +125,169 @@ class CatalogColumns:
 
 
 class Catalog:
-    """Immutable id-indexed collection of items with a provider index.
+    """Immutable id-indexed collection of items, stored as columns.
 
-    Data derived from the items, such as ``columns`` or the catalog hash, is
-    computed on first use and kept by ``derived``; that is sound only because
-    neither the catalog nor its items change after construction and every
-    derived value is immutable or read-only.
+    ``columns`` holds every item field in id order and is the only copy of
+    the items: ``catalog[item_id]`` and ``items_sorted()`` build ``Item``
+    values from it when called and keep none, so per-query code reads the
+    columns by position (``positions``).  ``Catalog(items)`` converts the
+    items; ``Catalog.from_columns`` takes columns in any row order, as
+    ``generate_catalog`` computes them.  Both run ``Item``'s checks on the
+    columns.
+
+    Data computed from the catalog, such as its hash, is computed on first
+    use and kept by ``derived``; that is sound only because the catalog never
+    changes after construction and every derived value is immutable or
+    read-only.
     """
 
     def __init__(self, items: Iterable[Item]):
-        self._items: dict[str, Item] = {}
-        by_provider: dict[str, list[str]] = {}
-        for item in items:
-            if item.id in self._items:
-                raise DuplicateItemId(f"duplicate item id: {item.id}")
-            self._items[item.id] = item
-            by_provider.setdefault(item.provider_id, []).append(item.id)
-        self._provider_index = {p: tuple(sorted(ids)) for p, ids in by_provider.items()}
-        self._providers = tuple(sorted(self._provider_index))
-        self._sorted_ids = tuple(sorted(self._items))
+        items = list(items)
+        cells: dict[str, tuple[list[int], list[float]]] = {}
+        for row, item in enumerate(items):
+            for name, value in item.attributes.items():
+                rows, values = cells.setdefault(name, ([], []))
+                rows.append(row)
+                values.append(value)
+        attributes = {}
+        for name, (rows, values) in cells.items():
+            attributes[name] = np.full(len(items), np.nan)
+            attributes[name][rows] = values
+        self._fill(
+            [it.id for it in items],
+            [it.provider_id for it in items],
+            [it.categories for it in items],
+            [it.popularity for it in items],
+            [it.sustainability for it in items],
+            attributes,
+            [it.description for it in items],
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        ids: Sequence[str],
+        provider_ids: Sequence[str],
+        categories: Sequence[frozenset[str]],
+        popularity: Sequence[float],
+        sustainability: Sequence[float],
+        attributes: Mapping[str, Sequence[float]],
+        descriptions: Sequence[str],
+    ) -> Catalog:
+        """The catalog of the items whose fields are row ``r`` of each column.
+
+        Rows may come in any order.  An attribute column holds NaN where the
+        item has no such attribute.
+        """
+        catalog = cls.__new__(cls)
+        catalog._fill(
+            ids, provider_ids, categories, popularity, sustainability, attributes, descriptions
+        )
+        return catalog
+
+    def _fill(
+        self,
+        ids: Sequence[str],
+        provider_ids: Sequence[str],
+        categories: Sequence[frozenset[str]],
+        popularity: Sequence[float],
+        sustainability: Sequence[float],
+        attributes: Mapping[str, Sequence[float]],
+        descriptions: Sequence[str],
+    ) -> None:
+        """Sort the rows by id, check them as ``Item`` does, and store the columns."""
+        n = len(ids)
+        order = sorted(range(n), key=ids.__getitem__)
+        self._ids = tuple([ids[r] for r in order])
+        self._position = dict(zip(self._ids, range(n)))
+        if len(self._position) != n:
+            seen: set[str] = set()
+            for item_id in ids:
+                if item_id in seen:
+                    raise DuplicateItemId(f"duplicate item id: {item_id}")
+                seen.add(item_id)
+        if "" in self._position:
+            raise ValueError("item id must be non-empty")
+        rows = np.array(order, dtype=np.intp)
+        popularity = np.asarray(popularity, dtype=float)[rows]
+        sustainability = np.asarray(sustainability, dtype=float)[rows]
+        for name, column in (("popularity", popularity), ("sustainability", sustainability)):
+            outside = np.flatnonzero(~((column >= 0.0) & (column <= 1.0)))
+            if outside.size:
+                at = int(outside[0])
+                raise ValueError(
+                    f"item {self._ids[at]}: {name} {column.item(at)} outside [0, 1]"
+                )
+        attributes = {name: np.asarray(column, dtype=float)[rows]
+                      for name, column in attributes.items()}
+        for name, column in attributes.items():
+            infinite = np.flatnonzero(np.isinf(column))
+            if infinite.size:
+                at = int(infinite[0])
+                raise ValueError(
+                    f"item {self._ids[at]}: attribute {name!r}: "
+                    f"{column.item(at)!r} is not a finite number"
+                )
+        self._providers = tuple(sorted(set(provider_ids)))
+        code_of = {p: c for c, p in enumerate(self._providers)}
+        # equal category sets share one frozenset, the first met; a label per
+        # row numbers its set
+        row_sets = list(map(frozenset, [categories[r] for r in order]))
+        label_of = {s: label for label, s in enumerate(dict.fromkeys(row_sets))}
+        sets = list(label_of)
+        labels = np.fromiter(map(label_of.__getitem__, row_sets), dtype=np.intp, count=n)
+        incidence = {}
+        for category in sorted(set().union(*sets)):
+            incidence[category] = np.array([category in s for s in sets], dtype=bool)[labels]
+        self._columns = CatalogColumns(
+            provider_codes=np.array([code_of[provider_ids[r]] for r in order], dtype=np.intp),
+            categories=tuple(map(sets.__getitem__, labels.tolist())),
+            incidence=incidence,
+            popularity=popularity,
+            sustainability=sustainability,
+            attributes=attributes,
+            descriptions=tuple([descriptions[r] for r in order]),
+        )
+        # every caller shares these arrays, so none may write to them
+        for array in (
+            self._columns.provider_codes,
+            *incidence.values(),
+            popularity,
+            sustainability,
+            *attributes.values(),
+        ):
+            array.flags.writeable = False
         self._derived: dict[Callable[[Catalog], object], object] = {}
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._ids)
 
     def __contains__(self, item_id: str) -> bool:
-        return item_id in self._items
+        return item_id in self._position
 
     def __getitem__(self, item_id: str) -> Item:
-        return self._items[item_id]
+        """The item ``item_id``, built from its row; ``KeyError`` if absent."""
+        return self._row(self._position[item_id])
 
     @property
     def ids(self) -> tuple[str, ...]:
-        """All item ids, sorted ascending."""
-        return self._sorted_ids
+        """All item ids, sorted ascending; an item's position is its index here."""
+        return self._ids
 
     @property
     def providers(self) -> tuple[str, ...]:
-        """All provider ids, sorted ascending."""
+        """The ids of the providers that own an item, sorted ascending."""
         return self._providers
 
     @property
     def columns(self) -> CatalogColumns:
-        """Numpy columns of the items in id order, built on first access."""
-        return self.derived(_build_columns)
+        """Every item field, in id order."""
+        return self._columns
+
+    def positions(self, item_ids: Iterable[str]) -> list[int]:
+        """The position in ``ids`` of each of ``item_ids``; ``KeyError`` for an unknown id."""
+        position = self._position
+        return [position[i] for i in item_ids]
 
     def derived(self, build: Callable[[Catalog], T]) -> T:
         """``build(self)``, computed on the first call for ``build`` and then kept.
@@ -145,54 +300,28 @@ class Catalog:
             return self._derived.setdefault(build, build(self))
 
     def items_sorted(self) -> list[Item]:
-        return [self._items[i] for i in self._sorted_ids]
-
-    def provider_items(self, provider_id: str) -> tuple[str, ...]:
-        return self._provider_index.get(provider_id, ())
+        """Every item in id order, each built from its row."""
+        return [self._row(pos) for pos in range(len(self._ids))]
 
     def provider_of(self, item_id: str) -> str:
-        return self._items[item_id].provider_id
+        return self._providers[self._columns.provider_codes.item(self._position[item_id])]
 
-
-def _build_columns(catalog: Catalog) -> CatalogColumns:
-    """Numpy columns of the items in id order, every array read-only."""
-    items = catalog.items_sorted()
-    n = len(items)
-    category_rows: dict[str, list[int]] = {}
-    attribute_cells: dict[str, tuple[list[int], list[float]]] = {}
-    for i, item in enumerate(items):
-        for cat in item.categories:
-            category_rows.setdefault(cat, []).append(i)
-        for name, value in item.attributes.items():
-            rows, values = attribute_cells.setdefault(name, ([], []))
-            rows.append(i)
-            values.append(value)
-    incidence = {}
-    for cat, rows in category_rows.items():
-        incidence[cat] = np.zeros(n, dtype=bool)
-        incidence[cat][rows] = True
-    attributes = {}
-    for name, (rows, values) in attribute_cells.items():
-        attributes[name] = np.full(n, np.nan)
-        attributes[name][rows] = values
-    code_of = {p: c for c, p in enumerate(catalog.providers)}
-    columns = CatalogColumns(
-        incidence=incidence,
-        popularity=np.array([it.popularity for it in items], dtype=float),
-        sustainability=np.array([it.sustainability for it in items], dtype=float),
-        attributes=attributes,
-        provider_codes=np.array([code_of[it.provider_id] for it in items], dtype=np.intp),
-    )
-    # every caller shares these arrays, so none may write to them
-    for array in (
-        *incidence.values(),
-        *attributes.values(),
-        columns.popularity,
-        columns.sustainability,
-        columns.provider_codes,
-    ):
-        array.flags.writeable = False
-    return columns
+    def _row(self, pos: int) -> Item:
+        columns = self._columns
+        attributes = {}
+        for name, column in columns.attributes.items():
+            value = column.item(pos)
+            if not math.isnan(value):
+                attributes[name] = value
+        return Item(
+            self._ids[pos],
+            self._providers[columns.provider_codes.item(pos)],
+            columns.categories[pos],
+            columns.popularity.item(pos),
+            columns.sustainability.item(pos),
+            attributes,
+            columns.descriptions[pos],
+        )
 
 
 @dataclass(frozen=True)
@@ -211,6 +340,7 @@ class Constraint:
     def __post_init__(self):
         if self.direction not in ("<=", ">="):
             raise ValueError(f"constraint direction must be '<=' or '>=', got {self.direction!r}")
+        _finite(self.value, f"constraint on {self.attribute!r}: value")
 
     def satisfied_by(self, item: Item) -> bool:
         if self.attribute == "popularity":
@@ -383,17 +513,19 @@ def kendall_tau(a: Sequence[str], b: Sequence[str]) -> tuple[int, float]:
     Raises:
         PoolMismatch: if the rankings are not permutations of one set.
     """
-    if len(a) != len(b) or len(set(a)) != len(a) or set(a) != set(b):
-        raise PoolMismatch(f"rankings cover different pools: {list(a)} vs {list(b)}")
+    pos_b = {item: i for i, item in enumerate(b)}
     m = len(a)
+    if m != len(b) or len(pos_b) != m or pos_b.keys() != set(a):
+        raise PoolMismatch(f"rankings cover different pools: {list(a)} vs {list(b)}")
     if m <= 1:
         return 0, 0.0
-    pos_b = {item: i for i, item in enumerate(b)}
+    # each item of ``a`` is discordant with every earlier one that ``b`` puts after it
+    seen: list[int] = []
     count = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            if pos_b[a[i]] > pos_b[a[j]]:
-                count += 1
+    for i, item in enumerate(a):
+        pos = pos_b[item]
+        count += i - bisect.bisect(seen, pos)
+        bisect.insort(seen, pos)
     return count, count / math.comb(m, 2)
 
 

@@ -6,16 +6,23 @@ gained numpy columns.  The one change to the copies: the score is an explicit
 left-to-right ``total += w`` loop instead of ``sum()``, so the reference does
 not depend on how the interpreter sums floats.  Ballots must match exactly and
 relevance values bit for bit.
+
+The columns are the catalog's only copy of its items, so the last tests hold
+the rows built from them to the source items and their hash, and check that
+loading a synthetic scenario builds no ``Item`` at all.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agorank import dataio, model
+from agorank import dataio
 from agorank.agents import (
     ExposureLedger,
     generate_popularity_mitigation,
@@ -24,6 +31,8 @@ from agorank.agents import (
 )
 from agorank.metrics import relevance_map
 from agorank.model import Ballot, Catalog, Constraint, Item, Query
+
+import test_dataio
 
 
 def _reference_score(query: Query, item: Item) -> float:
@@ -229,13 +238,54 @@ def test_bundled_scenarios_match_the_per_item_loops():
             )
 
 
-def test_columns_are_built_on_first_use_only():
-    with mock.patch.object(model, "_build_columns", wraps=model._build_columns) as build:
-        Catalog([Item(id="a", provider_id="p", categories={"art"})])
-        scenario = dataio.load_scenario("builtin:synthetic-200")
-        assert build.call_count == 0
-        columns = scenario.catalog.columns
-        assert scenario.catalog.columns is columns
-        assert build.call_count == 1
-    assert not columns.popularity.flags.writeable
-    assert not columns.incidence[next(iter(columns.incidence))].flags.writeable
+def _reference_hash(items: list[Item]) -> str:
+    """The catalog hash as one dump of the source items' records in id order."""
+    records = [dataio._encode(it) for it in sorted(items, key=lambda it: it.id)]
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+# test_dataio's items add descriptions, free-form ids and attribute names
+_SOURCE_ITEMS = st.one_of(
+    _items(),
+    st.lists(test_dataio._items(with_attributes=True), max_size=6, unique_by=lambda i: i.id),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(items=_SOURCE_ITEMS)
+def test_rows_are_the_source_items(items):
+    catalog = Catalog(items)
+    for item in items:
+        assert catalog[item.id] == item
+    assert catalog.items_sorted() == sorted(items, key=lambda it: it.id)
+    assert dataio.catalog_hash(catalog) == _reference_hash(items)
+
+
+def test_columns_exist_from_construction_and_are_read_only():
+    catalog = dataio.load_scenario("builtin:synthetic-200").catalog
+    columns = catalog.columns
+    assert catalog.columns is columns
+    arrays = (
+        columns.provider_codes,
+        columns.popularity,
+        columns.sustainability,
+        *columns.incidence.values(),
+        *columns.attributes.values(),
+    )
+    assert len(arrays) > 4
+    assert not any(array.flags.writeable for array in arrays)
+    # rows are built on each call and never kept
+    assert catalog["item-000"] == catalog["item-000"]
+    assert catalog["item-000"] is not catalog["item-000"]
+
+
+def test_loading_a_synthetic_scenario_builds_no_item():
+    council = Path(__file__).parents[1] / "perfbench" / "scenarios" / "council-2k.json"
+    with mock.patch.object(
+        Item, "__post_init__", autospec=True, side_effect=Item.__post_init__
+    ) as built:
+        for source in ("builtin:synthetic-200", council):
+            catalog = dataio.load_scenario(source).catalog
+        assert built.call_count == 0
+        assert catalog["item-000"].id == "item-000"
+        assert built.call_count == 1

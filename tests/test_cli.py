@@ -400,6 +400,46 @@ _EDITS = st.tuples(
 )
 
 
+class TestNonFiniteItemAndConstraintValues:
+    """An item attribute or a constraint value that is no finite float exits 2
+    naming the field; these used to load, NaN failing every constraint."""
+
+    LITERALS = ["NaN", "Infinity", "-Infinity", "1e400"]
+
+    def run(self, tmp_path, text):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(text, encoding="utf-8")
+        return cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "rep")])
+
+    @staticmethod
+    def synthetic_doc():
+        return json.loads(
+            dataio.builtin_scenario_path("builtin:synthetic-200").read_text(encoding="utf-8")
+        )
+
+    @pytest.mark.parametrize("literal", LITERALS)
+    def test_item_attribute(self, tmp_path, capsys, literal):
+        (tmp_path / "catalog.json").write_text(
+            '[{"id": "i0", "provider_id": "p"},'
+            f' {{"id": "i1", "provider_id": "p", "attributes": {{"price": {literal}}}}}]',
+            encoding="utf-8",
+        )
+        doc = {**self.synthetic_doc(), "catalog": "catalog.json"}
+        assert self.run(tmp_path, json.dumps(doc)) == 2
+        err = capsys.readouterr().err
+        assert "error: item 1: attributes.price: expected a finite number" in err
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("literal", LITERALS)
+    def test_constraint_value(self, tmp_path, capsys, literal):
+        doc = self.synthetic_doc()
+        doc["personas"][0]["constraint_templates"][0]["value"] = "VALUE"
+        assert self.run(tmp_path, json.dumps(doc).replace('"VALUE"', literal)) == 2
+        err = capsys.readouterr().err
+        assert "error: personas[0].constraint_templates[0].value: expected a finite number" in err
+        assert not (tmp_path / "rep").exists()
+
+
 class TestPersonaWeights:
     """A persona weight that is no finite float exits 2 and names the field;
     these used to exit 1 with an internal error, or 0 with NaN read as 0."""

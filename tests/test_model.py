@@ -8,8 +8,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from agorank import adapter, agents, dataio, model
+from agorank import adapter, agents, dataio
 from agorank.errors import (
     DuplicateItemId,
     EmptyAfterGrounding,
@@ -50,11 +52,44 @@ class TestItem:
         with pytest.raises(ValueError):
             Item(id="", provider_id="p")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+    def test_non_finite_attribute_rejected(self, value):
+        with pytest.raises(ValueError, match="item x: attribute 'price': .* is not a finite number"):
+            Item(id="x", provider_id="p", attributes={"rating": 4.0, "price": value})
+
+    def test_numbers_are_held_as_floats(self):
+        # a catalog keeps float64 columns, so an item must hold what its row gives back
+        item = Item(id="x", provider_id="p", popularity=1, sustainability=0, attributes={"n": 3})
+        assert [type(v) for v in (item.popularity, item.sustainability, item.attributes["n"])] == [
+            float, float, float
+        ]
+        assert Catalog([item])["x"] == item
+
 
 class TestCatalog:
     def test_duplicate_id(self):
         with pytest.raises(DuplicateItemId):
             Catalog([Item(id="a", provider_id="p"), Item(id="a", provider_id="q")])
+
+    def test_from_columns_checks_what_item_checks(self):
+        def build(ids=("b", "a"), popularity=(0.5, 0.5), price=(1.0, np.nan)):
+            return Catalog.from_columns(
+                list(ids), ["p", "q"], [frozenset(), frozenset({"art"})],
+                np.array(popularity), np.array([0.5, 0.5]), {"price": np.array(price)}, ["", ""],
+            )
+
+        assert build().items_sorted() == [
+            Item(id="a", provider_id="q", categories={"art"}),
+            Item(id="b", provider_id="p", attributes={"price": 1.0}),
+        ]
+        with pytest.raises(DuplicateItemId, match="duplicate item id: a"):
+            build(ids=("a", "a"))
+        with pytest.raises(ValueError, match="item id must be non-empty"):
+            build(ids=("", "a"))
+        with pytest.raises(ValueError, match=r"item a: popularity nan outside \[0, 1\]"):
+            build(popularity=(0.5, math.nan))
+        with pytest.raises(ValueError, match="item b: attribute 'price': inf is not a finite"):
+            build(price=(math.inf, 1.0))
 
     def test_provider_index(self):
         cat = Catalog(
@@ -64,9 +99,6 @@ class TestCatalog:
                 Item(id="c", provider_id="p2"),
             ]
         )
-        assert cat.provider_items("p1") == ("a", "b")
-        assert cat.provider_items("p2") == ("c",)
-        assert cat.provider_items("ghost") == ()
         assert cat.providers == ("p1", "p2")
         assert cat.ids == ("a", "b", "c")
         assert cat.provider_of("c") == "p2"
@@ -97,12 +129,16 @@ class TestCatalogDerived:
 
     def test_threads_on_fresh_catalogs(self):
         # each round hands new catalogs to four threads at once, so they race on
-        # every first call; all must get one kept value, equal to a fresh build
-        builders = (model._build_columns, dataio._hash_catalog, adapter._candidates_prefix,
-                    agents._mitigation_order)
+        # every first call; all must get one kept value, equal to a fresh build.
+        # The columns exist from construction, so each thread must see the
+        # catalog's own, equal to those of a fresh catalog
+        builders = (dataio._hash_catalog, adapter._candidates_prefix, agents._mitigation_order)
 
         def derive(shared, results):
-            results.append([catalog.derived(build) for catalog in shared for build in builders])
+            results.append(
+                [catalog.columns for catalog in shared]
+                + [catalog.derived(build) for catalog in shared for build in builders]
+            )
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -118,7 +154,8 @@ class TestCatalogDerived:
                 assert len(results) == 4
                 for values in results[1:]:
                     assert all(v is w for v, w in zip(values, results[0], strict=True))
-                fresh = [build(catalog) for catalog in shared for build in builders]
+                fresh = [dataio.generate_catalog(40, 3, seed=seed).columns for seed in (3, 4)]
+                fresh += [build(catalog) for catalog in shared for build in builders]
                 for value, reference in zip(results[0], fresh, strict=True):
                     # columns compare field by field, the other values directly
                     np.testing.assert_equal(
@@ -146,6 +183,12 @@ class TestConstraint:
     def test_bad_direction(self):
         with pytest.raises(ValueError):
             Constraint("price", "<", 1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        # a NaN value used to make every item infeasible
+        with pytest.raises(ValueError, match="constraint on 'price': value: .* is not a finite"):
+            Constraint("price", "<=", value)
 
 
 class TestQuery:
@@ -254,6 +297,21 @@ class TestKendallTau:
             kendall_tau(("A", "B"), ("A", "C"))
         with pytest.raises(PoolMismatch):
             kendall_tau(("A", "B"), ("A", "B", "C"))
+        with pytest.raises(PoolMismatch):
+            kendall_tau(("A", "A"), ("A", "B"))
+        with pytest.raises(PoolMismatch):
+            kendall_tau(("A", "B"), ("A", "A"))
+
+    @given(
+        st.integers(2, 40).flatmap(
+            lambda m: st.tuples(st.permutations(range(m)), st.permutations(range(m)))
+        )
+    )
+    def test_counts_discordant_pairs(self, rankings):
+        a, b = rankings
+        where = {item: i for i, item in enumerate(b)}
+        count = sum(where[x] > where[y] for x, y in itertools.combinations(a, 2))
+        assert kendall_tau(a, b) == (count, count / math.comb(len(a), 2))
 
     def test_metric_properties_exhaustive(self):
         # symmetry, identity of indiscernibles, triangle inequality for m <= 4

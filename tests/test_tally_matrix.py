@@ -4,7 +4,8 @@ The references below are the plain form the library had before its tally
 became one matrix: ``support[a][b]`` summed ballot by ballot in nested
 dicts, each rule reading margins one pair at a time and building its tie
 events and scores, the Kemeny searches pricing one ranking at a time,
-and leave-one-out influence re-running the whole rule on each sub-profile.
+and leave-one-out influence re-running the whole rule on each sub-profile
+and counting its discordant pairs one by one.
 ``pairwise_tally`` must equal that tally bit for bit, and ``aggregate``
 must equal that pipeline in every field, with or without a shared memo.
 Both read each weight on the 2^-24 grid, so neither depends on the order
@@ -14,6 +15,7 @@ of the ballots, which the anonymity property checks.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import replace
 from typing import Mapping, Sequence
@@ -21,7 +23,6 @@ from typing import Mapping, Sequence
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agorank import aggregation
 from agorank.aggregation import KemenyMemo, Rule, RuleConfig, aggregate, pairwise_tally
 from agorank.errors import NoCandidates
 from agorank.model import (
@@ -30,7 +31,6 @@ from agorank.model import (
     PreferenceProfile,
     TieEvent,
     candidate_pool,
-    kendall_tau,
 )
 
 Support = Mapping[str, Mapping[str, float]]
@@ -57,18 +57,48 @@ def reference_support(profile: PreferenceProfile, use_weights: bool) -> Support:
     return support
 
 
+def _tie_events(scores: Mapping[str, float], rule: str) -> tuple[TieEvent, ...]:
+    by_score: dict[float, list[str]] = {}
+    for item, score in scores.items():
+        by_score.setdefault(score, []).append(item)
+    events = []
+    for score in sorted(by_score, reverse=True):
+        group = sorted(by_score[score])
+        if len(group) > 1:
+            events.append(
+                TieEvent(
+                    description=f"{rule} score tie at {score:.6f}: {', '.join(group)}",
+                    resolution="id order",
+                )
+            )
+    return tuple(events)
+
+
 def _by_score(rule: str, scores: dict[str, float]) -> AggregateResult:
     return AggregateResult(
         rule=rule,
         consensus=tuple(sorted(scores, key=lambda item: (-scores[item], item))),
         influence={},
-        tiebreak_trace=aggregation._score_tie_events(scores, rule),
+        tiebreak_trace=_tie_events(scores, rule),
         scores=scores,
     )
 
 
 def reference_borda(profile: PreferenceProfile, config: RuleConfig) -> AggregateResult:
-    return _by_score("borda", aggregation._borda_totals(profile, config.use_weights))
+    m = len(profile.pool)
+    totals = {item: 0.0 for item in profile.pool}
+    for ballot in profile.ballots:
+        w = round(ballot.weight * 2**24) / 2**24 if config.use_weights else 1.0
+        if w == 0.0:
+            continue
+        ranked = set(ballot.ranking)
+        for i, item in enumerate(ballot.ranking):
+            totals[item] += w * (m - 1 - i)
+        u = m - len(ranked)
+        for item in profile.pool:
+            if item not in ranked:
+                totals[item] += w * ((u - 1) / 2.0)
+    return _by_score("borda", totals)
 
 
 def reference_copeland(profile: PreferenceProfile, config: RuleConfig) -> AggregateResult:
@@ -241,7 +271,11 @@ def reference_aggregate(profile: PreferenceProfile, config: RuleConfig) -> Aggre
             continue
         sub = rule(PreferenceProfile(ballots=remaining, pool=sub_pool), config).consensus
         restricted = tuple(item for item in result.consensus if item in set(sub_pool))
-        influence[agent] = kendall_tau(restricted, sub)[1]
+        where = {item: i for i, item in enumerate(sub)}
+        discordant = sum(
+            where[x] > where[y] for x, y in itertools.combinations(restricted, 2)
+        )
+        influence[agent] = discordant / math.comb(len(sub), 2) if len(sub) > 1 else 0.0
     return replace(result, influence=influence)
 
 
