@@ -6,10 +6,11 @@ issues (interactions referencing unknown items) are counted and logged,
 never silent.  Every JSON record read is decoded by ``_decode`` from its
 field table (``_AGENT``, ``_QUERY``, ``_OUTCOME``, ...), which FORMATS.md
 restates, and every record written is encoded by ``_encode`` from the
-same table.  Every JSON file is written by ``_write_json`` from
-``_json_slabs``, whose text equals ``json.dumps(obj, indent=2,
-sort_keys=True)``; reports round floats to 6 decimals, so identical runs
-produce byte-identical files.
+same table; item records are read from a catalog's columns under the
+``_ITEM`` keys (``_item_records``).  Every JSON file is written by
+``_write_json`` from ``_json_slabs``, whose text equals ``json.dumps(obj,
+indent=2, sort_keys=True)``; reports round each float to 6 decimals once,
+so identical runs produce byte-identical files.
 
 The synthetic generator runs on a portable 64-bit linear congruential PRNG
 (constants below, documented in FORMATS.md) rather than a stdlib generator,
@@ -32,9 +33,10 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from itertools import islice
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from .errors import (
     UnknownMetricId,
     UnknownRule,
 )
-from .metrics import EvaluationReport, MetricId
+from .metrics import EvaluationReport, MetricId, QueryEvaluation
 from .model import (
     AggregateResult,
     Ballot,
@@ -251,35 +253,43 @@ def _item_from_obj(rec: object, where: str, line: int | None = None) -> Item:
 def export_catalog(catalog: Catalog, path: str | Path) -> None:
     """Write a catalog back out (CSV or JSON by suffix); loaders round-trip it.
 
-    The JSON form is ``_json_slabs`` of the item records, in id order,
-    and a newline; the CSV form is UTF-8.  It has no attributes column, and
-    its loader splits categories on ``;``, strips them and drops empty ones.
-    So attributes, or a category that is empty, holds ``;`` or has outer
+    Both forms write ``_item_records``, which reads the catalog's columns.
+    The JSON form is ``_json_slabs`` of the records, in id order, and a
+    newline; the CSV form is UTF-8.  It has no attributes column, and its
+    loader splits categories on ``;``, strips them and drops empty ones.  So
+    attributes, or a category that is empty, holds ``;`` or has outer
     whitespace, are refused before the file is opened (``ValueError`` naming
     the first such item) rather than written in a form that reloads changed.
     """
     path = Path(path)
-    as_json = path.suffix.lower() == ".json"
-    items = catalog.items_sorted()
-    if not as_json:
-        for item in items:
-            bad = [c for c in sorted(item.categories) if not c or ";" in c or c != c.strip()]
-            if item.attributes or bad:
-                what = "attributes" if item.attributes else f"category {bad[0]!r}"
-                raise ValueError(
-                    f"item {item.id} has {what}, which a CSV catalog cannot carry; "
-                    "export to a .json path instead"
-                )
-    records = [_encode(item) for item in items]
-    if as_json:
-        _write_json(path, _json_slabs(records))
+    if path.suffix.lower() == ".json":
+        _write_json(path, _json_slabs([r for part in _item_records(catalog) for r in part]))
         return
+    columns = catalog.columns
+    # each distinct category set is checked once
+    bad = {
+        s: [c for c in sorted(s) if not c or ";" in c or c != c.strip()]
+        for s in set(columns.categories)
+    }
+    carried = np.zeros(len(catalog), dtype=bool)
+    for column in columns.attributes.values():
+        carried |= ~np.isnan(column)
+    for item_id, has_attributes, categories in zip(
+        catalog.ids, carried.tolist(), columns.categories
+    ):
+        if has_attributes or bad[categories]:
+            what = "attributes" if has_attributes else f"category {bad[categories][0]!r}"
+            raise ValueError(
+                f"item {item_id} has {what}, which a CSV catalog cannot carry; "
+                "export to a .json path instead"
+            )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         # the csv module writes floats with repr(), so they round-trip exactly
         writer = csv.DictWriter(fh, CATALOG_CSV_FIELDS, extrasaction="ignore")
         writer.writeheader()
-        for rec in records:
-            writer.writerow({**rec, "categories": ";".join(rec["categories"])})
+        for part in _item_records(catalog):
+            for rec in part:
+                writer.writerow({**rec, "categories": ";".join(rec["categories"])})
 
 
 def load_interactions(
@@ -719,6 +729,45 @@ _ITEM = (
     _Field("description", _expect_str, ""),
 )
 
+# item records per slice of ``_item_records``, which bounds the catalog hash's memory
+_HASH_SLICE = 256
+
+
+def _item_records(catalog: Catalog) -> Iterator[list[dict]]:
+    """The ``_encode`` record of every item, in id order, ``_HASH_SLICE`` at a
+    time, read from the catalog's columns without building an ``Item``.
+
+    Each column slice is converted once, and each ``_ITEM`` key is set in
+    every record of the slice from its column.  A NaN attribute cell is an
+    absent key.  Each distinct category set is sorted once, and its records
+    share the list, so the records are for writing, not for changing.
+    """
+    columns = catalog.columns
+    providers = catalog.providers
+    sorted_sets = {s: sorted(s) for s in set(columns.categories)}
+    for start in range(0, len(catalog), _HASH_SLICE):
+        stop = start + _HASH_SLICE
+        ids = catalog.ids[start:stop]
+        attributes: list[dict[str, float]] = [{} for _ in ids]
+        for name, column in columns.attributes.items():
+            for cell, value in zip(attributes, column[start:stop].tolist()):
+                if value == value:  # NaN is the only value unequal to itself
+                    cell[name] = value
+        fields = {
+            "id": ids,
+            "provider_id": [providers[c] for c in columns.provider_codes[start:stop].tolist()],
+            "categories": list(map(sorted_sets.__getitem__, columns.categories[start:stop])),
+            "popularity": columns.popularity[start:stop].tolist(),
+            "sustainability": columns.sustainability[start:stop].tolist(),
+            "attributes": attributes,
+            "description": columns.descriptions[start:stop],
+        }
+        records: list[dict] = [{} for _ in ids]
+        for key, _, _, arg in _ITEM:
+            for record, value in zip(records, fields[arg]):
+                record[key] = value
+        yield records
+
 
 def _known_ids(ids: Sequence[str], path: str, known: Catalog | frozenset[str]) -> None:
     """Raise naming the first of ``ids`` that ``known`` lacks."""
@@ -954,12 +1003,55 @@ def _round6(value: object) -> object:
     return value
 
 
-def _rounded(values: Mapping[str, object]) -> dict[str, object]:
-    return {k: _round6(v) for k, v in values.items()}
+# floats smaller in magnitude are inside ``_round_each``'s domain at 6 places,
+# |x * 10**6| < 2**31 = 2147483648
+_ROUND6_BOUND = 2147.0
+
+
+def _round6_each(values: Sequence[object]) -> list[object]:
+    """``[_round6(v) for v in values]``, bit for bit, with one ``_round_each``
+    call for every float below ``_ROUND6_BOUND`` in magnitude.
+
+    Larger floats, NaN and infinities, and every other value (an int, None, a
+    float subclass) go through ``_round6``.
+    """
+    x = np.array([v if type(v) is float else math.nan for v in values], dtype=float)
+    inside = np.abs(x) < _ROUND6_BOUND
+    out = list(values)
+    for i in np.flatnonzero(~inside).tolist():
+        out[i] = _round6(out[i])
+    at = np.flatnonzero(inside)
+    for i, r in zip(at.tolist(), _round_each(x[at], 6)):
+        out[i] = r or 0.0  # -0.0 is written as 0.0
+    return out
+
+
+def _rounded_report(report: EvaluationReport) -> EvaluationReport:
+    """``report`` with each of its floats rounded by ``_round6``, all in one
+    ``_round6_each`` pass; what the JSON, CSV and Markdown forms print."""
+    maps = [m for q in report.per_query for m in (q.values, q.regret, q.influence)]
+    maps += report.aggregate.values()
+    flat = [v for m in maps for v in m.values()]
+    for series in report.drift.values():
+        flat += series
+    rounded = iter(_round6_each(flat))
+    # ``zip`` reads a map's keys first, so it stops before taking a value past them
+    maps = [dict(zip(m, rounded)) for m in maps]
+    n = len(report.per_query)
+    return EvaluationReport(
+        per_query=tuple(
+            QueryEvaluation(q.query_id, *maps[3 * i : 3 * i + 3])
+            for i, q in enumerate(report.per_query)
+        ),
+        aggregate=dict(zip(report.aggregate, maps[3 * n :])),
+        drift={a: tuple(islice(rounded, len(s))) for a, s in report.drift.items()},
+        runtime=report.runtime,
+    )
 
 
 def _fmt6(value: float | None) -> str:
-    return "" if value is None else f"{_round6(value):.6f}"
+    """A rounded report value as CSV and Markdown print it; None as empty."""
+    return "" if value is None else f"{value:.6f}"
 
 
 def _report_payload(
@@ -978,15 +1070,15 @@ def _report_payload(
                     "query_id": entry.query_id,
                     "rule": outcome.aggregate.rule,
                     "final_list": list(outcome.final_list),
-                    "values": _rounded(entry.values),
-                    "regret": _rounded(entry.regret),
-                    "influence": _rounded(entry.influence),
+                    "values": entry.values,
+                    "regret": entry.regret,
+                    "influence": entry.influence,
                     "skipped_agents": dict(outcome.skipped_agents),
                 }
             )
         rules_obj[rule_name] = {
-            "aggregate": {k: _rounded(v) for k, v in report.aggregate.items()},
-            "drift": {k: [_round6(x) for x in v] for k, v in report.drift.items()},
+            "aggregate": report.aggregate,
+            "drift": report.drift,
             "runtime_calls": dict(report.runtime),
             "per_query": per_query,
         }
@@ -1019,11 +1111,16 @@ def _metrics_csv(runs: Mapping[str, tuple[EvaluationReport, Sequence[QueryOutcom
 
 
 def _summary_md(
-    runs: Mapping[str, tuple[EvaluationReport, Sequence[QueryOutcome]]], scenario_name: str
+    runs: Mapping[str, tuple[EvaluationReport, Sequence[QueryOutcome]]],
+    rounded: Mapping[str, tuple[EvaluationReport, Sequence[QueryOutcome]]],
+    scenario_name: str,
 ) -> str:
+    """The Markdown summary of ``rounded``; the agent means it computes
+    itself, from the reports in ``runs``, are rounded by ``_round6``."""
     lines: list[str] = [f"# Run summary: {scenario_name}", ""]
-    for rule_name in sorted(runs):
-        report, outcomes = runs[rule_name]
+    for rule_name in sorted(rounded):
+        report, outcomes = rounded[rule_name]
+        raw = runs[rule_name][0]
         lines += [f"## Rule: {rule_name}", ""]
         lines += ["| metric | mean | min | max |", "| --- | --- | --- | --- |"]
         for metric in MetricId:
@@ -1042,11 +1139,12 @@ def _summary_md(
         ]
         n_q = len(report.per_query)
         for agent in agent_ids:
-            mean_regret = left_sum(report.drift[agent]) / n_q if n_q else 0.0
-            influences = [q.influence.get(agent) for q in report.per_query]
+            mean_regret = left_sum(raw.drift[agent]) / n_q if n_q else 0.0
+            influences = [q.influence.get(agent) for q in raw.per_query]
             known = [v for v in influences if v is not None]
             mean_influence = left_sum(known) / len(known) if known else 0.0
-            lines.append(f"| {agent} | {_fmt6(mean_regret)} | {_fmt6(mean_influence)} |")
+            means = f"{_fmt6(_round6(mean_regret))} | {_fmt6(_round6(mean_influence))}"
+            lines.append(f"| {agent} | {means} |")
         lines.append("")
         lines += ["### Regret drift (per query)", ""]
         for agent in agent_ids:
@@ -1074,15 +1172,17 @@ def write_report(
     command passes several, run passes one.  Identical runs produce
     byte-identical files.  All three files are built and encoded before the
     first is written, so a failure while building them leaves none behind.
-    The JSON is ``_json_slabs`` of the report payload, floats rounded to
-    6 places, and a newline; the CSV and Markdown are UTF-8.
+    Each report's floats are rounded to 6 places once (``_rounded_report``),
+    and all three files print those values.  The JSON is ``_json_slabs`` of
+    the report payload and a newline; the CSV and Markdown are UTF-8.
     """
     prefix = Path(path_prefix)
     suffixes = (".report.json", ".metrics.csv", ".summary.md")
     paths = [prefix.with_name(prefix.name + suffix) for suffix in suffixes]
-    json_slabs = _json_slabs(_report_payload(runs, scenario_name))
-    csv_bytes = _metrics_csv(runs).encode("utf-8")
-    md_bytes = _summary_md(runs, scenario_name).encode("utf-8")
+    rounded = {rule: (_rounded_report(r), outcomes) for rule, (r, outcomes) in runs.items()}
+    json_slabs = _json_slabs(_report_payload(rounded, scenario_name))
+    csv_bytes = _metrics_csv(rounded).encode("utf-8")
+    md_bytes = _summary_md(runs, rounded, scenario_name).encode("utf-8")
     if prefix.parent != Path("."):
         prefix.parent.mkdir(parents=True, exist_ok=True)
     _write_json(paths[0], json_slabs)
@@ -1095,10 +1195,6 @@ def write_report(
 # saved outcomes
 
 
-# item records per ``json.dumps`` call while hashing, which bounds its memory
-_HASH_SLICE = 256
-
-
 def catalog_hash(catalog: Catalog) -> str:
     """Content hash of a catalog, for pinning outcomes; kept by ``Catalog.derived``."""
     return catalog.derived(_hash_catalog)
@@ -1107,16 +1203,15 @@ def catalog_hash(catalog: Catalog) -> str:
 def _hash_catalog(catalog: Catalog) -> str:
     """The SHA-256 of ``json.dumps(records, sort_keys=True)`` in UTF-8.
 
-    ``records`` are the items' ``_encode`` records in id order.  The text is
-    fed to the hash in pieces: ``[``, each slice of ``_HASH_SLICE`` records
-    dumped by one call with its brackets stripped, the slices joined by
-    ``", "``, then ``]``, the same bytes as one dump without holding them.
+    ``records`` are the items' ``_item_records``, read from the columns in
+    id order.  The text is fed to the hash in pieces: ``[``, each slice of
+    ``_HASH_SLICE`` records dumped by one call with its brackets stripped,
+    the slices joined by ``", "``, then ``]``, the same bytes as one dump
+    without holding them.
     """
-    ids = catalog.ids
     sha = hashlib.sha256(b"[")
-    for start in range(0, len(ids), _HASH_SLICE):
-        records = [_encode(catalog[i]) for i in ids[start : start + _HASH_SLICE]]
-        if start:
+    for n, records in enumerate(_item_records(catalog)):
+        if n:
             sha.update(b", ")
         sha.update(json.dumps(records, sort_keys=True)[1:-1].encode("utf-8"))
     sha.update(b"]")
@@ -1250,7 +1345,7 @@ def _encode(record: object) -> dict:
         value = getattr(record, arg)
         kind = type(value)
         # dispatched inline, not by a helper per value: this runs for every
-        # field of every item that a catalog hash covers
+        # field of every saved outcome
         if kind is frozenset:
             value = sorted(value)
         elif kind in _TABLE_OF:

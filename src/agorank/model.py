@@ -61,6 +61,8 @@ class Item:
     def __post_init__(self):
         if not self.id:
             raise ValueError("item id must be non-empty")
+        if not self.provider_id:
+            raise ValueError(f"item {self.id}: provider id must be non-empty")
         if not 0.0 <= self.popularity <= 1.0:
             raise ValueError(f"item {self.id}: popularity {self.popularity} outside [0, 1]")
         if not 0.0 <= self.sustainability <= 1.0:
@@ -229,6 +231,9 @@ class Catalog:
                     f"{column.item(at)!r} is not a finite number"
                 )
         self._providers = tuple(sorted(set(provider_ids)))
+        if self._providers[:1] == ("",):
+            at = min(self._position[ids[r]] for r in range(n) if not provider_ids[r])
+            raise ValueError(f"item {self._ids[at]}: provider id must be non-empty")
         code_of = {p: c for c, p in enumerate(self._providers)}
         # equal category sets share one frozenset, the first met; a label per
         # row numbers its set

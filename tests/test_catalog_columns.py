@@ -19,6 +19,7 @@ import json
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,7 @@ from agorank.agents import (
 )
 from agorank.metrics import relevance_map
 from agorank.model import Ballot, Catalog, Constraint, Item, Query
+from agorank.orchestrator import run_stream
 
 import test_dataio
 
@@ -279,8 +281,11 @@ def test_columns_exist_from_construction_and_are_read_only():
     assert catalog["item-000"] is not catalog["item-000"]
 
 
+COUNCIL = Path(__file__).parents[1] / "perfbench" / "scenarios" / "council-2k.json"
+
+
 def test_loading_a_synthetic_scenario_builds_no_item():
-    council = Path(__file__).parents[1] / "perfbench" / "scenarios" / "council-2k.json"
+    council = COUNCIL
     with mock.patch.object(
         Item, "__post_init__", autospec=True, side_effect=Item.__post_init__
     ) as built:
@@ -289,3 +294,37 @@ def test_loading_a_synthetic_scenario_builds_no_item():
         assert built.call_count == 0
         assert catalog["item-000"].id == "item-000"
         assert built.call_count == 1
+
+
+def test_catalog_files_and_saved_outcomes_build_no_item(tmp_path):
+    scenario = dataio.load_scenario(COUNCIL)
+    outcomes, _ = run_stream(
+        scenario.queries[:3], scenario.agents, scenario.catalog, scenario.policy,
+        scenario.rule_config,
+    )
+    # a fresh catalog, whose hash is not kept yet
+    catalog = dataio.load_scenario(COUNCIL).catalog
+    columns = catalog.columns
+    # the same items without ``price``, which the CSV form cannot carry
+    plain = Catalog.from_columns(
+        catalog.ids,
+        [catalog.providers[c] for c in columns.provider_codes.tolist()],
+        columns.categories,
+        columns.popularity,
+        columns.sustainability,
+        {},
+        columns.descriptions,
+    )
+    saved = tmp_path / "outcomes.json"
+    with mock.patch.object(
+        Item, "__post_init__", autospec=True, side_effect=Item.__post_init__
+    ) as built:
+        dataio.catalog_hash(catalog)
+        dataio.export_catalog(catalog, tmp_path / "catalog.json")
+        dataio.export_catalog(plain, tmp_path / "catalog.csv")
+        with pytest.raises(ValueError, match="item item-000 has attributes"):
+            dataio.export_catalog(catalog, tmp_path / "refused.csv")
+        dataio.save_outcomes(outcomes, catalog, saved, scenario.name, "copeland")
+        assert dataio.load_outcomes(saved, catalog)[0] == outcomes
+        assert built.call_count == 0
+    assert (tmp_path / "catalog.csv").stat().st_size > 0

@@ -959,6 +959,54 @@ class TestWriteReport:
         assert list(tmp_path.iterdir()) == []
 
 
+# report values: any float, negatives and -0.0 included; tiny negatives that
+# round to -0.0; magnitudes about ``_round_each``'s domain bound at 6 places,
+# |x| < 2147.483648, and far beyond; half-way cases such as 2.5e-06; ints; None
+_REPORT_VALUES = st.lists(
+    st.one_of(
+        st.floats(),
+        st.floats(-1e-6, 1e-6),
+        st.floats(2146.0, 2149.0).flatmap(lambda x: st.sampled_from([x, -x])),
+        st.sampled_from([2147.0, 2147.483647, 2147.483648, 2147.4836481, 1e300, -1e300]),
+        st.integers(-10**7, 10**7).map(lambda k: (k + 0.5) / 10**6),
+        st.integers(-10**20, 10**20),
+        st.none(),
+    ),
+    max_size=40,
+)
+
+
+def _bits(values):
+    return [(type(v), v.hex() if type(v) is float else v) for v in values]
+
+
+class TestRoundedOnce:
+    @settings(max_examples=300, deadline=None)
+    @given(values=_REPORT_VALUES)
+    def test_one_pass_equals_round6_each_value(self, values):
+        assert _bits(dataio._round6_each(values)) == _bits([dataio._round6(v) for v in values])
+
+    def test_known_cases(self):
+        values = [2.5e-06, -2.5e-06, -4e-07, -0.0, 0.1234566, 3000.0, -1e300, 7, None]
+        assert _bits(dataio._round6_each(values)) == _bits(
+            [3e-06, -3e-06, 0.0, 0.0, 0.123457, 3000.0, -1e300, 7, None]
+        )
+
+    def test_report_rounded_field_by_field(self, run):
+        report, _ = run["borda"]
+        rounded = dataio._rounded_report(report)
+
+        def r6(values):
+            return {k: dataio._round6(v) for k, v in values.items()}
+
+        assert [(q.query_id, q.values, q.regret, q.influence) for q in rounded.per_query] == [
+            (q.query_id, r6(q.values), r6(q.regret), r6(q.influence)) for q in report.per_query
+        ]
+        assert rounded.aggregate == {k: r6(v) for k, v in report.aggregate.items()}
+        assert rounded.drift == {k: tuple(map(dataio._round6, v)) for k, v in report.drift.items()}
+        assert rounded.runtime == report.runtime
+
+
 class TestSavedOutcomes:
     def test_roundtrip_reproduces_report(self, tourism, tmp_path):
         outcomes, _ = run_tourism(tourism)
@@ -1091,13 +1139,13 @@ class TestCatalogHash:
         catalog = generate_catalog(item_count=30, provider_count=4, seed=3)
         records = [dataio._encode(item) for item in catalog.items_sorted()]
         fresh = hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8")).hexdigest()
-        with mock.patch.object(dataio, "_encode", wraps=dataio._encode) as encode:
+        with mock.patch.object(dataio, "_hash_catalog", wraps=dataio._hash_catalog) as build:
             assert catalog_hash(catalog) == fresh
             assert catalog_hash(catalog) == fresh
-            assert encode.call_count == len(catalog)
+            assert build.call_count == 1
             twin = generate_catalog(item_count=30, provider_count=4, seed=3)
             assert catalog_hash(twin) == fresh
-            assert encode.call_count == 2 * len(catalog)
+            assert build.call_count == 2
 
 
 def _one_shot_hash(catalog):

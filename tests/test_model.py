@@ -52,6 +52,12 @@ class TestItem:
         with pytest.raises(ValueError):
             Item(id="", provider_id="p")
 
+    def test_empty_provider_rejected(self):
+        # FORMATS.md requires a non-empty provider_id; both catalog loaders refuse
+        # one, so an item holding it would export to a file that cannot reload
+        with pytest.raises(ValueError, match="item x: provider id must be non-empty"):
+            Item(id="x", provider_id="")
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
     def test_non_finite_attribute_rejected(self, value):
         with pytest.raises(ValueError, match="item x: attribute 'price': .* is not a finite number"):
@@ -90,6 +96,13 @@ class TestCatalog:
             build(popularity=(0.5, math.nan))
         with pytest.raises(ValueError, match="item b: attribute 'price': inf is not a finite"):
             build(price=(math.inf, 1.0))
+
+    def test_from_columns_refuses_empty_provider(self):
+        with pytest.raises(ValueError, match="item a: provider id must be non-empty"):
+            Catalog.from_columns(
+                ["b", "c", "a"], ["p", "", ""], [frozenset()] * 3, [0.5] * 3, [0.5] * 3, {},
+                [""] * 3,
+            )
 
     def test_provider_index(self):
         cat = Catalog(

@@ -1,12 +1,11 @@
-"""No ``Item`` views on the per-query path.
+"""No ``Item`` views on the per-query path or at the file boundary.
 
 A ``Catalog`` keeps its items only as columns: ``catalog[item_id]`` and
 ``catalog.items_sorted()`` build a fresh ``Item`` from a row on every call.
-Code that runs per query reads the columns by position instead
-(``catalog.positions``, ``catalog.columns``).  This test walks the modules
-that run per query and refuses a subscript of anything named ``catalog`` and
-any ``items_sorted()`` call.  ``dataio`` is not walked: its catalog hash and
-export build rows on purpose, once per catalog.
+Code that runs per query, and the catalog hash and export in ``dataio``, read
+the columns by position instead (``catalog.positions``, ``catalog.columns``).
+This test walks those modules and refuses a subscript of anything named
+``catalog`` and any ``items_sorted()`` call.
 """
 
 from __future__ import annotations
@@ -17,7 +16,9 @@ from pathlib import Path
 import agorank
 
 PACKAGE = Path(agorank.__file__).parent
-PER_QUERY = ("adapter.py", "agents.py", "aggregation.py", "metrics.py", "orchestrator.py")
+WALKED = (
+    "adapter.py", "agents.py", "aggregation.py", "dataio.py", "metrics.py", "orchestrator.py"
+)
 
 
 def item_view_sites(source: str, name: str) -> list[str]:
@@ -39,7 +40,7 @@ def item_view_sites(source: str, name: str) -> list[str]:
 
 
 def test_no_item_views_per_query():
-    sources = [PACKAGE / name for name in PER_QUERY]
+    sources = [PACKAGE / name for name in WALKED]
     sites = [s for p in sources for s in item_view_sites(p.read_text(encoding="utf-8"), p.name)]
     assert sites == []
 
