@@ -36,7 +36,6 @@ from .dataio import (
     generate_catalog,
     generate_synthetic,
     load_catalog,
-    load_interactions,
     load_outcomes,
     load_scenario,
     save_outcomes,

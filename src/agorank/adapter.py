@@ -38,7 +38,7 @@ _MASK64 = (1 << 64) - 1
 
 
 def fnv1a64(data: bytes) -> int:
-    """FNV-1a 64-bit hash, the mock's ordering key; ``fnv1a64_many`` is its vector form."""
+    """FNV-1a 64-bit hash, the mock's ordering key; ``_fnv1a64_rows`` is its vector form."""
     h = FNV_OFFSET
     for byte in data:
         h ^= byte
@@ -62,7 +62,10 @@ def _id_matrix(middles: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
 def _fnv1a64_rows(
     prefix: bytes, matrix: np.ndarray, lengths: np.ndarray, suffix: bytes
 ) -> np.ndarray:
-    """``fnv1a64(prefix + row + suffix)`` for every row of an ``_id_matrix``."""
+    """``fnv1a64(prefix + row + suffix)`` for every row of an ``_id_matrix``, as uint64.
+
+    uint64 array arithmetic wraps mod 2**64, as ``& _MASK64`` does.
+    """
     h = np.full(len(lengths), fnv1a64(prefix), dtype=np.uint64)
     # every row reaches the columns before the shortest id, hashed in place
     shortest = int(lengths.min(initial=matrix.shape[1]))
@@ -75,19 +78,6 @@ def _fnv1a64_rows(
         h ^= byte
         h *= FNV_PRIME
     return h
-
-
-def fnv1a64_many(prefix: bytes, middles: Sequence[bytes], suffix: bytes) -> np.ndarray:
-    """``fnv1a64(prefix + m + suffix)`` for every ``m`` in ``middles``, as uint64.
-
-    ``_id_matrix`` lays the middles out as a NUL-padded byte matrix, and
-    ``_fnv1a64_rows`` hashes it: the prefix once in Python, then the matrix
-    column by column, each row stopping at its own length, then the suffix
-    over the whole vector.  The mock keeps the matrix of the last candidate
-    array it decoded and calls the hasher alone.  uint64 array arithmetic
-    wraps mod 2**64, as ``& _MASK64`` does.
-    """
-    return _fnv1a64_rows(prefix, *_id_matrix(middles), suffix)
 
 
 def resolve_endpoint(spec: "AgentSpec", url_override: str | None = None) -> str:

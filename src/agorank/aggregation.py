@@ -492,10 +492,14 @@ def _row_blocks(rows: Iterable[Sequence[int]], m: int, dtype: type) -> Iterator[
         yield np.fromiter(flat, dtype=dtype, count=len(chunk) * m).reshape(len(chunk), m)
 
 
-def _least_ranking(blocks: Iterable[np.ndarray], against: np.ndarray) -> tuple[list[int], int]:
-    """The least (distance, positions) over the blocks' rows, and how many share that distance.
+def _least_ranking(
+    blocks: Iterable[np.ndarray], against: np.ndarray
+) -> tuple[list[int], float, int]:
+    """The row least by (distance, positions) over the blocks, its distance,
+    and how many rows share that distance.
 
-    Positions index the sorted pool, so comparing positions compares ids.
+    The distance is the float ``kemeny_distance`` gives that row, bit for
+    bit.  Positions index the sorted pool, so comparing positions compares ids.
     Blocks are priced as they arrive and the best is carried from block to
     block; this equals scanning the rows one by one with
     ``d < best_dist or (d == best_dist and row < best)``.
@@ -515,7 +519,7 @@ def _least_ranking(blocks: Iterable[np.ndarray], against: np.ndarray) -> tuple[l
         else:
             best, n_min = min(best, least), n_min + len(tied)
     assert best is not None
-    return best, n_min
+    return best, float(best_dist), n_min
 
 
 def _kemeny_exact(tally: PairwiseTally) -> tuple[tuple[str, ...], float, int]:
@@ -527,9 +531,8 @@ def _kemeny_exact(tally: PairwiseTally) -> tuple[tuple[str, ...], float, int]:
     """
     m = len(tally.pool)
     blocks = _row_blocks(itertools.permutations(range(m)), m, np.intp)
-    best, n_min = _least_ranking(blocks, np.ascontiguousarray(tally.matrix.T))
-    consensus = tuple(tally.pool[p] for p in best)
-    return consensus, kemeny_distance(consensus, tally), n_min
+    best, dist, n_min = _least_ranking(blocks, np.ascontiguousarray(tally.matrix.T))
+    return tuple(tally.pool[p] for p in best), dist, n_min
 
 
 def _kemeny_heuristic(
@@ -570,7 +573,7 @@ def _kemeny_heuristic(
         else:
             size = _block_rows(m)
             blocks = (rows[i : i + size] for i in range(0, len(rows), size))
-        least, _ = _least_ranking((start[block] for block in blocks), against)
+        least, _, _ = _least_ranking((start[block] for block in blocks), against)
         best = np.array(least, dtype=dtype)
         memo.put(pick_key, best)
     consensus = tuple(items[p] for p in best.tolist())

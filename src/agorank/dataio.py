@@ -1,13 +1,12 @@
-"""Catalog/interaction ingestion, scenario files, synthetic generation, and
-report serialization.
+"""Catalog ingestion, scenario files, synthetic generation, and report
+serialization.
 
-Loaders reject structurally invalid input outright; row-level droppable
-issues (interactions referencing unknown items) are counted and logged,
-never silent.  Every JSON record read is decoded by ``_decode`` from its
-field table (``_AGENT``, ``_QUERY``, ``_OUTCOME``, ...), which FORMATS.md
-restates, and every record written is encoded by ``_encode`` from the
-same table; item records are read from a catalog's columns under the
-``_ITEM`` keys (``_item_records``).  Every JSON file is written by
+Loaders reject structurally invalid input outright.  Every JSON record
+read is decoded by ``_decode`` from its field table (``_AGENT``,
+``_QUERY``, ``_OUTCOME``, ...), which FORMATS.md restates, and every
+record written is encoded by ``_encode`` from the same table; item
+records are read from a catalog's columns under the ``_ITEM`` keys
+(``_item_records``).  Every JSON file is written by
 ``_write_json`` from ``_json_slabs``, whose text equals ``json.dumps(obj,
 indent=2, sort_keys=True)``; reports round each float to 6 decimals once,
 so identical runs produce byte-identical files.
@@ -28,10 +27,8 @@ import hashlib
 import importlib.resources
 import io
 import json
-import logging
 import math
 from dataclasses import dataclass
-from datetime import datetime
 from enum import Enum
 from itertools import islice
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -43,7 +40,6 @@ import numpy as np
 from .agents import AgentObjective, AgentSpec
 from .aggregation import Rule, RuleConfig
 from .errors import (
-    DuplicateItemId,
     MalformedRecord,
     MissingRequiredField,
     SchemaError,
@@ -64,11 +60,9 @@ from .model import (
 )
 from .orchestrator import ActivationMode, ActivationPolicy, QueryOutcome
 
-log = logging.getLogger("agorank")
 T = TypeVar("T")
 
 CATALOG_CSV_FIELDS = ("id", "provider_id", "categories", "popularity", "sustainability", "description")
-INTERACTION_CSV_FIELDS = ("user_id", "item_id", "rating", "timestamp")
 
 # 64-bit LCG (MMIX constants); uniform takes the top 53 bits
 LCG_MULT = 6364136223846793005
@@ -290,48 +284,6 @@ def export_catalog(catalog: Catalog, path: str | Path) -> None:
         for part in _item_records(catalog):
             for rec in part:
                 writer.writerow({**rec, "categories": ";".join(rec["categories"])})
-
-
-def load_interactions(
-    path: str | Path, catalog: Catalog
-) -> dict[str, list[tuple[str, float, str]]]:
-    """Load user interactions, dropping rows that reference unknown items.
-
-    CSV columns: user_id, item_id, rating, timestamp (ISO-8601).  Dropped
-    rows are counted and logged.  Per-user lists come back sorted by
-    timestamp.
-    """
-    per_user: dict[str, list[tuple[datetime, str, float, str]]] = {}
-    dropped = 0
-    with _open_csv(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return {}
-        for line, row in enumerate(reader, start=2):
-            user = row.get("user_id")
-            item = row.get("item_id")
-            if not user or not item:
-                raise MalformedRecord("missing user_id or item_id", line)
-            try:
-                rating = float(row.get("rating"))  # a short row leaves None here
-            except (TypeError, ValueError) as exc:
-                raise MalformedRecord(f"rating {row.get('rating')!r} is not a number", line) from exc
-            raw_ts = row.get("timestamp") or ""
-            try:
-                ts = datetime.fromisoformat(raw_ts)
-            except ValueError as exc:
-                raise MalformedRecord(f"timestamp {raw_ts!r} is not ISO-8601", line) from exc
-            if item not in catalog:
-                dropped += 1
-                continue
-            per_user.setdefault(user, []).append((ts, item, rating, raw_ts))
-    if dropped:
-        log.warning("dropped %d interaction rows referencing unknown items", dropped)
-    result: dict[str, list[tuple[str, float, str]]] = {}
-    for user in sorted(per_user):
-        rows = sorted(per_user[user], key=lambda r: (r[0], r[1]))
-        result[user] = [(item, rating, raw_ts) for _, item, rating, raw_ts in rows]
-    return result
 
 
 def generate_catalog(
@@ -734,7 +686,7 @@ _HASH_SLICE = 256
 
 
 def _item_records(catalog: Catalog) -> Iterator[list[dict]]:
-    """The ``_encode`` record of every item, in id order, ``_HASH_SLICE`` at a
+    """The ``_ITEM`` record of every item, in id order, ``_HASH_SLICE`` at a
     time, read from the catalog's columns without building an ``Item``.
 
     Each column slice is converted once, and each ``_ITEM`` key is set in
@@ -1319,7 +1271,6 @@ _OUTCOMES_FILE = (
 
 # the field table of each record type that a file holds
 _TABLE_OF = {
-    Item: _ITEM,
     Query: _QUERY,
     Constraint: _CONSTRAINT,
     Ballot: _BALLOT,
@@ -1333,12 +1284,12 @@ def _encode(record: object) -> dict:
     """The JSON object of ``record``: ``key: getattr(record, arg)`` for each
     row of its type's field table, the table that reads it back.
 
-    A frozenset is written as a sorted list, and a nested record, or a
-    non-empty tuple of records, by its own table.  Every other value, maps
-    and tuples included, is shared with the record, not copied, so the
-    object is for writing, not for changing.  ``_json_slabs`` and
-    ``json.dumps`` both write a tuple as a list and sort keys, so the bytes
-    are those of a copy.
+    A nested record, or a non-empty tuple of records, is written by its own
+    table.  Every other value, maps and tuples included, is shared with the
+    record, not copied, so the object is for writing, not for changing.
+    ``_json_slabs`` and ``json.dumps`` both write a tuple as a list and sort
+    keys, so the bytes are those of a copy.  Items have no entry here:
+    ``_item_records`` writes them from a catalog's columns.
     """
     obj = {}
     for key, _, _, arg in _TABLE_OF[type(record)]:
@@ -1346,9 +1297,7 @@ def _encode(record: object) -> dict:
         kind = type(value)
         # dispatched inline, not by a helper per value: this runs for every
         # field of every saved outcome
-        if kind is frozenset:
-            value = sorted(value)
-        elif kind in _TABLE_OF:
+        if kind in _TABLE_OF:
             value = _encode(value)
         elif kind is tuple and value and type(value[0]) in _TABLE_OF:
             value = [_encode(v) for v in value]

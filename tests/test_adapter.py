@@ -18,7 +18,6 @@ from agorank.adapter import (
     ENV_URL,
     build_request,
     fnv1a64,
-    fnv1a64_many,
     mock_serve,
     parse_response,
     request_external,
@@ -82,7 +81,9 @@ class TestFnv1a64Many:
     @given(prefix=st.text(max_size=6), ids=_candidate_ids(), suffix=st.text(max_size=6))
     def test_matches_scalar_hash(self, prefix, ids, suffix):
         middles = [i.encode("utf-8") for i in ids]
-        hashes = fnv1a64_many(prefix.encode("utf-8"), middles, suffix.encode("utf-8"))
+        hashes = adapter._fnv1a64_rows(
+            prefix.encode("utf-8"), *adapter._id_matrix(middles), suffix.encode("utf-8")
+        )
         assert hashes.dtype == np.uint64
         expected = [fnv1a64((prefix + i + suffix).encode("utf-8")) for i in ids]
         assert hashes.tolist() == expected
@@ -107,7 +108,9 @@ class TestFnv1a64Many:
     def test_cases(self, ids, affixes):
         prefix, suffix = affixes
         middles = [i.encode("utf-8") for i in ids]
-        hashes = fnv1a64_many(prefix.encode(), middles, suffix.encode())
+        hashes = adapter._fnv1a64_rows(
+            prefix.encode(), *adapter._id_matrix(middles), suffix.encode()
+        )
         assert hashes.dtype == np.uint64
         assert hashes.tolist() == [fnv1a64((prefix + i + suffix).encode()) for i in ids]
 

@@ -8,14 +8,12 @@ not depend on how the interpreter sums floats.  Ballots must match exactly and
 relevance values bit for bit.
 
 The columns are the catalog's only copy of its items, so the last tests hold
-the rows built from them to the source items and their hash, and check that
-loading a synthetic scenario builds no ``Item`` at all.
+the rows and item records built from them to the source items and their hash,
+and check that loading a synthetic scenario builds no ``Item`` at all.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from pathlib import Path
 from unittest import mock
 
@@ -240,12 +238,6 @@ def test_bundled_scenarios_match_the_per_item_loops():
             )
 
 
-def _reference_hash(items: list[Item]) -> str:
-    """The catalog hash as one dump of the source items' records in id order."""
-    records = [dataio._encode(it) for it in sorted(items, key=lambda it: it.id)]
-    return hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8")).hexdigest()
-
-
 # test_dataio's items add descriptions, free-form ids and attribute names
 _SOURCE_ITEMS = st.one_of(
     _items(),
@@ -260,7 +252,15 @@ def test_rows_are_the_source_items(items):
     for item in items:
         assert catalog[item.id] == item
     assert catalog.items_sorted() == sorted(items, key=lambda it: it.id)
-    assert dataio.catalog_hash(catalog) == _reference_hash(items)
+    assert dataio.catalog_hash(catalog) == test_dataio._reference_hash(items)
+
+
+@settings(max_examples=100, deadline=None)
+@given(items=_SOURCE_ITEMS)
+def test_item_records_read_back_as_the_source_items(items):
+    records = [rec for part in dataio._item_records(Catalog(items)) for rec in part]
+    decoded = [dataio._decode(dataio._ITEM, rec, "", Item) for rec in records]
+    assert decoded == sorted(items, key=lambda it: it.id)
 
 
 def test_columns_exist_from_construction_and_are_read_only():

@@ -24,7 +24,6 @@ from agorank.dataio import (
     generate_catalog,
     generate_synthetic,
     load_catalog,
-    load_interactions,
     load_outcomes,
     load_scenario,
     save_outcomes,
@@ -295,64 +294,6 @@ class TestExportCatalog:
         loaded = load_catalog(path)
         assert loaded["i1"].attributes == {"price": 42.5}
         assert catalog_hash(loaded) == catalog_hash(self.CATALOG)
-
-
-class TestLoadInteractions:
-    CATALOG = Catalog([Item(id="i1", provider_id="p"), Item(id="i2", provider_id="p")])
-    HEADER = "user_id,item_id,rating,timestamp\n"
-
-    def write(self, tmp_path, rows):
-        path = tmp_path / "interactions.csv"
-        path.write_text(self.HEADER + rows, encoding="utf-8")
-        return path
-
-    def test_sorted_by_timestamp(self, tmp_path):
-        path = self.write(
-            tmp_path,
-            "u1,i2,4.0,2024-02-01T10:00:00\n"
-            "u1,i1,5.0,2024-01-01T10:00:00\n",
-        )
-        per_user = load_interactions(path, self.CATALOG)
-        assert [item for item, _, _ in per_user["u1"]] == ["i1", "i2"]
-
-    def test_unknown_items_dropped_and_logged(self, tmp_path, caplog):
-        path = self.write(
-            tmp_path,
-            "u1,i1,5.0,2024-01-01T10:00:00\n"
-            "u1,ghost,3.0,2024-01-02T10:00:00\n",
-        )
-        with caplog.at_level("WARNING", logger="agorank"):
-            per_user = load_interactions(path, self.CATALOG)
-        assert len(per_user["u1"]) == 1
-        assert "1" in caplog.text
-
-    def test_bad_rating(self, tmp_path):
-        path = self.write(tmp_path, "u1,i1,notanumber,2024-01-01T10:00:00\n")
-        with pytest.raises(MalformedRecord):
-            load_interactions(path, self.CATALOG)
-
-    def test_bad_timestamp(self, tmp_path):
-        path = self.write(tmp_path, "u1,i1,5.0,yesterday\n")
-        with pytest.raises(MalformedRecord):
-            load_interactions(path, self.CATALOG)
-
-    def test_missing_user(self, tmp_path):
-        path = self.write(tmp_path, ",i1,5.0,2024-01-01T10:00:00\n")
-        with pytest.raises(MalformedRecord):
-            load_interactions(path, self.CATALOG)
-
-    def test_short_row_reports_line(self, tmp_path):
-        path = self.write(tmp_path, "u1,i1,5.0,2024-01-01T10:00:00\nu1,i2\n")
-        with pytest.raises(MalformedRecord) as err:
-            load_interactions(path, self.CATALOG)
-        assert err.value.line == 3
-
-    def test_non_utf8_reports_line(self, tmp_path):
-        path = tmp_path / "interactions.csv"
-        path.write_bytes(self.HEADER.encode() + b"u\xff,i1,5.0,2024-01-01T10:00:00\n")
-        with pytest.raises(MalformedRecord, match="not UTF-8") as err:
-            load_interactions(path, self.CATALOG)
-        assert err.value.line == 2
 
 
 def reference_catalog(item_count, provider_count, categories, seed):
@@ -1137,8 +1078,7 @@ class TestCatalogHash:
 
     def test_kept_per_catalog(self):
         catalog = generate_catalog(item_count=30, provider_count=4, seed=3)
-        records = [dataio._encode(item) for item in catalog.items_sorted()]
-        fresh = hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8")).hexdigest()
+        fresh = _reference_hash(catalog.items_sorted())
         with mock.patch.object(dataio, "_hash_catalog", wraps=dataio._hash_catalog) as build:
             assert catalog_hash(catalog) == fresh
             assert catalog_hash(catalog) == fresh
@@ -1148,9 +1088,18 @@ class TestCatalogHash:
             assert build.call_count == 2
 
 
-def _one_shot_hash(catalog):
-    """The catalog hash as one dump of every record, with no slicing."""
-    records = [dataio._encode(item) for item in catalog.items_sorted()]
+def _item_record(item):
+    """The ``_ITEM`` record of ``item``, written from the item's own fields
+    rather than by ``_item_records`` from a catalog's columns."""
+    return {
+        key: sorted(value) if isinstance(value, frozenset) else value
+        for key, value in ((key, getattr(item, arg)) for key, _, _, arg in dataio._ITEM)
+    }
+
+
+def _reference_hash(items):
+    """The catalog hash as one dump of the items' records in id order, with no slicing."""
+    records = [_item_record(item) for item in sorted(items, key=lambda item: item.id)]
     return hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8")).hexdigest()
 
 
@@ -1191,7 +1140,7 @@ class TestStreamedCatalogHash:
     @settings(max_examples=60, deadline=None)
     @given(catalog=_hash_catalogs())
     def test_equals_one_shot_dump(self, catalog):
-        assert catalog_hash(catalog) == _one_shot_hash(catalog)
+        assert catalog_hash(catalog) == _reference_hash(catalog.items_sorted())
 
     def test_bounded_memory_on_20k_items(self):
         catalog = generate_catalog(item_count=20000, provider_count=200, seed=1)

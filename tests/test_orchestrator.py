@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from agorank.agents import AgentObjective, AgentSpec
 from agorank.aggregation import Rule, RuleConfig, aggregate
-from agorank.dataio import load_interactions
 from agorank.errors import EmptyAfterGrounding, NoActiveAgents
 from agorank import adapter, orchestrator
 from agorank.metrics import MetricId, evaluate_metric, exposure_delta, fairness_regret
@@ -527,21 +526,10 @@ class TestRunStream:
         )
         assert all(len(o.final_list) == 3 for o in outcomes)
 
-    def test_per_query_log_is_debug_only(self, tmp_path, caplog):
-        path = tmp_path / "interactions.csv"
-        path.write_text(
-            "user_id,item_id,rating,timestamp\n"
-            "u1,trail-c,5.0,2024-01-01T10:00:00\n"
-            "u1,ghost,3.0,2024-01-02T10:00:00\n",
-            encoding="utf-8",
-        )
+    def test_per_query_log_is_debug_only(self, caplog):
         with caplog.at_level(logging.INFO, logger="agorank"):
-            load_interactions(path, CATALOG)
             run_stream(self.queries(3), THREE_AGENTS, CATALOG, ActivationPolicy(), RuleConfig())
-        # the dropped-row warning still shows; the per-query lines do not
-        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
-            (logging.WARNING, "dropped 1 interaction rows referencing unknown items")
-        ]
+        assert caplog.records == []
 
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="agorank"):
