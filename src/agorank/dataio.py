@@ -294,18 +294,23 @@ def generate_catalog(
 ) -> Catalog:
     """Deterministic synthetic catalog.
 
-    Providers are assigned round-robin.  Popularity is a uniform draw times
-    itself (few popular items, long unpopular tail); sustainability is
-    uniform.  Per-item draw order: popularity, sustainability, first
-    category, second-category gate (p=0.4), second category if gated in,
-    price.  So an item takes 5 draws, or 6 when the gate opens.
+    Providers are assigned round-robin, and only those that own an item
+    are named, so ``provider_count`` may be any positive integer.
+    Popularity is a uniform draw times itself (few popular items, long
+    unpopular tail); sustainability is uniform.  Per-item draw order:
+    popularity, sustainability, first category, second-category gate
+    (p=0.4), second category if gated in, price.  So an item takes 5 draws,
+    or 6 when the gate opens.
 
     All draws come from one ``PortableRng`` pass.  One Python loop finds
     each item's first draw; every field is then a numpy column gathered at
     those offsets, with IEEE products and ``_round_each``, so each value is
     the float that the per-draw loop FORMATS.md specifies gives with
-    Python's ``round``.  The columns go to ``Catalog.from_columns`` as they
-    are; no ``Item`` is built.
+    Python's ``round``.  Providers and category sets go to
+    ``Catalog.from_codes`` as codes computed in numpy: row mod the number
+    of providers named, and one label per distinct (first, second)
+    category pair.  Python formats only the ids, the descriptions and one
+    text per set; no ``Item`` is built.
     """
     if item_count < 1 or provider_count < 1 or not categories:
         raise ValueError("need item_count >= 1, provider_count >= 1, categories non-empty")
@@ -327,26 +332,29 @@ def generate_catalog(
     # an item without a second category has second == first
     second = np.where(gate, (draws[at + 4] * n_cats).astype(np.int64) % n_cats, first)
     price = _round_each(20.0 + 180.0 * draws[at + 4 + gate], 2)
-    providers = [f"provider-{p:02d}" for p in range(provider_count)]
-    # (first, second) category index -> (categories, description suffix)
-    labels: dict[tuple[int, int], tuple[frozenset[str], str]] = {}
-    item_categories: list[frozenset[str]] = []
-    descriptions: list[str] = []
-    for i, pair in enumerate(zip(first.tolist(), second.tolist())):
-        label = labels.get(pair)
-        if label is None:
-            chosen = frozenset((cats[pair[0]], cats[pair[1]]))
-            label = labels[pair] = (chosen, ", ".join(sorted(chosen)))
-        item_categories.append(label[0])
-        descriptions.append(f"synthetic item {i}: {label[1]}")
-    return Catalog.from_columns(
-        [f"item-{i:03d}" for i in range(item_count)],
-        [providers[i % provider_count] for i in range(item_count)],
-        item_categories,
+    # a provider past the item count owns no item, and is not named
+    owners = min(provider_count, item_count)
+    # one category set per distinct (first, second) pair; pairs of equal
+    # names give equal sets, which ``Catalog`` merges.  Not ``np.unique``:
+    # its first call in a process adds about 0.5 MB of resident memory
+    keys = first * n_cats + second
+    pairs = sorted(dict.fromkeys(keys.tolist()))
+    set_labels = np.searchsorted(np.array(pairs), keys)
+    sets = [frozenset((cats[p // n_cats], cats[p % n_cats])) for p in pairs]
+    texts = [", ".join(sorted(s)) for s in sets]
+    # from item-100 on, the padding to 3 digits adds nothing
+    ids = [f"item-{i:03d}" for i in range(min(item_count, 100))]
+    ids += [f"item-{i}" for i in range(100, item_count)]
+    return Catalog.from_codes(
+        ids,
+        [f"provider-{p:02d}" for p in range(owners)],
+        np.arange(item_count) % owners,
+        sets,
+        set_labels,
         popularity,
         sustainability,
         {"price": price},
-        descriptions,
+        [f"synthetic item {i}: {texts[t]}" for i, t in enumerate(set_labels.tolist())],
     )
 
 

@@ -133,9 +133,10 @@ class Catalog:
     the items: ``catalog[item_id]`` and ``items_sorted()`` build ``Item``
     values from it when called and keep none, so per-query code reads the
     columns by position (``positions``).  ``Catalog(items)`` converts the
-    items; ``Catalog.from_columns`` takes columns in any row order, as
-    ``generate_catalog`` computes them.  Both run ``Item``'s checks on the
-    columns.
+    items; ``Catalog.from_columns`` takes one value per row, and
+    ``Catalog.from_codes`` a provider table and a category-set table with
+    one code per row, as ``generate_catalog`` computes them.  All three
+    run ``Item``'s checks on the columns, in ``_fill``.
 
     Data computed from the catalog, such as its hash, is computed on first
     use and kept by ``derived``; that is sound only because the catalog never
@@ -155,10 +156,13 @@ class Catalog:
         for name, (rows, values) in cells.items():
             attributes[name] = np.full(len(items), np.nan)
             attributes[name][rows] = values
+        each = np.arange(len(items))
         self._fill(
             [it.id for it in items],
             [it.provider_id for it in items],
+            each,
             [it.categories for it in items],
+            each,
             [it.popularity for it in items],
             [it.sustainability for it in items],
             attributes,
@@ -170,7 +174,7 @@ class Catalog:
         cls,
         ids: Sequence[str],
         provider_ids: Sequence[str],
-        categories: Sequence[frozenset[str]],
+        categories: Sequence[Iterable[str]],
         popularity: Sequence[float],
         sustainability: Sequence[float],
         attributes: Mapping[str, Sequence[float]],
@@ -181,23 +185,53 @@ class Catalog:
         Rows may come in any order.  An attribute column holds NaN where the
         item has no such attribute.
         """
+        each = np.arange(len(ids))
+        return cls.from_codes(
+            ids, provider_ids, each, categories, each, popularity, sustainability, attributes,
+            descriptions,
+        )
+
+    @classmethod
+    def from_codes(
+        cls,
+        ids: Sequence[str],
+        providers: Sequence[str],
+        provider_codes: Sequence[int],
+        category_sets: Sequence[Iterable[str]],
+        set_labels: Sequence[int],
+        popularity: Sequence[float],
+        sustainability: Sequence[float],
+        attributes: Mapping[str, Sequence[float]],
+        descriptions: Sequence[str],
+    ) -> Catalog:
+        """``from_columns`` with two columns coded: row ``r``'s provider is
+        ``providers[provider_codes[r]]`` and its categories are
+        ``category_sets[set_labels[r]]``.
+
+        Either table may hold equal entries, and entries no row uses; the
+        catalog keeps one of each value that some row uses.
+        """
         catalog = cls.__new__(cls)
         catalog._fill(
-            ids, provider_ids, categories, popularity, sustainability, attributes, descriptions
+            ids, providers, provider_codes, category_sets, set_labels, popularity,
+            sustainability, attributes, descriptions,
         )
         return catalog
 
     def _fill(
         self,
         ids: Sequence[str],
-        provider_ids: Sequence[str],
-        categories: Sequence[frozenset[str]],
+        providers: Sequence[str],
+        provider_codes: Sequence[int],
+        category_sets: Sequence[Iterable[str]],
+        set_labels: Sequence[int],
         popularity: Sequence[float],
         sustainability: Sequence[float],
         attributes: Mapping[str, Sequence[float]],
         descriptions: Sequence[str],
     ) -> None:
-        """Sort the rows by id, check them as ``Item`` does, and store the columns."""
+        """Sort the rows by id, check them as ``Item`` does, and store the
+        columns; the two tables are read as ``from_codes`` says."""
         n = len(ids)
         order = sorted(range(n), key=ids.__getitem__)
         self._ids = tuple([ids[r] for r in order])
@@ -230,22 +264,33 @@ class Catalog:
                     f"item {self._ids[at]}: attribute {name!r}: "
                     f"{column.item(at)!r} is not a finite number"
                 )
-        self._providers = tuple(sorted(set(provider_ids)))
-        if self._providers[:1] == ("",):
-            at = min(self._position[ids[r]] for r in range(n) if not provider_ids[r])
-            raise ValueError(f"item {self._ids[at]}: provider id must be non-empty")
+        # each table entry some row uses is read once, and equal entries
+        # merge: providers into their sorted order, category sets into one
+        # frozenset each, the first met
+        codes, used = _used(provider_codes, rows, len(providers))
+        names = [providers[t] for t in used]
+        self._providers = tuple(sorted(set(names)))
         code_of = {p: c for c, p in enumerate(self._providers)}
-        # equal category sets share one frozenset, the first met; a label per
-        # row numbers its set
-        row_sets = list(map(frozenset, [categories[r] for r in order]))
-        label_of = {s: label for label, s in enumerate(dict.fromkeys(row_sets))}
+        recode = np.zeros(len(providers), dtype=np.intp)
+        recode[used] = [code_of[p] for p in names]
+        codes = recode[codes]
+        if self._providers[:1] == ("",):
+            # "" sorts first, so its rows hold code 0
+            at = int(np.flatnonzero(codes == 0)[0])
+            raise ValueError(f"item {self._ids[at]}: provider id must be non-empty")
+        labels, used = _used(set_labels, rows, len(category_sets))
+        label_of: dict[frozenset[str], int] = {}
+        relabel = np.zeros(len(category_sets), dtype=np.intp)
+        relabel[used] = [
+            label_of.setdefault(frozenset(category_sets[t]), len(label_of)) for t in used
+        ]
+        labels = relabel[labels]
         sets = list(label_of)
-        labels = np.fromiter(map(label_of.__getitem__, row_sets), dtype=np.intp, count=n)
         incidence = {}
         for category in sorted(set().union(*sets)):
             incidence[category] = np.array([category in s for s in sets], dtype=bool)[labels]
         self._columns = CatalogColumns(
-            provider_codes=np.array([code_of[provider_ids[r]] for r in order], dtype=np.intp),
+            provider_codes=codes,
             categories=tuple(map(sets.__getitem__, labels.tolist())),
             incidence=incidence,
             popularity=popularity,
@@ -254,13 +299,7 @@ class Catalog:
             descriptions=tuple([descriptions[r] for r in order]),
         )
         # every caller shares these arrays, so none may write to them
-        for array in (
-            self._columns.provider_codes,
-            *incidence.values(),
-            popularity,
-            sustainability,
-            *attributes.values(),
-        ):
+        for array in (codes, *incidence.values(), popularity, sustainability, *attributes.values()):
             array.flags.writeable = False
         self._derived: dict[Callable[[Catalog], object], object] = {}
 
@@ -327,6 +366,13 @@ class Catalog:
             attributes,
             columns.descriptions[pos],
         )
+
+
+def _used(codes: Sequence[int], rows: np.ndarray, size: int) -> tuple[np.ndarray, list[int]]:
+    """``codes`` taken at ``rows``, and the entries of a ``size``-entry table
+    that they use, in table order."""
+    codes = np.asarray(codes, dtype=np.intp)[rows]
+    return codes, np.flatnonzero(np.bincount(codes, minlength=size)).tolist()
 
 
 @dataclass(frozen=True)

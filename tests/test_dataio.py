@@ -3,6 +3,7 @@ import json
 import math
 import re
 import string
+import time
 import tracemalloc
 from unittest import mock
 
@@ -358,8 +359,30 @@ def item_fields(catalog):
     ]
 
 
+def assert_same_columns(got, want):
+    """``got`` holds ``want``'s columns, the floats bit for bit, and each of
+    its distinct category sets is one frozenset that its rows share."""
+    g, w = got.columns, want.columns
+    assert (got.ids, got.providers) == (want.ids, want.providers)
+    assert g.provider_codes.dtype == w.provider_codes.dtype
+    assert g.provider_codes.tolist() == w.provider_codes.tolist()
+    assert list(g.incidence) == list(w.incidence)
+    for category, column in w.incidence.items():
+        assert g.incidence[category].tobytes() == column.tobytes()
+    assert list(g.attributes) == list(w.attributes)
+    for name in w.attributes:
+        assert g.attributes[name].tobytes() == w.attributes[name].tobytes()
+    assert g.popularity.tobytes() == w.popularity.tobytes()
+    assert g.sustainability.tobytes() == w.sustainability.tobytes()
+    assert g.categories == w.categories
+    assert g.descriptions == w.descriptions
+    assert len({id(s) for s in g.categories}) == len(set(g.categories))
+
+
 # duplicate, single and non-ASCII category names
 _CATEGORY_LISTS = st.lists(st.text(alphabet="ab\u00e9\u4e2d_", max_size=3), min_size=1, max_size=9)
+# lists that certainly repeat a name, so that unequal category pairs give equal sets
+_REPEATING_LISTS = _CATEGORY_LISTS.map(lambda names: names + names[::-1])
 _SEEDS = st.integers(-(1 << 70), 1 << 70)
 
 
@@ -370,14 +393,17 @@ class TestGeneratorsMatchScalarReference:
     @settings(max_examples=25, deadline=None)
     @given(
         item_count=st.one_of(st.integers(1, 40), st.integers(1001, 1400)),
-        provider_count=st.integers(1, 120),
-        categories=_CATEGORY_LISTS,
+        # from 100 providers on, name order is not number order; past the
+        # item count, some providers own no item, even past int64
+        provider_count=st.one_of(st.integers(1, 120), st.integers(1401, 10**30)),
+        categories=st.one_of(_CATEGORY_LISTS, _REPEATING_LISTS),
         seed=_SEEDS,
     )
     def test_catalog(self, item_count, provider_count, categories, seed):
         got = generate_catalog(item_count, provider_count, categories, seed)
         want = reference_catalog(item_count, provider_count, categories, seed)
         assert item_fields(got) == item_fields(want)
+        assert_same_columns(got, want)
         assert catalog_hash(got) == catalog_hash(want)
 
     @pytest.mark.parametrize(
@@ -387,6 +413,7 @@ class TestGeneratorsMatchScalarReference:
         got = generate_catalog(1200, 120, categories, seed=11)
         want = reference_catalog(1200, 120, categories, seed=11)
         assert item_fields(got) == item_fields(want)
+        assert_same_columns(got, want)
         assert catalog_hash(got) == catalog_hash(want)
 
     @pytest.mark.parametrize(
@@ -399,6 +426,7 @@ class TestGeneratorsMatchScalarReference:
             got = generate_catalog(item_count, provider_count, seed=seed)
             want = reference_catalog(item_count, provider_count, dataio.DEFAULT_CATEGORIES, seed)
             assert item_fields(got) == item_fields(want)
+            assert_same_columns(got, want)
             assert catalog_hash(got) == catalog_hash(want)
             assert all(
                 type(v) is float
@@ -541,6 +569,15 @@ class TestGenerateCatalog:
     def test_seed_gamma_decorrelates_catalog_from_queries(self):
         # the catalog stream must not replay the query stream
         assert PortableRng(5 ^ CATALOG_SEED_GAMMA).uniform() != PortableRng(5).uniform()
+
+    def test_names_only_the_providers_that_own_an_item(self):
+        # a count past int64 names no more providers than there are items,
+        # and takes no time to do it
+        start = time.perf_counter()
+        catalog = generate_catalog(item_count=3, provider_count=10**30, seed=0)
+        assert time.perf_counter() - start < 1.0
+        assert catalog.providers == ("provider-00", "provider-01", "provider-02")
+        assert catalog_hash(catalog) == catalog_hash(generate_catalog(3, 3, seed=0))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -717,6 +754,22 @@ class TestLoadScenario:
         assert len(scenario.catalog) == 12
         assert len(scenario.queries) == 2
         assert scenario.catalog_source == "synthetic"
+
+    def test_provider_count_past_int64(self, scenario_dir):
+        # JSON integers have no bound; only the providers that own an item are named
+        doc = minimal_scenario_doc(
+            catalog={"synthetic": {"item_count": 200, "provider_count": 10**30}},
+            personas=[
+                {"persona_text": "wanderer", "category_weights": {"nature": 1.0}, "query_count": 1}
+            ],
+        )
+        del doc["queries"]
+        path = write_scenario(scenario_dir, doc)
+        start = time.perf_counter()
+        scenario = load_scenario(path)
+        assert time.perf_counter() - start < 1.0
+        assert len(scenario.catalog.providers) == 200
+        assert scenario.catalog.provider_of("item-199") == "provider-199"
 
     def test_seed_override_regenerates(self, scenario_dir):
         doc = minimal_scenario_doc(

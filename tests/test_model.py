@@ -78,24 +78,75 @@ class TestCatalog:
             Catalog([Item(id="a", provider_id="p"), Item(id="a", provider_id="q")])
 
     def test_from_columns_checks_what_item_checks(self):
-        def build(ids=("b", "a"), popularity=(0.5, 0.5), price=(1.0, np.nan)):
+        # rows d, b, a, c: id order is a, b, c, d
+        rows = {
+            "ids": ["d", "b", "a", "c"],
+            "providers": ["q", "p", "q", "r"],
+            "categories": [{"art"}, set(), {"art"}, {"art", "sea"}],
+            "popularity": [0.1, 0.2, 0.3, 0.4],
+            "price": [1.0, math.nan, 2.0, math.nan],
+        }
+
+        def via_items(rows):
+            # Item's own checks off, so that the catalog's are the ones tested
+            with mock.patch.object(Item, "__post_init__", lambda item: None):
+                items = [
+                    Item(i, p, frozenset(c), pop, 0.5, {} if math.isnan(x) else {"price": x}, i)
+                    for i, p, c, pop, x in zip(*rows.values())
+                ]
+            return Catalog(items)
+
+        def via_columns(rows):
+            shuffled = {key: [column[r] for r in (2, 0, 3, 1)] for key, column in rows.items()}
             return Catalog.from_columns(
-                list(ids), ["p", "q"], [frozenset(), frozenset({"art"})],
-                np.array(popularity), np.array([0.5, 0.5]), {"price": np.array(price)}, ["", ""],
+                shuffled["ids"], shuffled["providers"], shuffled["categories"],
+                np.array(shuffled["popularity"]), [0.5] * 4, {"price": shuffled["price"]},
+                shuffled["ids"],
             )
 
-        assert build().items_sorted() == [
-            Item(id="a", provider_id="q", categories={"art"}),
-            Item(id="b", provider_id="p", attributes={"price": 1.0}),
+        def via_codes(rows):
+            # generate_catalog's path, here with tables that hold equal
+            # entries and entries no row uses
+            providers = ["unused", *rows["providers"], *rows["providers"]]
+            sets = [{"unused"}, *rows["categories"], *rows["categories"]]
+            return Catalog.from_codes(
+                rows["ids"], providers, [5, 2, 7, 4], sets, [1, 6, 3, 8],
+                rows["popularity"], np.full(4, 0.5), {"price": np.array(rows["price"])},
+                rows["ids"],
+            )
+
+        builders = (via_items, via_columns, via_codes)
+        want = via_items(rows)
+        assert want.items_sorted() == [
+            Item(id="a", provider_id="q", categories={"art"}, popularity=0.3,
+                 attributes={"price": 2.0}, description="a"),
+            Item(id="b", provider_id="p", popularity=0.2, description="b"),
+            Item(id="c", provider_id="r", categories={"art", "sea"}, popularity=0.4,
+                 description="c"),
+            Item(id="d", provider_id="q", categories={"art"}, popularity=0.1,
+                 attributes={"price": 1.0}, description="d"),
         ]
-        with pytest.raises(DuplicateItemId, match="duplicate item id: a"):
-            build(ids=("a", "a"))
-        with pytest.raises(ValueError, match="item id must be non-empty"):
-            build(ids=("", "a"))
-        with pytest.raises(ValueError, match=r"item a: popularity nan outside \[0, 1\]"):
-            build(popularity=(0.5, math.nan))
-        with pytest.raises(ValueError, match="item b: attribute 'price': inf is not a finite"):
-            build(price=(math.inf, 1.0))
+        assert want.providers == ("p", "q", "r")
+        for build in builders:
+            got = build(rows).columns
+            np.testing.assert_equal(got.__dict__, want.columns.__dict__)
+            assert got.categories[0] is got.categories[3]
+
+        failures = [
+            ({"ids": ["a", "b", "a", "c"]}, DuplicateItemId, "duplicate item id: a"),
+            ({"ids": ["d", "", "a", "c"]}, ValueError, "item id must be non-empty"),
+            # each check names the first such item in id order
+            ({"popularity": [1.5, math.nan, 0.3, 0.4]}, ValueError,
+             r"item b: popularity nan outside \[0, 1\]"),
+            ({"price": [-math.inf, math.nan, 2.0, math.inf]}, ValueError,
+             "item c: attribute 'price': inf is not a finite number"),
+            ({"providers": ["", "p", "q", ""]}, ValueError,
+             "item c: provider id must be non-empty"),
+        ]
+        for change, error, message in failures:
+            for build in builders:
+                with pytest.raises(error, match=message):
+                    build({**rows, **change})
 
     def test_from_columns_refuses_empty_provider(self):
         with pytest.raises(ValueError, match="item a: provider id must be non-empty"):
