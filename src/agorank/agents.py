@@ -91,9 +91,10 @@ def generate_relevance(query: Query, catalog: Catalog, k: int) -> Ballot:
     Items violating any query constraint are excluded; survivors are ranked
     by descending score (zero-score items retained), ties by id.  The ballot
     may be empty if every item is filtered out.  Scores come from
-    ``metrics.relevance_scores``, a left-to-right sum in
-    ``preference_weights`` order, the same scores ``relevance_map`` grades
-    with.
+    ``metrics.relevance_scores``: each distinct category set is scored once
+    by ``metrics.set_scores``, a left-to-right sum in ``preference_weights``
+    order, and each item takes its set's score.  ``relevance_map`` and the
+    report grade with the same scores.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

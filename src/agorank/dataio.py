@@ -358,8 +358,9 @@ def generate_catalog(
     )
 
 
-def _round_each(x: np.ndarray, ndigits: int) -> list[float]:
-    """``[round(float(v), ndigits) for v in x]``, bit for bit, mostly in numpy.
+def _round_each(x: np.ndarray, ndigits: int) -> np.ndarray:
+    """``[round(float(v), ndigits) for v in x]`` as a float64 array, bit for
+    bit, mostly in numpy.
 
     ``round`` is correctly rounded: it rounds the exact value of ``v`` times
     ``10**ndigits`` to an integer ``K`` and returns the float nearest to
@@ -377,7 +378,7 @@ def _round_each(x: np.ndarray, ndigits: int) -> list[float]:
     scaled = x * s
     if not np.all(np.abs(scaled) < float(2**31)):
         raise ValueError(f"_round_each needs |x * 10**{ndigits}| < 2**31")
-    out = (np.rint(scaled) / s).tolist()
+    out = np.rint(scaled) / s
     near_half = np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6
     for j in np.flatnonzero(near_half).tolist():
         out[j] = round(float(x[j]), ndigits)
@@ -981,7 +982,7 @@ def _round6_each(values: Sequence[object]) -> list[object]:
     for i in np.flatnonzero(~inside).tolist():
         out[i] = _round6(out[i])
     at = np.flatnonzero(inside)
-    for i, r in zip(at.tolist(), _round_each(x[at], 6)):
+    for i, r in zip(at.tolist(), _round_each(x[at], 6).tolist()):
         out[i] = r or 0.0  # -0.0 is written as 0.0
     return out
 

@@ -3,9 +3,16 @@
 Accuracy (nDCG, recall), distributional fairness (Gini, normalized entropy),
 popularity bias (KL/JS divergence, PopLift), per-agent fairness regret, and
 the cross-agent L1/2 balance score, plus the report builder that runs the
-whole battery over a stream of query outcomes.  The report scores nDCG and
-recall from one relevance array per outcome; ``evaluate_metric`` is the
-scalar reference for both and the path the orchestrator's monitor takes.
+whole battery over a stream of query outcomes.
+
+Relevance is scored in one place, ``set_scores``: once per distinct category
+set, since an item's preference score depends only on its set.
+``relevance_scores`` gathers those scores into a per-item array for the
+built-in relevance agent and for ``relevance_map``.  The report scores nDCG
+and recall straight from the set scores and their feasible counts
+(``_accuracy_at_k``), and replays the exposure ledger as one outcomes by
+providers matrix; ``evaluate_metric`` is the scalar reference for every
+metric and the path the orchestrator's monitor takes.
 
 Divergences compare category-level distributions: the historical side is the
 category frequency profile of the user's history, the recommended side is the
@@ -16,7 +23,6 @@ popularity field on both sides.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -133,6 +139,22 @@ def gini_exposure(exposures: Sequence[float]) -> float:
     return float(((2 * i - n - 1) * x).sum() / (n * total))
 
 
+def _gini_rows(exposures: np.ndarray) -> list[float]:
+    """``gini_exposure`` of each row of a 2-D array whose rows are
+    non-negative and not all zero, float for float.
+
+    The rows are sorted and weighted as one array, but each sum is taken
+    over one row, so that every sum is the one-dimensional pairwise sum
+    ``gini_exposure`` takes, whatever a numpy release does with a 2-D
+    reduction.
+    """
+    x = np.sort(exposures, axis=1)
+    n = x.shape[1]
+    i = np.arange(1, n + 1)
+    weighted = (2 * i - n - 1) * x
+    return [float(w.sum() / (n * float(row.sum()))) for w, row in zip(weighted, x)]
+
+
 def normalized_entropy(p: Sequence[float]) -> float:
     """Shannon entropy of a distribution divided by log2(n), in [0, 1]."""
     p = np.asarray(p, dtype=float)
@@ -142,6 +164,22 @@ def normalized_entropy(p: Sequence[float]) -> float:
     nz = p[p > 0]
     h = max(0.0, float(-(nz * np.log2(nz)).sum()))
     return h / math.log2(p.size)
+
+
+def _entropy_rows(p: np.ndarray) -> list[float]:
+    """``normalized_entropy`` of each row of a 2-D array of distributions
+    with at least 2 entries each, float for float, unchecked.
+
+    The terms p * log2(p) of the positive entries are computed as one
+    array; each row's are then gathered and summed on their own, as the
+    one-dimensional sum ``normalized_entropy`` takes.
+    """
+    positive = p > 0
+    terms = p * np.log2(p, out=np.zeros_like(p), where=positive)
+    bits = math.log2(p.shape[1])
+    return [
+        max(0.0, float(-(row[nz]).sum())) / bits for row, nz in zip(terms, positive)
+    ]
 
 
 def _check_distribution(p: np.ndarray, name: str) -> None:
@@ -230,18 +268,30 @@ def l_half_balance(per_agent_fairness: Sequence[float]) -> float:
     return root_sum * root_sum
 
 
-def relevance_scores(query: Query, catalog: Catalog) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint feasibility and preference score of every item, in id order.
+def set_scores(query: Query, catalog: Catalog) -> list[float]:
+    """Preference score of each distinct category set, in ``columns.sets`` order.
 
-    This is the one place relevance is scored.  An item is feasible when it
-    satisfies every query constraint.  Its score is the sum of the weights of
-    the query categories it carries, added left to right in
+    This is the one place relevance is scored.  A set's score is the sum of
+    the weights of the query categories it holds, added left to right in
     ``preference_weights`` order starting from 0.0, so each value is the
-    float that ``model.left_sum`` gives over the weights (builtin ``sum()``
-    compensates rounding from Python 3.12 on and may differ in the last
-    bit).  Scores are computed for
-    infeasible items too; callers decide what those mean.
+    float that ``model.left_sum`` gives over those weights (builtin
+    ``sum()`` compensates rounding from Python 3.12 on and may differ in the
+    last bit).  An item's score depends only on its category set, so a
+    catalog of any size is scored in one pass over its distinct sets.
     """
+    weights = query.preference_weights.items()
+    scores = []
+    for categories in catalog.columns.sets:
+        total = 0.0
+        for cat, w in weights:
+            if cat in categories:
+                total += w
+        scores.append(total)
+    return scores
+
+
+def _feasible(query: Query, catalog: Catalog) -> np.ndarray:
+    """True where an item satisfies every query constraint, in id order."""
     columns = catalog.columns
     feasible = np.ones(len(catalog), dtype=bool)
     for constraint in query.constraints:
@@ -252,12 +302,19 @@ def relevance_scores(query: Query, catalog: Catalog) -> tuple[np.ndarray, np.nda
             feasible &= values <= constraint.value
         else:
             feasible &= values >= constraint.value
-    score = np.zeros(len(catalog))
-    for cat, w in query.preference_weights.items():
-        incidence = columns.incidence.get(cat)
-        if incidence is not None:
-            score += np.where(incidence, w, 0.0)
-    return feasible, score
+    return feasible
+
+
+def relevance_scores(query: Query, catalog: Catalog) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint feasibility and preference score of every item, in id order.
+
+    An item is feasible when it satisfies every query constraint.  Its score
+    is its category set's entry of ``set_scores``, gathered by
+    ``columns.set_codes``.  Scores are given for infeasible items too;
+    callers decide what those mean.
+    """
+    score = np.array(set_scores(query, catalog))[catalog.columns.set_codes]
+    return _feasible(query, catalog), score
 
 
 def relevance_map(query: Query, catalog: Catalog) -> dict[str, float]:
@@ -317,9 +374,11 @@ def evaluate_metric(
 
     This is the scalar reference for every metric and the path the
     orchestrator's monitor takes; ``build_report`` gets the same nDCG and
-    recall floats from ``_accuracy_at_k``.  Returns None when the metric's
-    inputs do not exist (no history for the divergence/popularity metrics, no
-    exposure mass yet, degenerate support).
+    recall floats from ``_accuracy_at_k``, and the same Gini and entropy
+    floats from the row kernels ``_gini_rows`` and ``_entropy_rows``.
+    Returns None when the metric's inputs do not exist (no history for the
+    divergence/popularity metrics, no exposure mass yet, degenerate
+    support).
     The composite metrics (fairness regret, L1/2) are not computable from a
     single list and raise UnknownMetricDirection via the direction registry.
     """
@@ -388,32 +447,42 @@ class EvaluationReport:
 def _accuracy_at_k(
     query: Query, final_list: Sequence[str], catalog: Catalog
 ) -> tuple[float, float]:
-    """nDCG and recall at ``query.top_n`` from one relevance array.
+    """nDCG and recall at ``query.top_n`` from one ``set_scores`` call.
 
     Gives the floats that ``evaluate_metric`` gives for NDCG and RECALL
-    without building a per-item dict: list items are found by bisection in
-    the sorted catalog ids (an unknown id gains 0.0), DCG is added left to
-    right, and the ideal top n is taken with ``np.partition`` and summed
-    with the same ``left_sum`` expression as ``ndcg_at_k``.
+    without a per-item array or dict.  An item's relevance is its set's
+    score when it is feasible and 0.0 when not, so the relevant items are
+    the feasible items of the sets scoring above 0, counted per set with
+    ``np.bincount``.  The ideal top n walks those sets in descending score,
+    each as often as it has feasible items, which gives the leading values
+    of every item's relevance sorted; the 0.0 values that would follow add
+    nothing to the ideal gain.  It is summed with the same ``left_sum``
+    expression as ``ndcg_at_k``.  List items are found with
+    ``Catalog.positions`` (an unknown id gains 0.0), and DCG is added left
+    to right.
     """
-    feasible, score = relevance_scores(query, catalog)
-    relevance = np.where(feasible, score, 0.0)
-    ids = catalog.ids
+    scores = set_scores(query, catalog)
+    feasible = _feasible(query, catalog)
+    set_codes = catalog.columns.set_codes
+    counts = np.bincount(set_codes[feasible], minlength=len(scores)).tolist()
     k = query.top_n
-    gains: list[float] = []
-    for item in final_list[:k]:
-        j = bisect_left(ids, item)
-        gains.append(float(relevance[j]) if j < len(ids) and ids[j] == item else 0.0)
+    listed = [(i, item) for i, item in enumerate(final_list[:k], start=1) if item in catalog]
     dcg = 0.0
-    for i, gain in enumerate(gains, start=1):
+    hits = 0
+    for (i, _), pos in zip(listed, catalog.positions(item for _, item in listed)):
+        gain = scores[set_codes.item(pos)] if feasible.item(pos) else 0.0
         dcg += gain / math.log2(i + 1)
-    n = relevance.size
-    top = relevance if k >= n else np.partition(relevance, n - k)[n - k :]
-    ideal = sorted(top.tolist(), reverse=True)
+        hits += gain > 0
+    ideal: list[float] = []
+    relevant = 0
+    for s in sorted(range(len(scores)), key=scores.__getitem__, reverse=True):
+        if scores[s] <= 0:
+            break
+        relevant += counts[s]
+        ideal += [scores[s]] * min(counts[s], k - len(ideal))
     idcg = left_sum(rel / math.log2(i + 1) for i, rel in enumerate(ideal, start=1))
     ndcg = 0.0 if idcg == 0.0 else dcg / idcg
-    relevant = int(np.count_nonzero(relevance > 0))
-    recall = 0.0 if not relevant else sum(1 for g in gains if g > 0) / relevant
+    recall = 0.0 if not relevant else hits / relevant
     return ndcg, recall
 
 
@@ -433,35 +502,50 @@ def build_report(
 ) -> EvaluationReport:
     """Run the full battery over a query stream's outcomes.
 
-    nDCG and recall come from one relevance array per outcome
+    nDCG and recall come from one ``set_scores`` call per outcome
     (``_accuracy_at_k``), equal to what ``evaluate_metric`` gives for them.
     Exposure-based metrics are evaluated against the cumulative exposure
-    ledger as of each query (replayed here from the final lists, so saved
-    outcomes suffice).  Per-agent regrets are taken from the outcomes: they
-    were computed at processing time against the live ledger.
+    ledger as of each query, replayed here from the final lists, so saved
+    outcomes suffice: one row of provider credits per outcome
+    (``exposure_delta``), added down the rows in stream order as the ledger
+    adds them.  Gini and normalized entropy come from the row kernels that
+    ``gini_exposure`` and ``normalized_entropy`` run on (``_gini_rows``,
+    ``_entropy_rows``), applied to the rows with exposure; every sum inside
+    them is taken over one row, as ``evaluate_metric`` takes it.  KL, JS
+    and PopLift go through ``evaluate_metric``.  Per-agent regrets are
+    taken from the outcomes: they were computed at processing time against
+    the live ledger.
     """
     if not outcomes:
         raise ValueError("outcomes must be non-empty")
     agent_ids = sorted({s.agent_id for s in specs})
-    battery = (
-        MetricId.GINI_EXPOSURE,
-        MetricId.NORM_ENTROPY,
-        MetricId.KL_DIV,
-        MetricId.JS_DIV,
-        MetricId.POP_LIFT,
-    )
-    exposure: dict[str, float] = {}
+    battery = (MetricId.KL_DIV, MetricId.JS_DIV, MetricId.POP_LIFT)
+    providers = catalog.providers
+    column = dict(zip(providers, range(len(providers))))
+    exposure = np.zeros((len(outcomes), len(providers)))
+    for row, outcome in zip(exposure, outcomes):
+        for provider, credit in exposure_delta(outcome.final_list, catalog).items():
+            row[column[provider]] = credit
+    exposure = np.cumsum(exposure, axis=0)
+    # each row's total added left to right, as ``left_sum`` adds it
+    totals = np.cumsum(exposure, axis=1)[:, -1] if providers else np.zeros(len(outcomes))
+    exposed = np.flatnonzero(totals)
+    gini = dict(zip(exposed.tolist(), _gini_rows(exposure[exposed])))
+    entropy = {}
+    if len(providers) >= 2:
+        shares = exposure[exposed] / totals[exposed, np.newaxis]
+        entropy = dict(zip(exposed.tolist(), _entropy_rows(shares)))
     per_query: list[QueryEvaluation] = []
     runtime: dict[str, int] = {}
-    for outcome in outcomes:
-        for provider, credit in exposure_delta(outcome.final_list, catalog).items():
-            exposure[provider] = exposure.get(provider, 0.0) + credit
+    for at, outcome in enumerate(outcomes):
         ndcg, recall = _accuracy_at_k(outcome.query, outcome.final_list, catalog)
         values: dict[str, float] = {MetricId.NDCG.value: ndcg, MetricId.RECALL.value: recall}
+        if at in gini:
+            values[MetricId.GINI_EXPOSURE.value] = gini[at]
+        if at in entropy:
+            values[MetricId.NORM_ENTROPY.value] = entropy[at]
         for metric in battery:
-            v = evaluate_metric(
-                metric, outcome.query, outcome.final_list, catalog, exposure
-            )
+            v = evaluate_metric(metric, outcome.query, outcome.final_list, catalog, {})
             if v is not None:
                 values[metric.value] = v
         regret = {a: outcome.per_agent_regret.get(a, 0.0) for a in agent_ids}
@@ -483,9 +567,10 @@ def build_report(
 
     aggregate: dict[str, dict[str, float]] = {}
     for metric in MetricId:
-        series = [q.values[metric.value] for q in per_query if metric.value in q.values]
+        key = metric.value
+        series = [q.values[key] for q in per_query if key in q.values]
         if series:
-            aggregate[metric.value] = {
+            aggregate[key] = {
                 "mean": left_sum(series) / len(series),
                 "min": min(series),
                 "max": max(series),

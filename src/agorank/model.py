@@ -101,17 +101,20 @@ class CatalogColumns:
     """Every item field in catalog id order: numpy arrays for whole-catalog
     scans, tuples for the per-item values that are not numbers.
 
-    ``provider_codes[i]`` indexes ``Catalog.providers``.  ``categories[i]``
-    is item i's category set, one frozenset shared by the items whose sets
-    are equal, and ``incidence[c][i]`` is True when item i carries category
-    c.  ``attributes[a][i]`` is NaN when item i has no attribute a, so that
-    every comparison with it is False; an attribute itself is never NaN.
-    Every array is read-only.
+    ``provider_codes[i]`` indexes ``Catalog.providers``.  ``sets`` holds
+    each distinct category set of the items once, as one frozenset, in the
+    order the items, in id order, first carry them; ``set_codes[i]`` (intp)
+    indexes it, and ``categories[i]`` is ``sets[set_codes[i]]``, the same
+    object.  So whatever depends only on an item's categories can be
+    computed once per set.  ``attributes[a][i]`` is NaN when item i has no
+    attribute a, so that every comparison with it is False; an attribute
+    itself is never NaN.  Every array is read-only.
     """
 
     provider_codes: np.ndarray
     categories: tuple[frozenset[str], ...]
-    incidence: Mapping[str, np.ndarray]
+    set_codes: np.ndarray
+    sets: tuple[frozenset[str], ...]
     popularity: np.ndarray
     sustainability: np.ndarray
     attributes: Mapping[str, np.ndarray]
@@ -266,7 +269,8 @@ class Catalog:
                 )
         # each table entry some row uses is read once, and equal entries
         # merge: providers into their sorted order, category sets into one
-        # frozenset each, the first met
+        # frozenset each, the first met, numbered in the order the rows (in
+        # id order) first use them, so that equal catalogs have equal columns
         codes, used = _used(provider_codes, rows, len(providers))
         names = [providers[t] for t in used]
         self._providers = tuple(sorted(set(names)))
@@ -278,28 +282,27 @@ class Catalog:
             # "" sorts first, so its rows hold code 0
             at = int(np.flatnonzero(codes == 0)[0])
             raise ValueError(f"item {self._ids[at]}: provider id must be non-empty")
-        labels, used = _used(set_labels, rows, len(category_sets))
+        labels, _ = _used(set_labels, rows, len(category_sets))
+        used = list(dict.fromkeys(labels.tolist()))
         label_of: dict[frozenset[str], int] = {}
         relabel = np.zeros(len(category_sets), dtype=np.intp)
         relabel[used] = [
             label_of.setdefault(frozenset(category_sets[t]), len(label_of)) for t in used
         ]
         labels = relabel[labels]
-        sets = list(label_of)
-        incidence = {}
-        for category in sorted(set().union(*sets)):
-            incidence[category] = np.array([category in s for s in sets], dtype=bool)[labels]
+        sets = tuple(label_of)
         self._columns = CatalogColumns(
             provider_codes=codes,
             categories=tuple(map(sets.__getitem__, labels.tolist())),
-            incidence=incidence,
+            set_codes=labels,
+            sets=sets,
             popularity=popularity,
             sustainability=sustainability,
             attributes=attributes,
             descriptions=tuple([descriptions[r] for r in order]),
         )
         # every caller shares these arrays, so none may write to them
-        for array in (codes, *incidence.values(), popularity, sustainability, *attributes.values()):
+        for array in (codes, labels, popularity, sustainability, *attributes.values()):
             array.flags.writeable = False
         self._derived: dict[Callable[[Catalog], object], object] = {}
 

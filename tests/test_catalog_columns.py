@@ -14,6 +14,7 @@ and check that loading a synthetic scenario builds no ``Item`` at all.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -28,7 +29,7 @@ from agorank.agents import (
     generate_provider_exposure,
     generate_relevance,
 )
-from agorank.metrics import relevance_map
+from agorank.metrics import relevance_map, relevance_scores
 from agorank.model import Ballot, Catalog, Constraint, Item, Query
 from agorank.orchestrator import run_stream
 
@@ -182,11 +183,57 @@ _LEDGERS = st.dictionaries(
 ).map(ExposureLedger)
 
 
+def build_catalog(items: list[Item], how: str, twice: list[bool]) -> Catalog:
+    """The catalog of ``items``, built by ``Catalog(items)``, by
+    ``from_columns`` or by ``from_codes``.  The coded tables start with an
+    unused entry and hold every provider and category set twice; row ``r``
+    takes the second copy when ``twice[r]``."""
+    if how == "items":
+        return Catalog(items)
+    ids = [it.id for it in items]
+    names = sorted({name for it in items for name in it.attributes})
+    columns = (
+        [it.popularity for it in items],
+        [it.sustainability for it in items],
+        {name: [it.attributes.get(name, math.nan) for it in items] for name in names},
+        [it.description for it in items],
+    )
+    if how == "columns":
+        return Catalog.from_columns(
+            ids, [it.provider_id for it in items], [set(it.categories) for it in items],
+            *columns,
+        )
+    providers = sorted({it.provider_id for it in items})
+    sets = list(dict.fromkeys(it.categories for it in items))
+    return Catalog.from_codes(
+        ids,
+        ["unused", *providers, *providers],
+        [1 + providers.index(it.provider_id) + len(providers) * t for it, t in zip(items, twice)],
+        [{"unused"}, *sets, *map(set, sets)],
+        [1 + sets.index(it.categories) + len(sets) * t for it, t in zip(items, twice)],
+        *columns,
+    )
+
+
+@st.composite
+def catalogs(draw, items: st.SearchStrategy[list[Item]]) -> Catalog:
+    """A catalog of the drawn items, from any of the three constructors."""
+    items = draw(items)
+    twice = draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
+    return build_catalog(items, draw(st.sampled_from(("items", "columns", "codes"))), twice)
+
+
 @settings(max_examples=300, deadline=None)
-@given(items=_items(), query=_queries(), ledger=_LEDGERS, extra=st.integers(-11, 3))
-def test_columnar_scans_match_the_per_item_loops(items, query, ledger, extra):
-    catalog = Catalog(items)
-    k = max(1, len(items) + extra)  # from 1 up to 3 more than the catalog holds
+@given(catalog=catalogs(_items()), query=_queries(), ledger=_LEDGERS, extra=st.integers(-11, 3))
+def test_columnar_scans_match_the_per_item_loops(catalog, query, ledger, extra):
+    columns = catalog.columns
+    assert all(columns.sets[c] is s for c, s in zip(columns.set_codes.tolist(), columns.categories))
+    assert len(set(columns.sets)) == len(columns.sets)
+    k = max(1, len(catalog) + extra)  # from 1 up to 3 more than the catalog holds
+    _, score = relevance_scores(query, catalog)
+    assert [v.hex() for v in score.tolist()] == [
+        _reference_score(query, item).hex() for item in catalog.items_sorted()
+    ]
     _assert_same_relevance(
         relevance_map(query, catalog), _reference_relevance_map(query, catalog)
     )
@@ -271,7 +318,7 @@ def test_columns_exist_from_construction_and_are_read_only():
         columns.provider_codes,
         columns.popularity,
         columns.sustainability,
-        *columns.incidence.values(),
+        columns.set_codes,
         *columns.attributes.values(),
     )
     assert len(arrays) > 4

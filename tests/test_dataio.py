@@ -366,9 +366,9 @@ def assert_same_columns(got, want):
     assert (got.ids, got.providers) == (want.ids, want.providers)
     assert g.provider_codes.dtype == w.provider_codes.dtype
     assert g.provider_codes.tolist() == w.provider_codes.tolist()
-    assert list(g.incidence) == list(w.incidence)
-    for category, column in w.incidence.items():
-        assert g.incidence[category].tobytes() == column.tobytes()
+    assert g.set_codes.dtype == w.set_codes.dtype == np.intp
+    assert g.set_codes.tolist() == w.set_codes.tolist()
+    assert g.sets == w.sets
     assert list(g.attributes) == list(w.attributes)
     for name in w.attributes:
         assert g.attributes[name].tobytes() == w.attributes[name].tobytes()
@@ -508,7 +508,7 @@ class TestRoundEach:
         values, ndigits = case
         got = dataio._round_each(np.array(values), ndigits)
         assert _hexes(got) == _hexes(round(v, ndigits) for v in values)
-        assert all(type(v) is float for v in got)
+        assert got.dtype == np.float64
 
     @pytest.mark.parametrize(
         "ndigits, ks",

@@ -1,11 +1,14 @@
+import bisect
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agorank import metrics
+from agorank.agents import AgentObjective, AgentSpec
 from agorank.errors import (
     LengthMismatch,
     NotNormalized,
@@ -15,12 +18,15 @@ from agorank.errors import (
 )
 from agorank.metrics import (
     METRIC_CODOMAIN,
+    EvaluationReport,
     MetricId,
+    QueryEvaluation,
     _accuracy_at_k,
     build_report,
     category_distributions,
     divergence,
     evaluate_metric,
+    exposure_delta,
     fairness_regret,
     gini_exposure,
     l_half_balance,
@@ -31,8 +37,18 @@ from agorank.metrics import (
     recall_at_k,
     relevance_map,
 )
-from agorank.model import Catalog, Constraint, Item, Query
-from agorank.orchestrator import run_stream
+from agorank.model import (
+    AggregateResult,
+    Catalog,
+    Constraint,
+    Item,
+    Query,
+    StakeholderRole,
+    left_sum,
+)
+from agorank.orchestrator import QueryOutcome, run_stream
+
+import test_catalog_columns
 
 TOL = 1e-9
 
@@ -357,8 +373,7 @@ class TestEvaluateMetric:
             evaluate_metric(MetricId.FAIRNESS_REGRET, q, ["a"], cat, {})
 
 
-# Ids come from one pool, so the ids a final list holds that are not in the
-# catalog sort between catalog ids, where a bisection lands next to them.
+# Ids come from one pool, so a final list may hold ids the catalog lacks.
 _ID_POOL = [f"i{n:02d}" for n in range(60)]
 _CATEGORIES = ["food", "market", "nature", "art"]
 # zero, dyadic and non-dyadic weights; sums of the non-dyadic ones round
@@ -462,19 +477,22 @@ class TestAccuracyAtK:
 
 class TestBuildReportAccuracy:
     @pytest.mark.parametrize("name", ["tourism", "synthetic_200"])
-    def test_one_relevance_array_per_outcome(self, name, request):
+    def test_sets_scored_once_per_outcome(self, name, request):
         scenario = request.getfixturevalue(name)
         outcomes, _ = run_stream(
             scenario.queries, scenario.agents, scenario.catalog, scenario.policy,
             scenario.rule_config,
         )
         with mock.patch.object(
+            metrics, "set_scores", wraps=metrics.set_scores
+        ) as set_scores, mock.patch.object(
             metrics, "relevance_scores", wraps=metrics.relevance_scores
         ) as scores, mock.patch.object(
             metrics, "relevance_map", wraps=metrics.relevance_map
         ) as rel_map:
             report = build_report(outcomes, scenario.agents, scenario.catalog)
-        assert scores.call_count == len(outcomes)
+        assert set_scores.call_count == len(outcomes)
+        assert scores.call_count == 0
         assert rel_map.call_count == 0
 
         with mock.patch.object(metrics, "_accuracy_at_k", _reference_accuracy):
@@ -485,3 +503,257 @@ class TestBuildReportAccuracy:
             list(q.values) for q in reference.per_query
         ]
         assert all(list(q.values)[:2] == ["ndcg", "recall"] for q in report.per_query)
+
+
+# ---------------------------------------------------------------------------
+# build_report against a frozen copy of its per-item form
+#
+# ``_frozen_*`` are ``build_report`` and ``_accuracy_at_k`` as they were
+# before the report scored relevance per category set: one relevance value
+# per item (from per-category incidence arrays), ``np.partition`` for the
+# ideal top n, a dict exposure ledger, and every exposure metric through
+# ``evaluate_metric``.  The report must match them float for float, in key
+# order too, since key order is serialized.
+
+
+def _frozen_relevance(query, catalog):
+    columns = catalog.columns
+    feasible = np.ones(len(catalog), dtype=bool)
+    for constraint in query.constraints:
+        values = columns.constraint_values(constraint.attribute)
+        if values is None:
+            feasible[:] = False
+        elif constraint.direction == "<=":
+            feasible &= values <= constraint.value
+        else:
+            feasible &= values >= constraint.value
+    incidence = {
+        c: np.array([c in s for s in columns.categories], dtype=bool)
+        for c in sorted(set().union(*columns.categories))
+    }
+    score = np.zeros(len(catalog))
+    for cat, w in query.preference_weights.items():
+        if cat in incidence:
+            score += np.where(incidence[cat], w, 0.0)
+    return np.where(feasible, score, 0.0)
+
+
+def _frozen_accuracy(query, final_list, catalog):
+    relevance = _frozen_relevance(query, catalog)
+    ids = catalog.ids
+    k = query.top_n
+    gains = []
+    for item in final_list[:k]:
+        j = bisect.bisect_left(ids, item)
+        gains.append(float(relevance[j]) if j < len(ids) and ids[j] == item else 0.0)
+    dcg = 0.0
+    for i, gain in enumerate(gains, start=1):
+        dcg += gain / math.log2(i + 1)
+    n = relevance.size
+    top = relevance if k >= n else np.partition(relevance, n - k)[n - k :]
+    ideal = sorted(top.tolist(), reverse=True)
+    idcg = left_sum(rel / math.log2(i + 1) for i, rel in enumerate(ideal, start=1))
+    ndcg = 0.0 if idcg == 0.0 else dcg / idcg
+    relevant = int(np.count_nonzero(relevance > 0))
+    recall = 0.0 if not relevant else sum(1 for g in gains if g > 0) / relevant
+    return ndcg, recall
+
+
+def _frozen_build_report(outcomes, specs, catalog):
+    agent_ids = sorted({s.agent_id for s in specs})
+    battery = (
+        MetricId.GINI_EXPOSURE,
+        MetricId.NORM_ENTROPY,
+        MetricId.KL_DIV,
+        MetricId.JS_DIV,
+        MetricId.POP_LIFT,
+    )
+    exposure = {}
+    per_query = []
+    runtime = {}
+    for outcome in outcomes:
+        for provider, credit in exposure_delta(outcome.final_list, catalog).items():
+            exposure[provider] = exposure.get(provider, 0.0) + credit
+        ndcg, recall = _frozen_accuracy(outcome.query, outcome.final_list, catalog)
+        values = {MetricId.NDCG.value: ndcg, MetricId.RECALL.value: recall}
+        for metric in battery:
+            v = evaluate_metric(metric, outcome.query, outcome.final_list, catalog, exposure)
+            if v is not None:
+                values[metric.value] = v
+        regret = {a: outcome.per_agent_regret.get(a, 0.0) for a in agent_ids}
+        if regret:
+            values[MetricId.FAIRNESS_REGRET.value] = left_sum(regret.values()) / len(regret)
+            values[MetricId.L_HALF_BALANCE.value] = l_half_balance(
+                [max(0.0, 1.0 - r) for r in regret.values()]
+            )
+        per_query.append(
+            QueryEvaluation(outcome.query_id, values, regret, dict(outcome.aggregate.influence))
+        )
+        for stage, calls in outcome.stage_calls.items():
+            runtime[stage] = runtime.get(stage, 0) + calls
+    aggregate = {}
+    for metric in MetricId:
+        series = [q.values[metric.value] for q in per_query if metric.value in q.values]
+        if series:
+            aggregate[metric.value] = {
+                "mean": left_sum(series) / len(series),
+                "min": min(series),
+                "max": max(series),
+            }
+    drift = {a: tuple(q.regret.get(a, 0.0) for q in per_query) for a in agent_ids}
+    return EvaluationReport(tuple(per_query), aggregate, drift, runtime)
+
+
+def _bits(report):
+    """Every key and float of ``report`` in order, each float as ``float.hex``."""
+
+    def hexed(mapping):
+        return [(key, float(v).hex()) for key, v in mapping.items()]
+
+    return (
+        [(q.query_id, hexed(q.values), hexed(q.regret), hexed(q.influence))
+         for q in report.per_query],
+        [(metric, hexed(stats)) for metric, stats in report.aggregate.items()],
+        [(a, [float(v).hex() for v in series]) for a, series in report.drift.items()],
+        list(report.runtime.items()),
+    )
+
+
+_REPORT_CATEGORIES = ("food", "market", "nature", "art")
+_REPORT_PROVIDERS = ("p1", "p2", "p3")
+_REPORT_SPECS = (
+    AgentSpec("traveler", StakeholderRole.USER, AgentObjective.RELEVANCE, MetricId.NDCG, 0.8),
+    AgentSpec(
+        "providers", StakeholderRole.PROVIDER, AgentObjective.PROVIDER_EXPOSURE,
+        MetricId.GINI_EXPOSURE, 0.3,
+    ),
+)
+
+
+@st.composite
+def _report_items(draw):
+    """1-40 items over 1-3 providers and up to 6 category sets, which may be
+    empty or equal."""
+    size = draw(st.integers(min_value=1, max_value=40))
+    ids = draw(st.lists(st.sampled_from(_ID_POOL), min_size=size, max_size=size, unique=True))
+    providers = draw(
+        st.lists(st.sampled_from(_REPORT_PROVIDERS), min_size=1, max_size=3, unique=True)
+    )
+    sets = draw(
+        st.lists(st.frozensets(st.sampled_from(_REPORT_CATEGORIES)), min_size=1, max_size=6)
+    )
+    rows = st.tuples(
+        st.sampled_from(providers),
+        st.sampled_from(sets),
+        st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        st.one_of(st.none(), st.floats(0.0, 100.0)),
+    )
+    return [
+        Item(
+            id=item_id,
+            provider_id=provider,
+            categories=categories,
+            popularity=popularity,
+            attributes={} if price is None else {"price": price},
+        )
+        for item_id, (provider, categories, popularity, price) in zip(
+            ids, draw(st.lists(rows, min_size=size, max_size=size))
+        )
+    ]
+
+
+@st.composite
+def _report_inputs(draw):
+    catalog = draw(test_catalog_columns.catalogs(_report_items()))
+    ids = list(catalog.ids)
+    outcomes = []
+    for n in range(draw(st.integers(min_value=1, max_value=5))):
+        # zero weights, and weights for "ghost", which no item carries
+        weights = draw(
+            st.dictionaries(st.sampled_from(list(_REPORT_CATEGORIES) + ["ghost"]), _WEIGHTS)
+        )
+        constraints = draw(
+            st.lists(
+                st.builds(
+                    Constraint,
+                    st.sampled_from(["price", "popularity", "unknown"]),
+                    st.sampled_from(["<=", ">="]),
+                    st.sampled_from([0.0, 0.1, 0.5, 50.0]),
+                ),
+                max_size=2,
+            )
+        )
+        query = Query(
+            id=f"q{n}",
+            preference_weights=weights,
+            constraints=tuple(constraints),
+            user_history=tuple(draw(st.lists(st.sampled_from(ids), max_size=3))),
+            top_n=draw(st.integers(min_value=1, max_value=len(ids) + 3)),
+        )
+        final_list = tuple(draw(st.lists(st.sampled_from(ids), max_size=8, unique=True)))
+        regret = draw(
+            st.dictionaries(st.sampled_from([s.agent_id for s in _REPORT_SPECS]),
+                            st.floats(0.0, 2.0))
+        )
+        outcomes.append(_outcome(query, final_list, regret))
+    return outcomes, catalog
+
+
+def _outcome(query, final_list, regret):
+    return QueryOutcome(
+        query_id=query.id,
+        final_list=final_list,
+        per_agent_ballots=(),
+        aggregate=AggregateResult("borda", final_list, {"traveler": 0.25}, (), {}),
+        skipped_agents={},
+        justifications={},
+        query=query,
+        per_agent_achieved={},
+        per_agent_regret=regret,
+        stage_calls={"generate": 2, "aggregate": 1},
+    )
+
+
+# the best-scoring item is infeasible, and an empty set scores 0.0
+_INFEASIBLE_BEST = (
+    [
+        _outcome(
+            Query(
+                id="q0",
+                preference_weights={"food": 1.0, "art": 0.5},
+                constraints=(Constraint("price", "<=", 10.0),),
+                top_n=2,
+            ),
+            ("i00", "i02"),
+            {"traveler": 0.5},
+        )
+    ],
+    Catalog(
+        [
+            Item("i00", "p1", frozenset({"food"}), attributes={"price": 5.0}),
+            Item("i01", "p2", frozenset({"food", "art"}), attributes={"price": 50.0}),
+            Item("i02", "p1", frozenset()),
+        ]
+    ),
+)
+
+
+class TestBuildReportMatchesFrozenCopy:
+    @settings(max_examples=100, deadline=None)
+    @given(_report_inputs())
+    @example(_INFEASIBLE_BEST)
+    def test_same_floats_and_key_order(self, case):
+        outcomes, catalog = case
+        report = build_report(outcomes, _REPORT_SPECS, catalog)
+        assert _bits(report) == _bits(_frozen_build_report(outcomes, _REPORT_SPECS, catalog))
+
+    @pytest.mark.parametrize("name", ["tourism", "synthetic_200"])
+    def test_bundled_streams(self, name, request):
+        scenario = request.getfixturevalue(name)
+        outcomes, _ = run_stream(
+            scenario.queries, scenario.agents, scenario.catalog, scenario.policy,
+            scenario.rule_config,
+        )
+        report = build_report(outcomes, scenario.agents, scenario.catalog)
+        frozen = _frozen_build_report(outcomes, scenario.agents, scenario.catalog)
+        assert _bits(report) == _bits(frozen)
