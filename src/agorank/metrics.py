@@ -10,9 +10,10 @@ set, since an item's preference score depends only on its set.
 ``relevance_scores`` gathers those scores into a per-item array for the
 built-in relevance agent and for ``relevance_map``.  The report scores nDCG
 and recall straight from the set scores and their feasible counts
-(``_accuracy_at_k``), and replays the exposure ledger as one outcomes by
-providers matrix; ``evaluate_metric`` is the scalar reference for every
-metric and the path the orchestrator's monitor takes.
+(``_accuracy_at_k``), and replays the exposure ledger as outcomes by
+providers matrices of bounded size (``_ledger_metrics``);
+``evaluate_metric`` is the scalar reference for every metric and the path
+the orchestrator's monitor takes.
 
 Divergences compare category-level distributions: the historical side is the
 category frequency profile of the user's history, the recommended side is the
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -141,18 +142,11 @@ def gini_exposure(exposures: Sequence[float]) -> float:
 
 def _gini_rows(exposures: np.ndarray) -> list[float]:
     """``gini_exposure`` of each row of a 2-D array whose rows are
-    non-negative and not all zero, float for float.
-
-    The rows are sorted and weighted as one array, but each sum is taken
-    over one row, so that every sum is the one-dimensional pairwise sum
-    ``gini_exposure`` takes, whatever a numpy release does with a 2-D
-    reduction.
-    """
+    non-negative and not all zero, float for float."""
     x = np.sort(exposures, axis=1)
     n = x.shape[1]
     i = np.arange(1, n + 1)
-    weighted = (2 * i - n - 1) * x
-    return [float(w.sum() / (n * float(row.sum()))) for w, row in zip(weighted, x)]
+    return (((2 * i - n - 1) * x).sum(axis=1) / (n * x.sum(axis=1))).tolist()
 
 
 def normalized_entropy(p: Sequence[float]) -> float:
@@ -172,7 +166,8 @@ def _entropy_rows(p: np.ndarray) -> list[float]:
 
     The terms p * log2(p) of the positive entries are computed as one
     array; each row's are then gathered and summed on their own, as the
-    one-dimensional sum ``normalized_entropy`` takes.
+    one-dimensional sum ``normalized_entropy`` takes (a sum over the whole
+    row, zeros included, would group the pairwise additions differently).
     """
     positive = p > 0
     terms = p * np.log2(p, out=np.zeros_like(p), where=positive)
@@ -268,7 +263,7 @@ def l_half_balance(per_agent_fairness: Sequence[float]) -> float:
     return root_sum * root_sum
 
 
-def set_scores(query: Query, catalog: Catalog) -> list[float]:
+def set_scores(query: Query, catalog: Catalog) -> np.ndarray:
     """Preference score of each distinct category set, in ``columns.sets`` order.
 
     This is the one place relevance is scored.  A set's score is the sum of
@@ -276,17 +271,19 @@ def set_scores(query: Query, catalog: Catalog) -> list[float]:
     ``preference_weights`` order starting from 0.0, so each value is the
     float that ``model.left_sum`` gives over those weights (builtin
     ``sum()`` compensates rounding from Python 3.12 on and may differ in the
-    last bit).  An item's score depends only on its category set, so a
-    catalog of any size is scored in one pass over its distinct sets.
+    last bit).  Each weight is added to every set as ``w`` where the set
+    holds its category (``columns.set_incidence``) and as 0.0 where not;
+    adding 0.0 leaves a sum that starts from 0.0 unchanged, so the floats
+    are those of adding the held weights alone.  An item's score depends
+    only on its category set, so the work grows with the distinct sets, not
+    the items.
     """
-    weights = query.preference_weights.items()
-    scores = []
-    for categories in catalog.columns.sets:
-        total = 0.0
-        for cat, w in weights:
-            if cat in categories:
-                total += w
-        scores.append(total)
+    incidence = catalog.columns.set_incidence
+    scores = np.zeros(len(catalog.columns.sets))
+    for cat, w in query.preference_weights.items():
+        held = incidence.get(cat)
+        if held is not None:
+            scores += np.where(held, w, 0.0)
     return scores
 
 
@@ -313,7 +310,7 @@ def relevance_scores(query: Query, catalog: Catalog) -> tuple[np.ndarray, np.nda
     ``columns.set_codes``.  Scores are given for infeasible items too;
     callers decide what those mean.
     """
-    score = np.array(set_scores(query, catalog))[catalog.columns.set_codes]
+    score = set_scores(query, catalog)[catalog.columns.set_codes]
     return _feasible(query, catalog), score
 
 
@@ -453,33 +450,34 @@ def _accuracy_at_k(
     without a per-item array or dict.  An item's relevance is its set's
     score when it is feasible and 0.0 when not, so the relevant items are
     the feasible items of the sets scoring above 0, counted per set with
-    ``np.bincount``.  The ideal top n walks those sets in descending score,
-    each as often as it has feasible items, which gives the leading values
-    of every item's relevance sorted; the 0.0 values that would follow add
-    nothing to the ideal gain.  It is summed with the same ``left_sum``
-    expression as ``ndcg_at_k``.  List items are found with
+    ``np.bincount``.  The ideal top n walks those sets in descending score
+    (``np.argsort``), each as often as it has feasible items, until n values
+    are taken, which gives the leading values of every item's relevance
+    sorted; the 0.0 values that would follow add nothing to the ideal gain.
+    It is summed with the same ``left_sum`` expression as ``ndcg_at_k``.  List items are found with
     ``Catalog.positions`` (an unknown id gains 0.0), and DCG is added left
     to right.
     """
     scores = set_scores(query, catalog)
     feasible = _feasible(query, catalog)
     set_codes = catalog.columns.set_codes
-    counts = np.bincount(set_codes[feasible], minlength=len(scores)).tolist()
+    counts = np.bincount(set_codes[feasible], minlength=scores.size)
     k = query.top_n
     listed = [(i, item) for i, item in enumerate(final_list[:k], start=1) if item in catalog]
     dcg = 0.0
     hits = 0
     for (i, _), pos in zip(listed, catalog.positions(item for _, item in listed)):
-        gain = scores[set_codes.item(pos)] if feasible.item(pos) else 0.0
+        gain = scores.item(set_codes.item(pos)) if feasible.item(pos) else 0.0
         dcg += gain / math.log2(i + 1)
         hits += gain > 0
+    positive = np.flatnonzero((scores > 0) & (counts > 0))
+    relevant = int(counts[positive].sum())
+    order = positive[np.argsort(-scores[positive], kind="stable")]
     ideal: list[float] = []
-    relevant = 0
-    for s in sorted(range(len(scores)), key=scores.__getitem__, reverse=True):
-        if scores[s] <= 0:
+    for score, count in zip(scores[order].tolist(), counts[order].tolist()):
+        if len(ideal) == k:
             break
-        relevant += counts[s]
-        ideal += [scores[s]] * min(counts[s], k - len(ideal))
+        ideal += [score] * min(count, k - len(ideal))
     idcg = left_sum(rel / math.log2(i + 1) for i, rel in enumerate(ideal, start=1))
     ndcg = 0.0 if idcg == 0.0 else dcg / idcg
     recall = 0.0 if not relevant else hits / relevant
@@ -495,6 +493,51 @@ def exposure_delta(final_list: Sequence[str], catalog: Catalog) -> dict[str, flo
     return delta
 
 
+# ledger cells (outcomes x providers) replayed at once, so that the report's
+# working memory stays near 0.5 MB per array however long the stream is
+_LEDGER_CELLS = 1 << 16
+
+
+def _ledger_metrics(
+    outcomes: Sequence["QueryOutcome"], catalog: Catalog
+) -> Iterator[tuple[float | None, float | None]]:
+    """Gini and normalized entropy of the exposure ledger after each outcome,
+    None where ``evaluate_metric`` gives None, float for float.
+
+    The ledger is replayed from the final lists in blocks of outcomes: one
+    row of provider credits per outcome (``exposure_delta``), added down the
+    rows in stream order as the ledger adds them, the block's first row on
+    top of the previous block's last.  Each row's total is added left to
+    right, as ``left_sum`` adds it, and the rows with exposure go through the
+    row kernels ``_gini_rows`` and ``_entropy_rows``.
+    """
+    providers = catalog.providers
+    column = dict(zip(providers, range(len(providers))))
+    step = max(1, _LEDGER_CELLS // max(1, len(providers)))
+    ledger = np.zeros(len(providers))
+    for start in range(0, len(outcomes), step):
+        block = outcomes[start : start + step]
+        exposure = np.zeros((len(block), len(providers)))
+        for row, outcome in zip(exposure, block):
+            for provider, credit in exposure_delta(outcome.final_list, catalog).items():
+                row[column[provider]] = credit
+        exposure[0] += ledger
+        np.cumsum(exposure, axis=0, out=exposure)
+        ledger = exposure[-1].copy()
+        totals = np.cumsum(exposure, axis=1)[:, -1] if providers else np.zeros(len(block))
+        exposed = np.flatnonzero(totals)
+        gini: list[float | None] = [None] * len(block)
+        entropy: list[float | None] = [None] * len(block)
+        x = exposure[exposed]
+        for at, value in zip(exposed.tolist(), _gini_rows(x)):
+            gini[at] = value
+        if len(providers) >= 2:
+            shares = x / totals[exposed, np.newaxis]
+            for at, value in zip(exposed.tolist(), _entropy_rows(shares)):
+                entropy[at] = value
+        yield from zip(gini, entropy)
+
+
 def build_report(
     outcomes: Sequence["QueryOutcome"],
     specs: Sequence["AgentSpec"],
@@ -506,44 +549,25 @@ def build_report(
     (``_accuracy_at_k``), equal to what ``evaluate_metric`` gives for them.
     Exposure-based metrics are evaluated against the cumulative exposure
     ledger as of each query, replayed here from the final lists, so saved
-    outcomes suffice: one row of provider credits per outcome
-    (``exposure_delta``), added down the rows in stream order as the ledger
-    adds them.  Gini and normalized entropy come from the row kernels that
-    ``gini_exposure`` and ``normalized_entropy`` run on (``_gini_rows``,
-    ``_entropy_rows``), applied to the rows with exposure; every sum inside
-    them is taken over one row, as ``evaluate_metric`` takes it.  KL, JS
-    and PopLift go through ``evaluate_metric``.  Per-agent regrets are
-    taken from the outcomes: they were computed at processing time against
-    the live ledger.
+    outcomes suffice: Gini and normalized entropy come from
+    ``_ledger_metrics``, which replays the ledger in blocks of bounded size,
+    equal to what ``evaluate_metric`` gives for them.  KL, JS and PopLift go
+    through ``evaluate_metric``.  Per-agent regrets are taken from the
+    outcomes: they were computed at processing time against the live ledger.
     """
     if not outcomes:
         raise ValueError("outcomes must be non-empty")
     agent_ids = sorted({s.agent_id for s in specs})
     battery = (MetricId.KL_DIV, MetricId.JS_DIV, MetricId.POP_LIFT)
-    providers = catalog.providers
-    column = dict(zip(providers, range(len(providers))))
-    exposure = np.zeros((len(outcomes), len(providers)))
-    for row, outcome in zip(exposure, outcomes):
-        for provider, credit in exposure_delta(outcome.final_list, catalog).items():
-            row[column[provider]] = credit
-    exposure = np.cumsum(exposure, axis=0)
-    # each row's total added left to right, as ``left_sum`` adds it
-    totals = np.cumsum(exposure, axis=1)[:, -1] if providers else np.zeros(len(outcomes))
-    exposed = np.flatnonzero(totals)
-    gini = dict(zip(exposed.tolist(), _gini_rows(exposure[exposed])))
-    entropy = {}
-    if len(providers) >= 2:
-        shares = exposure[exposed] / totals[exposed, np.newaxis]
-        entropy = dict(zip(exposed.tolist(), _entropy_rows(shares)))
     per_query: list[QueryEvaluation] = []
     runtime: dict[str, int] = {}
-    for at, outcome in enumerate(outcomes):
+    for outcome, (gini, entropy) in zip(outcomes, _ledger_metrics(outcomes, catalog)):
         ndcg, recall = _accuracy_at_k(outcome.query, outcome.final_list, catalog)
         values: dict[str, float] = {MetricId.NDCG.value: ndcg, MetricId.RECALL.value: recall}
-        if at in gini:
-            values[MetricId.GINI_EXPOSURE.value] = gini[at]
-        if at in entropy:
-            values[MetricId.NORM_ENTROPY.value] = entropy[at]
+        if gini is not None:
+            values[MetricId.GINI_EXPOSURE.value] = gini
+        if entropy is not None:
+            values[MetricId.NORM_ENTROPY.value] = entropy
         for metric in battery:
             v = evaluate_metric(metric, outcome.query, outcome.final_list, catalog, {})
             if v is not None:

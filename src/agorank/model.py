@@ -106,7 +106,8 @@ class CatalogColumns:
     order the items, in id order, first carry them; ``set_codes[i]`` (intp)
     indexes it, and ``categories[i]`` is ``sets[set_codes[i]]``, the same
     object.  So whatever depends only on an item's categories can be
-    computed once per set.  ``attributes[a][i]`` is NaN when item i has no
+    computed once per set.  ``set_incidence[c][s]`` is True when ``sets[s]``
+    holds category c.  ``attributes[a][i]`` is NaN when item i has no
     attribute a, so that every comparison with it is False; an attribute
     itself is never NaN.  Every array is read-only.
     """
@@ -115,6 +116,7 @@ class CatalogColumns:
     categories: tuple[frozenset[str], ...]
     set_codes: np.ndarray
     sets: tuple[frozenset[str], ...]
+    set_incidence: Mapping[str, np.ndarray]
     popularity: np.ndarray
     sustainability: np.ndarray
     attributes: Mapping[str, np.ndarray]
@@ -282,7 +284,7 @@ class Catalog:
             # "" sorts first, so its rows hold code 0
             at = int(np.flatnonzero(codes == 0)[0])
             raise ValueError(f"item {self._ids[at]}: provider id must be non-empty")
-        labels, _ = _used(set_labels, rows, len(category_sets))
+        labels = np.asarray(set_labels, dtype=np.intp)[rows]
         used = list(dict.fromkeys(labels.tolist()))
         label_of: dict[frozenset[str], int] = {}
         relabel = np.zeros(len(category_sets), dtype=np.intp)
@@ -291,18 +293,30 @@ class Catalog:
         ]
         labels = relabel[labels]
         sets = tuple(label_of)
+        categories = sorted(set().union(*sets))
+        row_of = dict(zip(categories, range(len(categories))))
+        held = np.zeros((len(categories), len(sets)), dtype=bool)
+        held[
+            [row_of[c] for s in sets for c in s],
+            [label for label, s in enumerate(sets) for _ in s],
+        ] = True
+        set_incidence = dict(zip(categories, held))
         self._columns = CatalogColumns(
             provider_codes=codes,
             categories=tuple(map(sets.__getitem__, labels.tolist())),
             set_codes=labels,
             sets=sets,
+            set_incidence=set_incidence,
             popularity=popularity,
             sustainability=sustainability,
             attributes=attributes,
             descriptions=tuple([descriptions[r] for r in order]),
         )
         # every caller shares these arrays, so none may write to them
-        for array in (codes, labels, popularity, sustainability, *attributes.values()):
+        for array in (
+            codes, labels, *set_incidence.values(), popularity, sustainability,
+            *attributes.values(),
+        ):
             array.flags.writeable = False
         self._derived: dict[Callable[[Catalog], object], object] = {}
 

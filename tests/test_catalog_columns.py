@@ -229,6 +229,11 @@ def test_columnar_scans_match_the_per_item_loops(catalog, query, ledger, extra):
     columns = catalog.columns
     assert all(columns.sets[c] is s for c, s in zip(columns.set_codes.tolist(), columns.categories))
     assert len(set(columns.sets)) == len(columns.sets)
+    assert list(columns.set_incidence) == sorted(set().union(*columns.sets))
+    assert all(
+        held.tolist() == [category in s for s in columns.sets]
+        for category, held in columns.set_incidence.items()
+    )
     k = max(1, len(catalog) + extra)  # from 1 up to 3 more than the catalog holds
     _, score = relevance_scores(query, catalog)
     assert [v.hex() for v in score.tolist()] == [
@@ -319,6 +324,7 @@ def test_columns_exist_from_construction_and_are_read_only():
         columns.popularity,
         columns.sustainability,
         columns.set_codes,
+        *columns.set_incidence.values(),
         *columns.attributes.values(),
     )
     assert len(arrays) > 4

@@ -369,6 +369,9 @@ def assert_same_columns(got, want):
     assert g.set_codes.dtype == w.set_codes.dtype == np.intp
     assert g.set_codes.tolist() == w.set_codes.tolist()
     assert g.sets == w.sets
+    assert list(g.set_incidence) == list(w.set_incidence)
+    for category in w.set_incidence:
+        assert g.set_incidence[category].tolist() == w.set_incidence[category].tolist()
     assert list(g.attributes) == list(w.attributes)
     for name in w.attributes:
         assert g.attributes[name].tobytes() == w.attributes[name].tobytes()

@@ -1,5 +1,6 @@
 import bisect
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -738,14 +739,45 @@ _INFEASIBLE_BEST = (
 )
 
 
+def _long_stream(outcome_count, provider_count):
+    """``outcome_count`` outcomes over a catalog with one item per provider."""
+    ids = [f"i{n:05d}" for n in range(provider_count)]
+    catalog = Catalog.from_codes(
+        ids, [f"p{n:05d}" for n in range(provider_count)], range(provider_count),
+        [{"food"}, {"art"}], [n % 2 for n in range(provider_count)],
+        [0.5] * provider_count, [0.5] * provider_count, {}, [""] * provider_count,
+    )
+    query = Query(id="q", preference_weights={"food": 1.0, "art": 0.5}, top_n=5)
+    outcomes = [
+        _outcome(query, tuple(ids[(t * 7 + r) % provider_count] for r in range(5)), {})
+        for t in range(outcome_count)
+    ]
+    return outcomes, catalog
+
+
 class TestBuildReportMatchesFrozenCopy:
+    # 1 and 5 ledger cells make blocks of 1 to 5 outcomes, so the ledger is
+    # carried from block to block
     @settings(max_examples=100, deadline=None)
-    @given(_report_inputs())
-    @example(_INFEASIBLE_BEST)
-    def test_same_floats_and_key_order(self, case):
+    @given(_report_inputs(), st.sampled_from([1, 5, metrics._LEDGER_CELLS]))
+    @example(_INFEASIBLE_BEST, metrics._LEDGER_CELLS)
+    def test_same_floats_and_key_order(self, case, cells):
         outcomes, catalog = case
-        report = build_report(outcomes, _REPORT_SPECS, catalog)
+        with mock.patch.object(metrics, "_LEDGER_CELLS", cells):
+            report = build_report(outcomes, _REPORT_SPECS, catalog)
         assert _bits(report) == _bits(_frozen_build_report(outcomes, _REPORT_SPECS, catalog))
+
+    def test_memory_does_not_grow_with_the_stream(self):
+        # 1,000 outcomes x 2,000 providers: a replay that held the whole
+        # stream's ledger at once would need 16 MB for each such array
+        outcomes, catalog = _long_stream(1000, 2000)
+        tracemalloc.start()
+        try:
+            build_report(outcomes, _REPORT_SPECS, catalog)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("name", ["tourism", "synthetic_200"])
     def test_bundled_streams(self, name, request):
