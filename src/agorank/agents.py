@@ -107,7 +107,7 @@ def generate_relevance(query: Query, catalog: Catalog, k: int) -> Ballot:
     else:
         matched = sorted(
             c
-            for c in catalog.columns.categories[order[0]]
+            for c in catalog.columns.sets[catalog.columns.set_codes[order[0]]]
             if query.preference_weights.get(c, 0.0) > 0
         )
         if matched:

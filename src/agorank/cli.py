@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from . import dataio
 from .aggregation import Rule
-from .errors import AgorankError, NoActiveAgents, SchemaError
+from .errors import AgorankError, NoActiveAgents
 from .metrics import build_report
 from .orchestrator import run_stream
 
@@ -161,9 +161,6 @@ def main(argv: list[str] | None = None) -> int:
     except NoActiveAgents as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_AGENTS
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except AgorankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -52,10 +52,11 @@ from .model import (
     Ballot,
     Catalog,
     Constraint,
-    Item,
     Query,
     StakeholderRole,
     TieEvent,
+    _check_scores,
+    _coded_rows,
     left_sum,
 )
 from .orchestrator import ActivationMode, ActivationPolicy, QueryOutcome
@@ -186,7 +187,7 @@ def _open_csv(path: str | Path) -> io.StringIO:
 
 
 def _load_catalog_csv(path: Path) -> Catalog:
-    items: list[Item] = []
+    rows: list[tuple] = []
     with _open_csv(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -205,8 +206,8 @@ def _load_catalog_csv(path: Path) -> Catalog:
             rec["categories"] = [
                 c.strip() for c in (row.get("categories") or "").split(";") if c.strip()
             ]
-            items.append(_item_from_obj(rec, f"line {line}", line))
-    return Catalog(items)
+            rows.append(_item_row(rec, f"line {line}", line))
+    return Catalog.from_codes(*_coded_rows(rows))
 
 
 def _load_catalog_json(path: Path) -> Catalog:
@@ -217,7 +218,8 @@ def _load_catalog_json(path: Path) -> Catalog:
             raise MalformedRecord(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, list):
         raise MalformedRecord("catalog JSON must be a list of items")
-    return Catalog([_item_from_obj(rec, f"item {i}") for i, rec in enumerate(payload)])
+    rows = [_item_row(rec, f"item {i}") for i, rec in enumerate(payload)]
+    return Catalog.from_codes(*_coded_rows(rows))
 
 
 def _csv_number(cell: str, key: str, line: int) -> float:
@@ -227,8 +229,11 @@ def _csv_number(cell: str, key: str, line: int) -> float:
         raise MalformedRecord(f"{key} {cell!r} is not a number", line) from None
 
 
-def _item_from_obj(rec: object, where: str, line: int | None = None) -> Item:
-    """Decode one item record by ``_ITEM``; both catalog loaders build every item here.
+def _item_row(rec: object, where: str, line: int | None = None) -> tuple:
+    """One item record decoded by ``_ITEM`` into the row ``_coded_rows``
+    reads, with the checks ``Item`` would run (the score range by the same
+    ``_check_scores``); both catalog loaders decode every record here, in
+    file order, so the first bad record raises, and build no ``Item``.
 
     ``where`` names the record in messages.  A CSV row also passes its
     ``line``, which ``MalformedRecord`` carries and prints itself.
@@ -239,9 +244,12 @@ def _item_from_obj(rec: object, where: str, line: int | None = None) -> Item:
         if not rec.get(key):
             raise MissingRequiredField(f"{where}: missing {key}")
     try:
-        return _decode(_ITEM, rec, "", Item)
-    except SchemaError as exc:
+        # every ``_ITEM`` field has a default, so each key is set, in row order
+        fields = _decode(_ITEM, rec, "", None)
+        _check_scores(fields["id"], fields["popularity"], fields["sustainability"])
+    except (SchemaError, ValueError) as exc:
         raise MalformedRecord(str(exc) if line else f"{where}: {exc}", line) from exc
+    return tuple(fields.values())
 
 
 def export_catalog(catalog: Catalog, path: str | Path) -> None:
@@ -261,18 +269,15 @@ def export_catalog(catalog: Catalog, path: str | Path) -> None:
         return
     columns = catalog.columns
     # each distinct category set is checked once
-    bad = {
-        s: [c for c in sorted(s) if not c or ";" in c or c != c.strip()]
-        for s in set(columns.categories)
-    }
+    bad = [[c for c in sorted(s) if not c or ";" in c or c != c.strip()] for s in columns.sets]
     carried = np.zeros(len(catalog), dtype=bool)
     for column in columns.attributes.values():
         carried |= ~np.isnan(column)
-    for item_id, has_attributes, categories in zip(
-        catalog.ids, carried.tolist(), columns.categories
+    for item_id, has_attributes, code in zip(
+        catalog.ids, carried.tolist(), columns.set_codes.tolist()
     ):
-        if has_attributes or bad[categories]:
-            what = "attributes" if has_attributes else f"category {bad[categories][0]!r}"
+        if has_attributes or bad[code]:
+            what = "attributes" if has_attributes else f"category {bad[code][0]!r}"
             raise ValueError(
                 f"item {item_id} has {what}, which a CSV catalog cannot carry; "
                 "export to a .json path instead"
@@ -307,10 +312,12 @@ def generate_catalog(
     those offsets, with IEEE products and ``_round_each``, so each value is
     the float that the per-draw loop FORMATS.md specifies gives with
     Python's ``round``.  Providers and category sets go to
-    ``Catalog.from_codes`` as codes computed in numpy: row mod the number
-    of providers named, and one label per distinct (first, second)
-    category pair.  Python formats only the ids, the descriptions and one
-    text per set; no ``Item`` is built.
+    ``Catalog.from_codes``, as the loaders' rows do, but as tables with
+    codes computed in numpy: row mod the number of providers named, and
+    one label per distinct (first, second) category pair, which
+    ``from_codes`` merges where two pairs name the same categories.
+    Python formats only the ids, the descriptions and one text per set;
+    no ``Item`` is built.
     """
     if item_count < 1 or provider_count < 1 or not categories:
         raise ValueError("need item_count >= 1, provider_count >= 1, categories non-empty")
@@ -705,7 +712,7 @@ def _item_records(catalog: Catalog) -> Iterator[list[dict]]:
     """
     columns = catalog.columns
     providers = catalog.providers
-    sorted_sets = {s: sorted(s) for s in set(columns.categories)}
+    sorted_sets = [sorted(s) for s in columns.sets]
     for start in range(0, len(catalog), _HASH_SLICE):
         stop = start + _HASH_SLICE
         ids = catalog.ids[start:stop]
@@ -717,7 +724,7 @@ def _item_records(catalog: Catalog) -> Iterator[list[dict]]:
         fields = {
             "id": ids,
             "provider_id": [providers[c] for c in columns.provider_codes[start:stop].tolist()],
-            "categories": list(map(sorted_sets.__getitem__, columns.categories[start:stop])),
+            "categories": [sorted_sets[c] for c in columns.set_codes[start:stop].tolist()],
             "popularity": columns.popularity[start:stop].tolist(),
             "sustainability": columns.sustainability[start:stop].tolist(),
             "attributes": attributes,

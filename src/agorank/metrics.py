@@ -334,27 +334,27 @@ def category_distributions(
     None when either side carries no category mass, or when the support is a
     single category (no distribution to compare).
     """
-    categories = catalog.columns.categories
-    support: set[str] = set()
-    for pos in catalog.positions(list(history) + list(final_list)):
-        support.update(categories[pos])
-    cats = sorted(support)
+    sets, codes = catalog.columns.sets, catalog.columns.set_codes
+    history_sets, final_sets = (
+        [sets[codes.item(pos)] for pos in catalog.positions(ids)] for ids in (history, final_list)
+    )
+    cats = sorted(set().union(*history_sets, *final_sets))
     if len(cats) < 2:
         return None
 
-    def freq(ids: Sequence[str]) -> tuple[float, ...] | None:
+    def freq(item_sets: list[frozenset[str]]) -> tuple[float, ...] | None:
         counts = {c: 0 for c in cats}
         total = 0
-        for pos in catalog.positions(ids):
-            for c in categories[pos]:
+        for item_set in item_sets:
+            for c in item_set:
                 counts[c] += 1
                 total += 1
         if total == 0:
             return None
         return tuple(counts[c] / total for c in cats)
 
-    p = freq(history)
-    q = freq(final_list)
+    p = freq(history_sets)
+    q = freq(final_sets)
     if p is None or q is None:
         return None
     return p, q

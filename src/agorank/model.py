@@ -8,14 +8,15 @@ immutable or read-only.  So all of it is safe to evaluate concurrently
 without coordination.
 
 A ``Catalog`` stores its items only as columns (``CatalogColumns``), built
-once at construction; the ``Item`` values it hands out are built from a row
-on each call.
+once at construction by ``Catalog(items)`` or ``Catalog.from_codes``; the
+``Item`` values it hands out are built from a row on each call.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
@@ -63,12 +64,7 @@ class Item:
             raise ValueError("item id must be non-empty")
         if not self.provider_id:
             raise ValueError(f"item {self.id}: provider id must be non-empty")
-        if not 0.0 <= self.popularity <= 1.0:
-            raise ValueError(f"item {self.id}: popularity {self.popularity} outside [0, 1]")
-        if not 0.0 <= self.sustainability <= 1.0:
-            raise ValueError(
-                f"item {self.id}: sustainability {self.sustainability} outside [0, 1]"
-            )
+        _check_scores(self.id, self.popularity, self.sustainability)
         attributes = dict(self.attributes)
         for name, value in attributes.items():
             if type(value) is not float or not math.isfinite(value):
@@ -82,6 +78,15 @@ class Item:
             object.__setattr__(self, "popularity", float(self.popularity))
         if type(self.sustainability) is not float:
             object.__setattr__(self, "sustainability", float(self.sustainability))
+
+
+def _check_scores(item_id: str, popularity: float, sustainability: float) -> None:
+    """``ValueError`` naming item ``item_id`` unless both scores lie in [0, 1];
+    NaN does not.  ``Item`` and both catalog loaders check each row here."""
+    if not 0.0 <= popularity <= 1.0:
+        raise ValueError(f"item {item_id}: popularity {popularity} outside [0, 1]")
+    if not 0.0 <= sustainability <= 1.0:
+        raise ValueError(f"item {item_id}: sustainability {sustainability} outside [0, 1]")
 
 
 def _finite(value: float, what: str) -> float:
@@ -99,21 +104,20 @@ def _finite(value: float, what: str) -> float:
 @dataclass(frozen=True)
 class CatalogColumns:
     """Every item field in catalog id order: numpy arrays for whole-catalog
-    scans, tuples for the per-item values that are not numbers.
+    scans, a tuple of the descriptions, and one table of category sets.
 
     ``provider_codes[i]`` indexes ``Catalog.providers``.  ``sets`` holds
     each distinct category set of the items once, as one frozenset, in the
-    order the items, in id order, first carry them; ``set_codes[i]`` (intp)
-    indexes it, and ``categories[i]`` is ``sets[set_codes[i]]``, the same
-    object.  So whatever depends only on an item's categories can be
-    computed once per set.  ``set_incidence[c][s]`` is True when ``sets[s]``
-    holds category c.  ``attributes[a][i]`` is NaN when item i has no
-    attribute a, so that every comparison with it is False; an attribute
-    itself is never NaN.  Every array is read-only.
+    order the items, in id order, first carry them; item i's categories are
+    ``sets[set_codes[i]]`` (intp), and nothing else holds them.  So whatever
+    depends only on an item's categories can be computed once per set.
+    ``set_incidence[c][s]`` is True when ``sets[s]`` holds category c.
+    ``attributes[a][i]`` is NaN when item i has no attribute a, so that
+    every comparison with it is False; an attribute itself is never NaN.
+    Every array is read-only.
     """
 
     provider_codes: np.ndarray
-    categories: tuple[frozenset[str], ...]
     set_codes: np.ndarray
     sets: tuple[frozenset[str], ...]
     set_incidence: Mapping[str, np.ndarray]
@@ -137,11 +141,12 @@ class Catalog:
     ``columns`` holds every item field in id order and is the only copy of
     the items: ``catalog[item_id]`` and ``items_sorted()`` build ``Item``
     values from it when called and keep none, so per-query code reads the
-    columns by position (``positions``).  ``Catalog(items)`` converts the
-    items; ``Catalog.from_columns`` takes one value per row, and
-    ``Catalog.from_codes`` a provider table and a category-set table with
-    one code per row, as ``generate_catalog`` computes them.  All three
-    run ``Item``'s checks on the columns, in ``_fill``.
+    columns by position (``positions``).  There are two constructors:
+    ``Catalog(items)``, and ``Catalog.from_codes``, which takes a provider
+    table and a category-set table with one code per row, as
+    ``generate_catalog`` computes them.  The catalog loaders pass it the
+    rows they decode, coded by ``_coded_rows`` as ``Catalog(items)`` codes
+    its items.  Both run ``Item``'s checks on the columns, in ``_fill``.
 
     Data computed from the catalog, such as its hash, is computed on first
     use and kept by ``derived``; that is sound only because the catalog never
@@ -150,51 +155,7 @@ class Catalog:
     """
 
     def __init__(self, items: Iterable[Item]):
-        items = list(items)
-        cells: dict[str, tuple[list[int], list[float]]] = {}
-        for row, item in enumerate(items):
-            for name, value in item.attributes.items():
-                rows, values = cells.setdefault(name, ([], []))
-                rows.append(row)
-                values.append(value)
-        attributes = {}
-        for name, (rows, values) in cells.items():
-            attributes[name] = np.full(len(items), np.nan)
-            attributes[name][rows] = values
-        each = np.arange(len(items))
-        self._fill(
-            [it.id for it in items],
-            [it.provider_id for it in items],
-            each,
-            [it.categories for it in items],
-            each,
-            [it.popularity for it in items],
-            [it.sustainability for it in items],
-            attributes,
-            [it.description for it in items],
-        )
-
-    @classmethod
-    def from_columns(
-        cls,
-        ids: Sequence[str],
-        provider_ids: Sequence[str],
-        categories: Sequence[Iterable[str]],
-        popularity: Sequence[float],
-        sustainability: Sequence[float],
-        attributes: Mapping[str, Sequence[float]],
-        descriptions: Sequence[str],
-    ) -> Catalog:
-        """The catalog of the items whose fields are row ``r`` of each column.
-
-        Rows may come in any order.  An attribute column holds NaN where the
-        item has no such attribute.
-        """
-        each = np.arange(len(ids))
-        return cls.from_codes(
-            ids, provider_ids, each, categories, each, popularity, sustainability, attributes,
-            descriptions,
-        )
+        self._fill(*_coded_rows(map(_ITEM_ROW, items)))
 
     @classmethod
     def from_codes(
@@ -209,12 +170,15 @@ class Catalog:
         attributes: Mapping[str, Sequence[float]],
         descriptions: Sequence[str],
     ) -> Catalog:
-        """``from_columns`` with two columns coded: row ``r``'s provider is
+        """The catalog whose item ``r`` has field ``f`` at ``f[r]`` of each
+        column, except two that are coded: its provider is
         ``providers[provider_codes[r]]`` and its categories are
         ``category_sets[set_labels[r]]``.
 
-        Either table may hold equal entries, and entries no row uses; the
-        catalog keeps one of each value that some row uses.
+        Rows may come in any order.  An attribute column holds NaN where the
+        item has no such attribute.  Either table may hold equal entries, and
+        entries no row uses; the catalog keeps one of each value that some
+        row uses.
         """
         catalog = cls.__new__(cls)
         catalog._fill(
@@ -273,7 +237,8 @@ class Catalog:
         # merge: providers into their sorted order, category sets into one
         # frozenset each, the first met, numbered in the order the rows (in
         # id order) first use them, so that equal catalogs have equal columns
-        codes, used = _used(provider_codes, rows, len(providers))
+        codes = np.asarray(provider_codes, dtype=np.intp)[rows]
+        used = np.flatnonzero(np.bincount(codes, minlength=len(providers))).tolist()
         names = [providers[t] for t in used]
         self._providers = tuple(sorted(set(names)))
         code_of = {p: c for c, p in enumerate(self._providers)}
@@ -303,7 +268,6 @@ class Catalog:
         set_incidence = dict(zip(categories, held))
         self._columns = CatalogColumns(
             provider_codes=codes,
-            categories=tuple(map(sets.__getitem__, labels.tolist())),
             set_codes=labels,
             sets=sets,
             set_incidence=set_incidence,
@@ -377,7 +341,7 @@ class Catalog:
         return Item(
             self._ids[pos],
             self._providers[columns.provider_codes.item(pos)],
-            columns.categories[pos],
+            columns.sets[columns.set_codes.item(pos)],
             columns.popularity.item(pos),
             columns.sustainability.item(pos),
             attributes,
@@ -385,11 +349,31 @@ class Catalog:
         )
 
 
-def _used(codes: Sequence[int], rows: np.ndarray, size: int) -> tuple[np.ndarray, list[int]]:
-    """``codes`` taken at ``rows``, and the entries of a ``size``-entry table
-    that they use, in table order."""
-    codes = np.asarray(codes, dtype=np.intp)[rows]
-    return codes, np.flatnonzero(np.bincount(codes, minlength=size)).tolist()
+# an item's fields in the order ``_coded_rows`` reads a row
+_ITEM_ROW = operator.attrgetter(
+    "id", "provider_id", "categories", "popularity", "sustainability", "attributes", "description"
+)
+
+
+def _coded_rows(rows: Iterable[tuple]) -> tuple:
+    """The arguments of ``Catalog.from_codes`` for ``rows`` of (id, provider
+    id, categories, popularity, sustainability, attribute map, description).
+
+    Both tables hold one entry per row, and row ``r`` takes entry ``r``.  An
+    attribute column is NaN where a row's map lacks the attribute.
+    """
+    rows = list(rows)
+    ids, providers, sets, popularity, sustainability, maps, descriptions = (
+        zip(*rows) if rows else [()] * 7
+    )
+    columns: dict[str, np.ndarray] = {}
+    for row, attributes in enumerate(maps):
+        for name, value in attributes.items():
+            if name not in columns:
+                columns[name] = np.full(len(rows), np.nan)
+            columns[name][row] = value
+    each = np.arange(len(rows))
+    return ids, providers, each, sets, each, popularity, sustainability, columns, descriptions
 
 
 @dataclass(frozen=True)

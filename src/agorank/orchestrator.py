@@ -91,9 +91,9 @@ class FairnessLedger:
     """
 
     def __init__(self, agent_ids: Sequence[str], window: int):
+        # ``deque(maxlen=0)`` would take a window of 0 silently
         if window < 1:
             raise ValueError("window must be >= 1")
-        self.window = window
         self.per_agent: dict[str, deque[float]] = {
             a: deque(maxlen=window) for a in sorted(agent_ids)
         }

@@ -9,7 +9,8 @@ relevance values bit for bit.
 
 The columns are the catalog's only copy of its items, so the last tests hold
 the rows and item records built from them to the source items and their hash,
-and check that loading a synthetic scenario builds no ``Item`` at all.
+and check that loading a synthetic scenario, a catalog file or saved outcomes
+builds no ``Item`` at all.
 """
 
 from __future__ import annotations
@@ -184,10 +185,11 @@ _LEDGERS = st.dictionaries(
 
 
 def build_catalog(items: list[Item], how: str, twice: list[bool]) -> Catalog:
-    """The catalog of ``items``, built by ``Catalog(items)``, by
-    ``from_columns`` or by ``from_codes``.  The coded tables start with an
-    unused entry and hold every provider and category set twice; row ``r``
-    takes the second copy when ``twice[r]``."""
+    """The catalog of ``items``, built by ``Catalog(items)`` or by
+    ``from_codes``, with one table entry per row (``rows``, as the loaders
+    call it) or with coded tables (``codes``).  The coded tables start with
+    an unused entry and hold every provider and category set twice; row
+    ``r`` takes the second copy when ``twice[r]``."""
     if how == "items":
         return Catalog(items)
     ids = [it.id for it in items]
@@ -198,10 +200,11 @@ def build_catalog(items: list[Item], how: str, twice: list[bool]) -> Catalog:
         {name: [it.attributes.get(name, math.nan) for it in items] for name in names},
         [it.description for it in items],
     )
-    if how == "columns":
-        return Catalog.from_columns(
-            ids, [it.provider_id for it in items], [set(it.categories) for it in items],
-            *columns,
+    if how == "rows":
+        each = range(len(items))
+        return Catalog.from_codes(
+            ids, [it.provider_id for it in items], each, [set(it.categories) for it in items],
+            each, *columns,
         )
     providers = sorted({it.provider_id for it in items})
     sets = list(dict.fromkeys(it.categories for it in items))
@@ -217,17 +220,18 @@ def build_catalog(items: list[Item], how: str, twice: list[bool]) -> Catalog:
 
 @st.composite
 def catalogs(draw, items: st.SearchStrategy[list[Item]]) -> Catalog:
-    """A catalog of the drawn items, from any of the three constructors."""
+    """A catalog of the drawn items, built in any of the three ways."""
     items = draw(items)
     twice = draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
-    return build_catalog(items, draw(st.sampled_from(("items", "columns", "codes"))), twice)
+    return build_catalog(items, draw(st.sampled_from(("items", "rows", "codes"))), twice)
 
 
 @settings(max_examples=300, deadline=None)
 @given(catalog=catalogs(_items()), query=_queries(), ledger=_LEDGERS, extra=st.integers(-11, 3))
 def test_columnar_scans_match_the_per_item_loops(catalog, query, ledger, extra):
     columns = catalog.columns
-    assert all(columns.sets[c] is s for c, s in zip(columns.set_codes.tolist(), columns.categories))
+    # every set is used, and numbered in the order the rows first use it
+    assert list(dict.fromkeys(columns.set_codes.tolist())) == list(range(len(columns.sets)))
     assert len(set(columns.sets)) == len(columns.sets)
     assert list(columns.set_incidence) == sorted(set().union(*columns.sets))
     assert all(
@@ -359,14 +363,9 @@ def test_catalog_files_and_saved_outcomes_build_no_item(tmp_path):
     catalog = dataio.load_scenario(COUNCIL).catalog
     columns = catalog.columns
     # the same items without ``price``, which the CSV form cannot carry
-    plain = Catalog.from_columns(
-        catalog.ids,
-        [catalog.providers[c] for c in columns.provider_codes.tolist()],
-        columns.categories,
-        columns.popularity,
-        columns.sustainability,
-        {},
-        columns.descriptions,
+    plain = Catalog.from_codes(
+        catalog.ids, catalog.providers, columns.provider_codes, columns.sets, columns.set_codes,
+        columns.popularity, columns.sustainability, {}, columns.descriptions,
     )
     saved = tmp_path / "outcomes.json"
     with mock.patch.object(
@@ -379,5 +378,9 @@ def test_catalog_files_and_saved_outcomes_build_no_item(tmp_path):
             dataio.export_catalog(catalog, tmp_path / "refused.csv")
         dataio.save_outcomes(outcomes, catalog, saved, scenario.name, "copeland")
         assert dataio.load_outcomes(saved, catalog)[0] == outcomes
+        # the loaders decode rows, and the files reload as what was written
+        for source, name in ((catalog, "catalog.json"), (plain, "catalog.csv")):
+            reloaded = dataio.load_catalog(tmp_path / name)
+            assert dataio.catalog_hash(reloaded) == dataio.catalog_hash(source)
         assert built.call_count == 0
     assert (tmp_path / "catalog.csv").stat().st_size > 0

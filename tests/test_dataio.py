@@ -247,6 +247,43 @@ class TestLoadCatalogJson:
             load_catalog(path)
 
 
+# a score outside [0, 1], then a mistyped field in a later record: the
+# loaders decode and check each record in file order, so the first is named
+@pytest.mark.parametrize(
+    "name, body, line, message, later",
+    [
+        (
+            "catalog.csv",
+            CSV_HEADER + "i0,p1,,0.5,0.5,\ni1,p1,,1.5,0.5,\ni2,p1,,0.5,abc,\n",
+            3,
+            r"^line 3: item i1: popularity 1\.5 outside \[0, 1\]$",
+            r"^line 4: sustainability 'abc' is not a number$",
+        ),
+        (
+            "catalog.json",
+            json.dumps([
+                {"id": "i0", "provider_id": "p1"},
+                {"id": "i1", "provider_id": "p1", "popularity": 1.5},
+                {"id": "i2", "provider_id": "p1", "description": None},
+            ]),
+            None,
+            r"^item 1: item i1: popularity 1\.5 outside \[0, 1\]$",
+            r"^item 2: description: expected a string$",
+        ),
+    ],
+)
+def test_loaders_name_the_first_bad_record(tmp_path, name, body, line, message, later):
+    path = tmp_path / name
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(MalformedRecord, match=message) as err:
+        load_catalog(path)
+    assert err.value.line == line
+    # the later record is bad too
+    path.write_text(body.replace("1.5", "0.5"), encoding="utf-8")
+    with pytest.raises(MalformedRecord, match=later):
+        load_catalog(path)
+
+
 class TestExportCatalog:
     CATALOG = Catalog(
         [
@@ -361,7 +398,7 @@ def item_fields(catalog):
 
 def assert_same_columns(got, want):
     """``got`` holds ``want``'s columns, the floats bit for bit, and each of
-    its distinct category sets is one frozenset that its rows share."""
+    its distinct category sets is one frozenset, held once."""
     g, w = got.columns, want.columns
     assert (got.ids, got.providers) == (want.ids, want.providers)
     assert g.provider_codes.dtype == w.provider_codes.dtype
@@ -377,9 +414,9 @@ def assert_same_columns(got, want):
         assert g.attributes[name].tobytes() == w.attributes[name].tobytes()
     assert g.popularity.tobytes() == w.popularity.tobytes()
     assert g.sustainability.tobytes() == w.sustainability.tobytes()
-    assert g.categories == w.categories
     assert g.descriptions == w.descriptions
-    assert len({id(s) for s in g.categories}) == len(set(g.categories))
+    assert all(type(s) is frozenset for s in g.sets)
+    assert len(set(g.sets)) == len(g.sets)
 
 
 # duplicate, single and non-ASCII category names

@@ -386,23 +386,28 @@ _WEIGHTS = st.one_of(
 
 @st.composite
 def _accuracy_inputs(draw):
+    # one tuple per row, coded into a provider table and a category-set
+    # table, since a draw per field of each item takes most of the test's
+    # time.  The set table may hold empty and equal sets, and entries that
+    # no row uses
     size = draw(st.integers(min_value=1, max_value=40))
     ids = draw(st.lists(st.sampled_from(_ID_POOL), min_size=size, max_size=size, unique=True))
-    items = []
-    for item_id in ids:
-        attributes = {}
-        if draw(st.booleans()):
-            attributes["price"] = draw(st.floats(min_value=0.0, max_value=100.0))
-        items.append(
-            Item(
-                id=item_id,
-                provider_id=draw(st.sampled_from(["p1", "p2", "p3"])),
-                categories=frozenset(draw(st.sets(st.sampled_from(_CATEGORIES)))),
-                popularity=draw(st.floats(min_value=0.0, max_value=1.0)),
-                attributes=attributes,
-            )
-        )
-    catalog = Catalog(items)
+    providers = draw(st.lists(st.sampled_from(["p1", "p2", "p3"]), min_size=1, max_size=3,
+                              unique=True))
+    sets = draw(st.lists(st.frozensets(st.sampled_from(_CATEGORIES)), min_size=1, max_size=6))
+    rows = st.tuples(
+        st.integers(0, len(providers) - 1),
+        st.integers(0, len(sets) - 1),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=100.0)),
+    )
+    provider_codes, set_codes, popularity, prices = zip(
+        *draw(st.lists(rows, min_size=size, max_size=size))
+    )
+    catalog = Catalog.from_codes(
+        ids, providers, provider_codes, sets, set_codes, popularity, [0.5] * size,
+        {"price": [math.nan if price is None else price for price in prices]}, [""] * size,
+    )
     weights = draw(st.dictionaries(st.sampled_from(_CATEGORIES + ["ghost"]), _WEIGHTS))
     # "missing" is carried by no item, so a constraint on it makes every item
     # infeasible
@@ -528,9 +533,10 @@ def _frozen_relevance(query, catalog):
             feasible &= values <= constraint.value
         else:
             feasible &= values >= constraint.value
+    categories = [columns.sets[code] for code in columns.set_codes.tolist()]
     incidence = {
-        c: np.array([c in s for s in columns.categories], dtype=bool)
-        for c in sorted(set().union(*columns.categories))
+        c: np.array([c in s for s in categories], dtype=bool)
+        for c in sorted(set().union(*categories))
     }
     score = np.zeros(len(catalog))
     for cat, w in query.preference_weights.items():

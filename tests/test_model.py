@@ -77,7 +77,7 @@ class TestCatalog:
         with pytest.raises(DuplicateItemId):
             Catalog([Item(id="a", provider_id="p"), Item(id="a", provider_id="q")])
 
-    def test_from_columns_checks_what_item_checks(self):
+    def test_constructors_check_what_item_checks(self):
         # rows d, b, a, c: id order is a, b, c, d
         rows = {
             "ids": ["d", "b", "a", "c"],
@@ -96,10 +96,13 @@ class TestCatalog:
                 ]
             return Catalog(items)
 
-        def via_columns(rows):
+        def via_rows(rows):
+            # the loaders' path: shuffled rows, each the only user of its
+            # own entry in both tables
             shuffled = {key: [column[r] for r in (2, 0, 3, 1)] for key, column in rows.items()}
-            return Catalog.from_columns(
-                shuffled["ids"], shuffled["providers"], shuffled["categories"],
+            each = np.arange(4)
+            return Catalog.from_codes(
+                shuffled["ids"], shuffled["providers"], each, shuffled["categories"], each,
                 np.array(shuffled["popularity"]), [0.5] * 4, {"price": shuffled["price"]},
                 shuffled["ids"],
             )
@@ -115,7 +118,7 @@ class TestCatalog:
                 rows["ids"],
             )
 
-        builders = (via_items, via_columns, via_codes)
+        builders = (via_items, via_rows, via_codes)
         want = via_items(rows)
         assert want.items_sorted() == [
             Item(id="a", provider_id="q", categories={"art"}, popularity=0.3,
@@ -130,7 +133,9 @@ class TestCatalog:
         for build in builders:
             got = build(rows).columns
             np.testing.assert_equal(got.__dict__, want.columns.__dict__)
-            assert got.categories[0] is got.categories[3]
+            # a and d share the set {"art"}, held once
+            assert got.set_codes[0] == got.set_codes[3]
+            assert got.sets[got.set_codes[0]] == {"art"}
 
         failures = [
             ({"ids": ["a", "b", "a", "c"]}, DuplicateItemId, "duplicate item id: a"),
@@ -148,11 +153,11 @@ class TestCatalog:
                 with pytest.raises(error, match=message):
                     build({**rows, **change})
 
-    def test_from_columns_refuses_empty_provider(self):
+    def test_from_codes_refuses_empty_provider(self):
         with pytest.raises(ValueError, match="item a: provider id must be non-empty"):
-            Catalog.from_columns(
-                ["b", "c", "a"], ["p", "", ""], [frozenset()] * 3, [0.5] * 3, [0.5] * 3, {},
-                [""] * 3,
+            Catalog.from_codes(
+                ["b", "c", "a"], ["p", "", ""], range(3), [frozenset()] * 3, range(3),
+                [0.5] * 3, [0.5] * 3, {}, [""] * 3,
             )
 
     def test_provider_index(self):

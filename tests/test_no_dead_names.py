@@ -2,13 +2,17 @@
 
 A name that nothing reads is still code that a reader has to check.  This
 test walks every module of the package other than ``__init__.py`` and
-refuses two kinds of dead name:
+refuses three kinds of dead name:
 
 - an imported name that its module never loads;
 - a module-level ``def``, ``class`` or assigned name that its module never
   loads, and that no module of the package and no demo imports from it or
   reads as ``module.name``.  ``agorank/__init__.py`` imports what it exports,
-  so an exported name counts as read.
+  so an exported name counts as read;
+- a method of a module-level class, dunders aside, whose name no module of
+  the package and no demo reads as an attribute, on any object (``x.name``),
+  unless ``KEPT_METHODS`` names it.  The test cannot tell which class an
+  object has, so a method counts as read wherever its name is.
 
 A name read only in a quoted annotation counts as loaded, because modules
 import such names under ``TYPE_CHECKING``.
@@ -23,6 +27,15 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "agorank"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 READERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "demos").glob("*.py"))]
+# methods that only tests read, each kept for a reason of its own
+KEPT_METHODS = {
+    # the scalar draw that FORMATS.md states; ``uniforms`` must equal it
+    "dataio.PortableRng.uniform",
+    # the per-item reference that ``metrics._feasible`` computes in columns
+    "model.Constraint.satisfied_by",
+    # a public view of a catalog as items
+    "model.Catalog.items_sorted",
+}
 
 
 def _with_annotations(tree: ast.AST) -> list[ast.AST]:
@@ -97,7 +110,22 @@ def defined_names(tree: ast.Module) -> list[str]:
                 for n in ast.walk(target)
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
             ]
-    return [name for name in bound if not (name.startswith("__") and name.endswith("__"))]
+    return [name for name in bound if not _dunder(name)]
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def method_names(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, method) for each method of each module-level class, dunders aside."""
+    return [
+        (node.name, item.name)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _dunder(item.name)
+    ]
 
 
 def unread_imports(source: str) -> list[str]:
@@ -117,6 +145,23 @@ def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]
     return dead
 
 
+def unread_methods(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.Class.method`` of each method in ``modules`` (name -> source)
+    whose name no reader reads as an attribute."""
+    read = {
+        node.attr
+        for source in readers
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+    }
+    return [
+        f"{module}.{cls}.{name}"
+        for module, source in modules.items()
+        for cls, name in method_names(ast.parse(source))
+        if name not in read
+    ]
+
+
 def _source(path: Path) -> str:
     return path.read_text(encoding="utf-8")
 
@@ -131,6 +176,14 @@ def test_every_module_level_name_is_read_or_exported():
     assert any(p.parent.name == "demos" for p in READERS)
     modules = {p.stem: _source(p) for p in MODULES}
     assert unread_definitions(modules, [_source(p) for p in READERS]) == []
+
+
+def test_every_method_is_read_or_kept():
+    modules = {p.stem: _source(p) for p in MODULES}
+    unread = unread_methods(modules, [_source(p) for p in READERS])
+    assert sorted(set(unread) - KEPT_METHODS) == []
+    # an entry that something reads now, or that is gone, is stale
+    assert sorted(KEPT_METHODS - set(unread)) == []
 
 
 def test_detector_flags_each_form():
@@ -158,3 +211,21 @@ def test_detector_flags_each_form():
         "from agorank.m import h",
     ]
     assert unread_definitions({"m": source}, readers) == ["m.LIMIT", "m._A", "m._C", "m.f"]
+
+    source = "\n".join(
+        [
+            "class C:",
+            "    def __init__(self): self.kept()",
+            "    def kept(self): pass",
+            "    @property",
+            "    def view(self): pass",
+            "    @classmethod",
+            "    def build(cls): pass",
+            "    def dead(self): pass",
+            "def f():",
+            "    class Inner:",
+            "        def local(self): pass",
+        ]
+    )
+    readers = [source, "from .m import C\nC.build()\nprint(object().view)"]
+    assert unread_methods({"m": source}, readers) == ["m.C.dead"]
