@@ -10,7 +10,6 @@ import json
 from agorank import (
     AdapterMalformed,
     AgentSpec,
-    AgentState,
     Ballot,
     Query,
     StakeholderRole,
@@ -63,9 +62,10 @@ print()
 fabricated = ["made-up-resort"] + list(ranked[:3])
 ghost_ballot = Ballot(agent_id=spec.agent_id, ranking=tuple(fabricated), weight=1.0)
 grounded, violations = validate_ballot(ghost_ballot, scenario.catalog)
-state = update_reliability(AgentState(), violations, len(ghost_ballot.ranking))
+# every agent starts a stream at weight 1.0
+weight = update_reliability(1.0, violations, len(ghost_ballot.ranking))
 print(f"after one fabricated item in {len(ghost_ballot.ranking)}: "
-      f"weight {state.reliability_weight:.4f}, kept {list(grounded.ranking)}")
+      f"weight {weight:.4f}, kept {list(grounded.ranking)}")
 
 # garbage never reaches a ballot at all
 try:

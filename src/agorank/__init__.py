@@ -20,7 +20,6 @@ from .aggregation import (
 from .agents import (
     AgentObjective,
     AgentSpec,
-    AgentState,
     ExposureLedger,
     generate_candidates,
     generate_popularity_mitigation,

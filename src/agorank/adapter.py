@@ -244,19 +244,18 @@ def request_external(
     catalog: Catalog,
     k: int,
     url_override: str | None = None,
-    timeout_s: float | None = None,
 ) -> Ballot:
     """Fetch one raw ballot on all of ``catalog`` from the configured endpoint.
 
-    The returned ballot is exactly what the service said — grounding against
-    the catalog is the caller's job.
+    An HTTP request waits ``spec.params["timeout_s"]`` seconds for the
+    reply, ``DEFAULT_TIMEOUT_S`` when the agent sets none.  The returned
+    ballot is exactly what the service said — grounding against the catalog
+    is the caller's job.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     endpoint = resolve_endpoint(spec, url_override)
-    if timeout_s is None:
-        raw = spec.params.get("timeout_s", DEFAULT_TIMEOUT_S)
-        timeout_s = float(raw)  # type: ignore[arg-type]
+    timeout_s = float(spec.params.get("timeout_s", DEFAULT_TIMEOUT_S))  # type: ignore[arg-type]
     request_body = build_request(spec, query, catalog, k)
 
     if endpoint.startswith("mock://"):

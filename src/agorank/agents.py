@@ -1,5 +1,5 @@
 """Stakeholder agents: deterministic built-in candidate generators, the
-external-service dispatch, and reliability bookkeeping.
+external-service dispatch, and the reliability weight update.
 
 Each agent produces a ranked ballot of catalog items toward one stakeholder
 objective.  Built-ins are pure functions of (query, catalog, ledger), so a
@@ -16,8 +16,8 @@ from typing import Mapping
 import numpy as np
 
 from . import adapter
-from .errors import AgorankError
-from .metrics import METRIC_CODOMAIN, MetricId, relevance_scores
+from .errors import AgorankError, UnknownMetricDirection
+from .metrics import METRIC_CODOMAIN, MetricId, metric_direction, relevance_scores
 from .model import Ballot, Catalog, Query, StakeholderRole, left_sum
 
 
@@ -33,8 +33,10 @@ class AgentSpec:
     """Static configuration of one stakeholder agent.
 
     ``objective_target`` is the agent's ideal value for its objective metric;
-    fairness regret is measured against it.  ``compatibility_tags`` drive
-    dynamic activation (empty set = compatible with every query).
+    fairness regret is measured against it, so the metric must have a
+    direction: the two composites (``fairness_regret``, ``l_half_balance``)
+    are refused.  ``compatibility_tags`` drive dynamic activation (empty set
+    = compatible with every query).
     """
 
     agent_id: str
@@ -48,6 +50,10 @@ class AgentSpec:
     def __post_init__(self):
         if not self.agent_id:
             raise ValueError("agent_id must be non-empty")
+        try:
+            metric_direction(self.objective_metric)
+        except UnknownMetricDirection as exc:
+            raise ValueError(f"agent {self.agent_id}: objective_metric: {exc}") from None
         lo, hi = METRIC_CODOMAIN[self.objective_metric]
         if not lo <= self.objective_target <= hi:
             raise ValueError(
@@ -58,20 +64,11 @@ class AgentSpec:
         object.__setattr__(self, "compatibility_tags", frozenset(self.compatibility_tags))
 
 
-@dataclass(frozen=True)
-class AgentState:
-    """Mutable-across-queries agent statistics, replaced on each update."""
-
-    reliability_weight: float = 1.0
-    cumulative_violations: int = 0
-    queries_served: int = 0
-
-
 class ExposureLedger:
-    """Cumulative rank-discounted exposure per provider."""
+    """Cumulative rank-discounted exposure per provider, starting empty."""
 
-    def __init__(self, counts: Mapping[str, float] | None = None):
-        self._counts: dict[str, float] = dict(counts or {})
+    def __init__(self):
+        self._counts: dict[str, float] = {}
 
     def get(self, provider_id: str) -> float:
         return self._counts.get(provider_id, 0.0)
@@ -177,24 +174,17 @@ RELIABILITY_DECAY = 0.5
 RELIABILITY_FLOOR = 0.1
 
 
-def update_reliability(
-    state: AgentState, violations_this_query: int, items_this_query: int
-) -> AgentState:
-    """Multiplicative reliability decay with a floor.
+def update_reliability(weight: float, violations: int, items: int) -> float:
+    """An agent's next reliability weight: multiplicative decay with a floor.
 
     Violation rate r = violations/items (0 when the ballot was empty); the
     weight decays by factor (1 - RELIABILITY_DECAY*r), never below
     RELIABILITY_FLOOR: decay, not exclusion, keeps every voice non-zero.
     """
-    if violations_this_query < 0 or items_this_query < violations_this_query:
+    if violations < 0 or items < violations:
         raise ValueError("need items >= violations >= 0")
-    r = violations_this_query / items_this_query if items_this_query > 0 else 0.0
-    weight = max(RELIABILITY_FLOOR, state.reliability_weight * (1.0 - RELIABILITY_DECAY * r))
-    return AgentState(
-        reliability_weight=weight,
-        cumulative_violations=state.cumulative_violations + violations_this_query,
-        queries_served=state.queries_served + 1,
-    )
+    r = violations / items if items > 0 else 0.0
+    return max(RELIABILITY_FLOOR, weight * (1.0 - RELIABILITY_DECAY * r))
 
 
 def generate_candidates(

@@ -599,9 +599,7 @@ def _kemeny(profile, config, memo, trace):
     return rule_name, consensus, {item: float(m - 1 - i) for i, item in enumerate(consensus)}
 
 
-def rule_kemeny(
-    profile: PreferenceProfile, config: RuleConfig, memo: KemenyMemo | None = None
-) -> AggregateResult:
+def rule_kemeny(profile: PreferenceProfile, config: RuleConfig) -> AggregateResult:
     """Kendall-distance minimization, exact up to the configured pool size.
 
     Exact search prices permutations in lexicographic order and keeps the
@@ -609,17 +607,12 @@ def rule_kemeny(
     optimum.  Larger pools use the seeded local search and are tagged
     "kemeny-heuristic" in the result: it climbs every restart first, then
     prices the local optima together and keeps the least (distance, ids)
-    over all of them.  ``memo`` keeps the optima each search visited, keyed
-    by (seed, pass budget, pool size, strict-majority relation read in Borda
-    order): a call whose relation is there skips the climbs and prices the
-    stored optima, mapped through its own Borda start, against its own
-    tally.  It also keeps each pick, keyed by (seed, pass budget, Borda
-    start, tally), which fix it exactly; an equal call skips the pricing
-    too.  Without a memo the call uses a fresh one.  Both searches price
-    rankings in blocks with the additions of ``kemeny_distance``, the
-    scalar reference, in its order.
+    over all of them.  Each call searches with a fresh ``KemenyMemo``;
+    ``aggregate`` takes a memo that carries the searches of a stream from
+    query to query.  Both searches price rankings in blocks with the
+    additions of ``kemeny_distance``, the scalar reference, in its order.
     """
-    return _result(_kemeny, profile, config, memo)
+    return _result(_kemeny, profile, config)
 
 
 # one body per rule; ``_result`` describes what a body takes and returns

@@ -37,10 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, needs_scenario: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--scenario",
-            required=needs_scenario,
+            required=True,
             help="scenario file path or builtin:<name> (tourism, synthetic-200)",
         )
         p.add_argument("--out", required=True, help="output path prefix for report files")

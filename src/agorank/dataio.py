@@ -28,6 +28,7 @@ import importlib.resources
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -150,7 +151,6 @@ class Scenario:
     """A fully resolved run configuration: catalog, agents, policy, queries."""
 
     name: str
-    catalog_source: str
     catalog: Catalog
     agents: tuple[AgentSpec, ...]
     policy: ActivationPolicy
@@ -805,7 +805,6 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
             catalog = load_catalog(catalog_path)
         except OSError as exc:
             raise SchemaError(f"catalog: cannot read {catalog_raw!r}: {exc}") from exc
-        catalog_source = catalog_raw
     elif isinstance(catalog_raw, dict):
         catalog = _decode(
             _SYNTHETIC_CATALOG,
@@ -814,7 +813,6 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
             generate_catalog,
             seed=seed,
         )
-        catalog_source = "synthetic"
     else:
         raise SchemaError("catalog: expected a file path or {'synthetic': {...}}")
 
@@ -853,7 +851,6 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
 
     return Scenario(
         name=name,
-        catalog_source=catalog_source,
         catalog=catalog,
         agents=agents,
         policy=policy,
@@ -1187,15 +1184,16 @@ def _hash_catalog(catalog: Catalog) -> str:
 
 
 def _map_of(
-    types: tuple[type, ...], expected: str, unit: bool = False
+    types: tuple[type, ...], expected: str, bounds: tuple[float, float] | None = None
 ) -> Callable[[object, str], dict]:
     """The check for an object whose values are each of one of ``types``,
-    compared exactly, so a JSON ``true`` is not an integer, and in [0, 1]
-    if ``unit``.  Keys, and values if ``types`` is ``(str,)``, must be
-    encodable as UTF-8, as ``_expect_str`` checks.  It returns a copy and
-    builds no message unless a key or value fails: ``evaluate`` decodes a
-    dozen of these per outcome."""
+    compared exactly, so a JSON ``true`` is not an integer, and, with
+    ``bounds`` (lo, hi), each number in [lo, hi].  Keys, and values if
+    ``types`` is ``(str,)``, must be encodable as UTF-8, as ``_expect_str``
+    checks.  It returns a copy and builds no message unless a key or value
+    fails: ``evaluate`` decodes a dozen of these per outcome."""
     strings = types == (str,)
+    lo, hi = bounds or (None, None)
 
     def check(raw: object, path: str) -> dict:
         obj = _expect_dict(raw, path)
@@ -1203,7 +1201,9 @@ def _map_of(
             if not key.isascii():
                 _expect_str(key, f"{path} key")
             # NaN fails both comparisons
-            if type(value) not in types or unit and not 0.0 <= value <= 1.0:
+            if type(value) not in types or (
+                bounds and value is not None and not lo <= value <= hi
+            ):
                 raise SchemaError(f"{path}.{key}: expected {expected}")
             if strings and not value.isascii():
                 _expect_str(value, f"{path}.{key}")
@@ -1212,7 +1212,8 @@ def _map_of(
     return check
 
 
-_number_map = _map_of((float, int), "a number")
+# bounds that hold every finite number and refuse NaN and the infinities
+_FINITE = (-sys.float_info.max, sys.float_info.max)
 
 
 def _unit(v: object, path: str) -> float:
@@ -1259,9 +1260,9 @@ _TIE = (
 _AGGREGATE = (
     _Field("rule", _rule_label),
     _Field("consensus", _expect_list),
-    _Field("influence", _map_of((float, int), "a number in [0, 1]", unit=True)),
+    _Field("influence", _map_of((float, int), "a number in [0, 1]", (0.0, 1.0))),
     _Field("tiebreak_trace", _expect_list, []),
-    _Field("scores", _number_map, {}),
+    _Field("scores", _map_of((float, int), "a finite number", _FINITE), {}),
 )
 
 _OUTCOME = (
@@ -1271,8 +1272,14 @@ _OUTCOME = (
     _Field("aggregate", _record(_AGGREGATE, None)),
     _Field("skipped_agents", _map_of((str,), "a string"), {}),
     _Field("justifications", _map_of((str,), "a string"), {}),
-    _Field("per_agent_achieved", _map_of((float, int, type(None)), "a number or null"), {}),
-    _Field("per_agent_regret", _number_map, {}),
+    _Field(
+        "per_agent_achieved",
+        _map_of((float, int, type(None)), "a finite number or null", _FINITE),
+        {},
+    ),
+    _Field(
+        "per_agent_regret", _map_of((float, int), "a finite number >= 0", (0.0, _FINITE[1])), {}
+    ),
     _Field("stage_calls", _map_of((int,), "an integer"), {}),
 )
 

@@ -17,13 +17,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .aggregation import KemenyMemo, RuleConfig, aggregate
-from .agents import (
-    AgentSpec,
-    AgentState,
-    ExposureLedger,
-    generate_candidates,
-    update_reliability,
-)
+from .agents import AgentSpec, ExposureLedger, generate_candidates, update_reliability
 from .errors import (
     AdapterMalformed,
     AdapterTimeout,
@@ -70,8 +64,9 @@ class ActivationPolicy:
             raise ValueError("window must be >= 1")
         if not 0.0 <= self.compatibility_min <= 1.0:
             raise ValueError("compatibility_min must be in [0, 1]")
-        if self.fairness_threshold < 0:
-            raise ValueError("fairness_threshold must be >= 0")
+        # ``not >=`` refuses NaN too, under which no agent would be benched
+        if not self.fairness_threshold >= 0:
+            raise ValueError("fairness_threshold must be a number >= 0")
 
 
 class FairnessLedger:
@@ -79,7 +74,8 @@ class FairnessLedger:
 
     Per-agent ring buffers of recent fairness regrets (driving dynamic
     activation), cumulative provider exposure (driving the parity agent and
-    the exposure metrics), per-agent reliability state, and the stream's
+    the exposure metrics), each agent's reliability weight (its ballot's
+    weight, 1.0 at the start), and the stream's
     ``KemenyMemo``: the local optima each Kemeny restart search visited,
     keyed by (seed, pass budget, pool size, strict-majority relation in
     Borda-start coordinates), and each search's pick, keyed by (seed, pass
@@ -98,8 +94,7 @@ class FairnessLedger:
             a: deque(maxlen=window) for a in sorted(agent_ids)
         }
         self.exposure = ExposureLedger()
-        self.queries_processed = 0
-        self.agent_states: dict[str, AgentState] = {a: AgentState() for a in agent_ids}
+        self.reliability: dict[str, float] = dict.fromkeys(agent_ids, 1.0)
         self.kemeny_memo = KemenyMemo()
 
     def push_regret(self, agent_id: str, regret: float) -> None:
@@ -199,8 +194,10 @@ def process_query(
 ) -> tuple[QueryOutcome, FairnessLedger]:
     """Run the full pipeline for one query, then commit it to the ledger.
 
-    Agents whose ballots die (adapter failure, empty generation, nothing
-    surviving grounding) are dropped with a recorded reason and a reliability
+    Each voting ballot carries its agent's reliability weight, decayed by
+    the ballot's grounding violations.  Agents whose ballots die (adapter
+    failure, empty generation, nothing surviving grounding) are dropped
+    with a recorded reason and, unless the ballot was empty, a reliability
     penalty; the query fails with NoActiveAgents only if nobody survives.
     The stages only read the ledger and ``_commit`` writes it once at the
     end, so a query that raises leaves it unchanged.
@@ -210,34 +207,33 @@ def process_query(
     active, skipped = select_agents(query, specs, ledger, policy)
     k = candidate_count_policy(query.top_n)
 
-    states: dict[str, AgentState] = {}
+    weights: dict[str, float] = {}
     ballots: list[Ballot] = []
     justifications: dict[str, str] = {}
     grounded = 0
     for spec in sorted(active, key=lambda s: s.agent_id):
         agent_id = spec.agent_id
-        state = ledger.agent_states[agent_id]
+        weight = ledger.reliability[agent_id]
         try:
             raw = generate_candidates(spec, query, catalog, ledger.exposure, k, adapter_url)
         except (AdapterTimeout, AdapterMalformed) as exc:
             kind = "timeout" if isinstance(exc, AdapterTimeout) else "malformed response"
             skipped[agent_id] = f"adapter {kind}"
-            states[agent_id] = update_reliability(state, 1, 1)
+            weights[agent_id] = update_reliability(weight, 1, 1)
             continue
         items = len(raw.ranking)
         if items == 0:
             skipped[agent_id] = "empty ballot"
-            states[agent_id] = update_reliability(state, 0, 0)
             continue
         grounded += 1
         try:
             ballot, violations = validate_ballot(raw, catalog)
         except EmptyAfterGrounding:
             skipped[agent_id] = "no ballot items exist in the catalog"
-            states[agent_id] = update_reliability(state, items, items)
+            weights[agent_id] = update_reliability(weight, items, items)
             continue
-        states[agent_id] = update_reliability(state, violations, items)
-        ballots.append(replace(ballot, weight=states[agent_id].reliability_weight))
+        weights[agent_id] = update_reliability(weight, violations, items)
+        ballots.append(replace(ballot, weight=weights[agent_id]))
         if ballot.justification is not None:
             justifications[agent_id] = ballot.justification
 
@@ -271,7 +267,7 @@ def process_query(
             0.0 if achieved is None else fairness_regret(metric, spec.objective_target, achieved)
         )
 
-    _commit(ledger, states, regrets, credits)
+    _commit(ledger, weights, regrets, credits)
     outcome = QueryOutcome(
         query_id=query.id,
         final_list=final_list,
@@ -289,18 +285,17 @@ def process_query(
 
 def _commit(
     ledger: FairnessLedger,
-    states: Mapping[str, AgentState],
+    weights: Mapping[str, float],
     regrets: Mapping[str, float],
     credits: Mapping[str, float],
 ) -> None:
-    """Apply one query's reliability states, regrets and exposure credits:
+    """Apply one query's reliability weights, regrets and exposure credits:
     the only code that writes the ledger, the Kemeny memo aside."""
-    ledger.agent_states.update(states)
+    ledger.reliability.update(weights)
     for agent_id, regret in regrets.items():
         ledger.push_regret(agent_id, regret)
     for provider, credit in credits.items():
         ledger.exposure.add(provider, credit)
-    ledger.queries_processed += 1
 
 
 def run_stream(

@@ -404,7 +404,7 @@ def test_criterion07_grounding_end_to_end(tourism):
         assert "ghost-item" not in ghost_ballot.ranking
         assert len(ghost_ballot.ranking) == k - 1
         expected = 1.0 * (1.0 - 0.5 * (1.0 / k))
-        assert ledger.agent_states["ghostly"].reliability_weight == expected
+        assert ledger.reliability["ghostly"] == expected
 
         outcomes, _ = run_stream(
             tourism.queries, specs, tourism.catalog, tourism.policy,

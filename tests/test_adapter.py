@@ -602,14 +602,13 @@ class TestHttpTransport:
         _Handler.behavior = "slow"
         with pytest.raises(AdapterTimeout):
             request_external(
-                external_spec(endpoint=http_endpoint), QUERY, CATALOG, 2, timeout_s=0.2
+                external_spec(endpoint=http_endpoint, timeout_s=0.2), QUERY, CATALOG, 2
             )
 
     def test_connection_refused(self):
         with pytest.raises(AdapterMalformed):
             request_external(
-                external_spec(endpoint="http://127.0.0.1:1"), QUERY, CATALOG, 2,
-                timeout_s=1.0,
+                external_spec(endpoint="http://127.0.0.1:1", timeout_s=1.0), QUERY, CATALOG, 2
             )
 
     def test_timeout_param_from_spec(self, http_endpoint):

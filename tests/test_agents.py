@@ -13,7 +13,6 @@ from agorank import agents
 from agorank.agents import (
     AgentObjective,
     AgentSpec,
-    AgentState,
     ExposureLedger,
     generate_candidates,
     generate_popularity_mitigation,
@@ -117,7 +116,9 @@ class TestRelevanceAgent:
 
 class TestProviderExposureAgent:
     def test_least_exposed_first(self):
-        ledger = ExposureLedger({"p1": 5.0, "p2": 0.5, "p3": 2.0})
+        ledger = ExposureLedger()
+        for provider, credit in {"p1": 5.0, "p2": 0.5, "p3": 2.0}.items():
+            ledger.add(provider, credit)
         ballot = generate_provider_exposure(Query(id="q"), CATALOG, ledger, k=3)
         assert ballot.ranking == ("museum", "trail", "beach")
         assert "p2" in ballot.justification
@@ -241,34 +242,26 @@ class TestPopularityMitigationAgent:
 
 class TestReliability:
     def test_half_violations(self):
-        state = update_reliability(AgentState(), violations_this_query=1, items_this_query=2)
-        assert state.reliability_weight == pytest.approx(0.75)
-        assert state.cumulative_violations == 1
-        assert state.queries_served == 1
+        assert update_reliability(1.0, violations=1, items=2) == pytest.approx(0.75)
 
     def test_floor(self):
-        state = AgentState(reliability_weight=0.15)
-        state = update_reliability(state, 1, 1)
-        assert state.reliability_weight == pytest.approx(0.1)
+        assert update_reliability(0.15, 1, 1) == pytest.approx(0.1)
 
     def test_empty_ballot_no_penalty(self):
-        state = update_reliability(AgentState(reliability_weight=0.8), 0, 0)
-        assert state.reliability_weight == pytest.approx(0.8)
-        assert state.queries_served == 1
+        assert update_reliability(0.8, 0, 0) == pytest.approx(0.8)
 
     def test_clean_ballot_no_decay(self):
-        state = update_reliability(AgentState(), 0, 5)
-        assert state.reliability_weight == pytest.approx(1.0)
+        assert update_reliability(1.0, 0, 5) == pytest.approx(1.0)
 
     def test_compounding(self):
-        state = AgentState()
+        weight = 1.0
         for _ in range(2):
-            state = update_reliability(state, 1, 2)
-        assert state.reliability_weight == pytest.approx(0.5625)
+            weight = update_reliability(weight, 1, 2)
+        assert weight == pytest.approx(0.5625)
 
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
-            update_reliability(AgentState(), 2, 1)
+            update_reliability(1.0, 2, 1)
 
 
 class TestDispatch:

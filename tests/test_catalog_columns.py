@@ -178,10 +178,18 @@ def _queries(draw) -> Query:
     )
 
 
+def _ledger(credits: dict[str, float]) -> ExposureLedger:
+    """An exposure ledger that holds ``credits``."""
+    ledger = ExposureLedger()
+    for provider, credit in credits.items():
+        ledger.add(provider, credit)
+    return ledger
+
+
 _LEDGERS = st.dictionaries(
     st.sampled_from(_PROVIDERS),
     st.sampled_from((0.0, 1.0, 1 / 3, 0.6309297535714575, 1.5)),
-).map(ExposureLedger)
+).map(_ledger)
 
 
 def build_catalog(items: list[Item], how: str, twice: list[bool]) -> Catalog:
@@ -277,7 +285,7 @@ def test_bundled_scenarios_match_the_per_item_loops():
     for name in ("builtin:tourism", "builtin:synthetic-200"):
         scenario = dataio.load_scenario(name)
         catalog = scenario.catalog
-        ledger = ExposureLedger({p: float(i % 3) for i, p in enumerate(catalog.providers)})
+        ledger = _ledger({p: float(i % 3) for i, p in enumerate(catalog.providers)})
         for query in scenario.queries:
             k = 3 * query.top_n
             _assert_same_relevance(

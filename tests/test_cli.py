@@ -19,6 +19,7 @@ FORMATS = ROOT / "FORMATS.md"
 
 # the warnings that pyproject's pytest filters make errors in this process
 WARNINGS_AS_ERRORS = ("-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning")
+NAN, INF = float("nan"), float("inf")
 
 
 def agorank(*args, cwd=None):
@@ -710,15 +711,16 @@ def _set_last(value):
 
 
 class TestSavedAggregate:
-    """The rule label, consensus, final list, scores and achieved values are
-    checked at load against what ``save_outcomes`` could have written: each
-    fault is invalid input that names its field."""
+    """The rule label, consensus, final list, scores, achieved values and
+    regrets are checked at load against what ``save_outcomes`` could have
+    written: each fault is invalid input that names its field."""
 
     CONSENSUS = "aggregate.consensus: expected each of the 6 items the ballots rank, once"
     FINAL = "final_list: expected the first query.top_n consensus items"
     RULE = "aggregate.rule: expected one of ['borda', 'copeland', 'kemeny', "
     SCORES = "aggregate.scores: expected one entry per consensus item"
     ACHIEVED = "per_agent_achieved: expected the agents of per_agent_regret"
+    REGRET = "per_agent_regret.traveler: expected a finite number >= 0"
 
     @pytest.mark.parametrize(
         "edit,message",
@@ -741,15 +743,27 @@ class TestSavedAggregate:
             (_edit_aggregate("scores", lambda sc: sc.update({"no-such-item": 1.0})), SCORES),
             (lambda outcome: outcome["aggregate"].pop("scores"), SCORES),
             (_edit_aggregate("scores", lambda sc: sc.update({"beach-promenade": True})),
-             "aggregate.scores.beach-promenade: expected a number"),
+             "aggregate.scores.beach-promenade: expected a finite number"),
             (_edit_aggregate("scores", lambda sc: sc.update({"beach-promenade": "6"})),
-             "aggregate.scores.beach-promenade: expected a number"),
+             "aggregate.scores.beach-promenade: expected a finite number"),
             (lambda outcome: outcome["per_agent_achieved"].pop("traveler"), ACHIEVED),
             (lambda outcome: outcome["per_agent_achieved"].update(ghost=0.5), ACHIEVED),
             (lambda outcome: outcome["per_agent_achieved"].update(traveler="high"),
-             "per_agent_achieved.traveler: expected a number or null"),
+             "per_agent_achieved.traveler: expected a finite number or null"),
             (lambda outcome: outcome["per_agent_achieved"].update(traveler=False),
-             "per_agent_achieved.traveler: expected a number or null"),
+             "per_agent_achieved.traveler: expected a finite number or null"),
+            # NaN used to load, and evaluate wrote it into the report JSON
+            (_edit_aggregate("scores", lambda sc: sc.update({"beach-promenade": NAN})),
+             "aggregate.scores.beach-promenade: expected a finite number"),
+            (_edit_aggregate("scores", lambda sc: sc.update({"beach-promenade": -INF})),
+             "aggregate.scores.beach-promenade: expected a finite number"),
+            (lambda outcome: outcome["per_agent_achieved"].update(traveler=NAN),
+             "per_agent_achieved.traveler: expected a finite number or null"),
+            (lambda outcome: outcome["per_agent_achieved"].update(traveler=INF),
+             "per_agent_achieved.traveler: expected a finite number or null"),
+            (lambda outcome: outcome["per_agent_regret"].update(traveler=NAN), REGRET),
+            (lambda outcome: outcome["per_agent_regret"].update(traveler=INF), REGRET),
+            (lambda outcome: outcome["per_agent_regret"].update(traveler=-1), REGRET),
         ],
         ids=[
             "consensus-short", "consensus-repeat-appended", "consensus-repeat",
@@ -758,7 +772,8 @@ class TestSavedAggregate:
             "rule-unknown", "rule-case", "rule-number", "scores-missing-item",
             "scores-extra-item", "scores-absent", "scores-bool", "scores-string",
             "achieved-missing-agent", "achieved-extra-agent", "achieved-string",
-            "achieved-bool",
+            "achieved-bool", "scores-nan", "scores-minus-inf", "achieved-nan", "achieved-inf",
+            "regret-nan", "regret-inf", "regret-negative",
         ],
     )
     def test_exit_2_and_nothing_written(self, tourism_dir, tmp_path, edit, message):
@@ -838,6 +853,8 @@ class TestLoaderFuzz:
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
+    # each demo's stdout is pinned in tests/golden/demos/<name>.txt, so a
+    # change to what a demo prints shows in review
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, *WARNINGS_AS_ERRORS, str(ROOT / "demos" / demo)],
@@ -847,3 +864,8 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    golden = ROOT / "tests" / "golden" / "demos" / f"{Path(demo).stem}.txt"
+    assert proc.stdout == golden.read_text(encoding="utf-8"), (
+        f"{demo} printed other than {golden.name}; if the change is intended, "
+        "write its new stdout there and review the diff"
+    )

@@ -793,7 +793,6 @@ class TestLoadScenario:
         scenario = load_scenario(write_scenario(scenario_dir, doc))
         assert len(scenario.catalog) == 12
         assert len(scenario.queries) == 2
-        assert scenario.catalog_source == "synthetic"
 
     def test_provider_count_past_int64(self, scenario_dir):
         # JSON integers have no bound; only the providers that own an item are named
@@ -843,6 +842,11 @@ class TestLoadScenario:
             (lambda d: d.pop("queries"), SchemaError),
             (lambda d: d.update(catalog=7), SchemaError),
             (lambda d: d.update(seed="five"), SchemaError),
+            # composites have no direction, so no regret; these used to load
+            (lambda d: d["agents"][0].update(objective_metric="fairness_regret"), SchemaError),
+            (lambda d: d["agents"][0].update(objective_metric="l_half_balance"), SchemaError),
+            # no regret is <= NaN, so this used to turn benching off
+            (lambda d: d.update(policy={"fairness_threshold": math.nan}), SchemaError),
         ],
     )
     def test_schema_violations(self, scenario_dir, mutate, error):
@@ -1075,7 +1079,7 @@ class TestSavedOutcomes:
              r"outcomes\[0\]\.final_list\[0\]: unknown item 'ghost'"),
             (lambda o: o[0].update(final_list=[1]), r"final_list\[0\]: expected a string"),
             (lambda o: o[0]["per_agent_regret"].update(traveler="x"),
-             r"per_agent_regret\.traveler: expected a number"),
+             r"per_agent_regret\.traveler: expected a finite number >= 0"),
             (lambda o: o[0]["aggregate"]["influence"].update(traveler=None),
              r"aggregate\.influence\.traveler: expected a number"),
             (lambda o: o[0]["stage_calls"].update(aggregate=1.5),

@@ -466,6 +466,8 @@ class TestAccuracyAtK:
     )
     @example((Query(id="q", preference_weights={"food": 0.3}, top_n=9), [], _catalog()))
     @example(_rounding_case())
+    # a final list longer than top_n, with a relevant, feasible item just past it
+    @example((Query(id="q", preference_weights={"food": 1.0}, top_n=1), ["b", "a"], _catalog()))
     def test_equals_scalar_reference(self, case):
         query, final_list, catalog = case
         assert _accuracy_at_k(query, final_list, catalog) == _reference_accuracy(

@@ -1,8 +1,8 @@
-"""No name in the package that nothing reads.
+"""No name in the package that nothing reads or sets.
 
 A name that nothing reads is still code that a reader has to check.  This
 test walks every module of the package other than ``__init__.py`` and
-refuses three kinds of dead name:
+refuses five kinds of dead name:
 
 - an imported name that its module never loads;
 - a module-level ``def``, ``class`` or assigned name that its module never
@@ -12,7 +12,19 @@ refuses three kinds of dead name:
 - a method of a module-level class, dunders aside, whose name no module of
   the package and no demo reads as an attribute, on any object (``x.name``),
   unless ``KEPT_METHODS`` names it.  The test cannot tell which class an
-  object has, so a method counts as read wherever its name is.
+  object has, so a method counts as read wherever its name is;
+- a field of a module-level class (a name annotated in its body, as a
+  dataclass field is, or a ``self.name`` that its methods assign) that no
+  module of the package and no demo reads as ``x.name`` or names in a
+  string constant, unless ``KEPT_FIELDS`` names it.  Writing a field, by
+  ``=`` or ``+=``, is no read.  A string counts because the field tables
+  read fields by name;
+- a parameter with a default, of a module-level function or of a method of
+  a module-level class, that no call in the package or a demo passes, by
+  position or by keyword, to any callable of the function's name (the
+  class's name for ``__init__``), unless ``KEPT_PARAMETERS`` names it.  A
+  string constant equal to the parameter's name counts too, because
+  ``_decode`` builds records with ``**kwargs``.
 
 A name read only in a quoted annotation counts as loaded, because modules
 import such names under ``TYPE_CHECKING``.
@@ -22,6 +34,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "agorank"
@@ -35,6 +48,16 @@ KEPT_METHODS = {
     "model.Constraint.satisfied_by",
     # a public view of a catalog as items
     "model.Catalog.items_sorted",
+}
+# fields that only tests read, each kept for a reason of its own
+KEPT_FIELDS = {
+    # the exception's documented payload: the 1-based line of the bad record
+    "errors.MalformedRecord.line",
+}
+# parameters that only tests pass, each kept for a reason of its own
+KEPT_PARAMETERS = {
+    # tests and embedding callers drive the CLI through it
+    "cli.main.argv",
 }
 
 
@@ -162,6 +185,125 @@ def unread_methods(modules: dict[str, str], readers: list[str]) -> list[str]:
     ]
 
 
+def class_fields(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, field) for each module-level class: each name annotated in its
+    body, as a dataclass field is, and each ``self.name`` its methods assign."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        names = [
+            item.target.id
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        ]
+        names += [
+            n.attr
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for n in ast.walk(item)
+            if isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Store)
+            and isinstance(n.value, ast.Name)
+            and n.value.id == "self"
+        ]
+        found += [(node.name, name) for name in dict.fromkeys(names)]
+    return found
+
+
+def unread_fields(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.Class.field`` of each field in ``modules`` (name -> source)
+    that no reader loads as an attribute (``x.field``) or names in a string
+    constant, as the field tables and ``getattr`` do.  Assigning a field,
+    ``+=`` included, is no read."""
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [
+        f"{module}.{cls}.{name}"
+        for module, source in modules.items()
+        for cls, name in class_fields(ast.parse(source))
+        if name not in read
+    ]
+
+
+def _functions(tree: ast.Module) -> Iterator[tuple[ast.FunctionDef, str, str, int]]:
+    """(def, qualified name, the name a call uses, arguments a call leaves
+    out) for each module-level function and each method of a module-level
+    class.  A call leaves out ``self`` or ``cls``, and reaches ``C.__init__``
+    as ``C(...)``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node, node.name, node.name, 0
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = node.name if item.name == "__init__" else item.name
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list
+                )
+                yield item, f"{node.name}.{item.name}", name, 0 if static else 1
+
+
+def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None, str]]:
+    """(qualified name, the name a call uses, position, parameter) for each
+    parameter with a default of each function that ``_functions`` yields.
+    The position is the index of the call's positional argument that reaches
+    the parameter, None if the parameter is keyword-only."""
+    found = []
+    for fn, qualname, name, skip in _functions(tree):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        found += [
+            (qualname, name, i - skip, a.arg)
+            for i, a in enumerate(positional)
+            if i >= first
+        ]
+        found += [
+            (qualname, name, None, a.arg)
+            for a, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+    return found
+
+
+def unset_parameters(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.function.parameter`` of each parameter with a default in
+    ``modules`` (name -> source) that no call in the readers passes, by
+    position or by keyword, to any callable of its function's name, and that
+    no reader names in a string constant, as ``**kwargs`` built from the
+    field tables do.  A ``*args`` argument reaches every later position."""
+    # callable name -> (most positional arguments of a call, keywords passed)
+    passed: dict[str, tuple[float, set[str]]] = {}
+    strings = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            count = len(node.args)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                count = float("inf")
+            most, keywords = passed.get(name, (0, set()))
+            passed[name] = (max(most, count), keywords | {k.arg for k in node.keywords})
+    unset = []
+    for module, source in modules.items():
+        for qualname, name, position, param in defaulted_parameters(ast.parse(source)):
+            most, keywords = passed.get(name, (0, set()))
+            reached = position is not None and position < most
+            if not (reached or param in keywords or param in strings):
+                unset.append(f"{module}.{qualname}.{param}")
+    return unset
+
+
 def _source(path: Path) -> str:
     return path.read_text(encoding="utf-8")
 
@@ -184,6 +326,22 @@ def test_every_method_is_read_or_kept():
     assert sorted(set(unread) - KEPT_METHODS) == []
     # an entry that something reads now, or that is gone, is stale
     assert sorted(KEPT_METHODS - set(unread)) == []
+
+
+def test_every_field_is_read_or_kept():
+    modules = {p.stem: _source(p) for p in MODULES}
+    unread = unread_fields(modules, [_source(p) for p in READERS])
+    assert sorted(set(unread) - KEPT_FIELDS) == []
+    # an entry that something reads now, or that is gone, is stale
+    assert sorted(KEPT_FIELDS - set(unread)) == []
+
+
+def test_every_defaulted_parameter_is_passed_or_kept():
+    modules = {p.stem: _source(p) for p in MODULES}
+    unset = unset_parameters(modules, [_source(p) for p in READERS])
+    assert sorted(set(unset) - KEPT_PARAMETERS) == []
+    # an entry that something passes now, or that is gone, is stale
+    assert sorted(KEPT_PARAMETERS - set(unset)) == []
 
 
 def test_detector_flags_each_form():
@@ -229,3 +387,48 @@ def test_detector_flags_each_form():
     )
     readers = [source, "from .m import C\nC.build()\nprint(object().view)"]
     assert unread_methods({"m": source}, readers) == ["m.C.dead"]
+
+    source = "\n".join(
+        [
+            "@dataclass",
+            "class D:",
+            "    read: int",
+            "    named: int",
+            "    dead: int = 0",
+            "    LIMIT = 3",
+            "class C:",
+            "    def __init__(self):",
+            "        self.read = self.set_only = self.bumped = 0",
+            "        self.bumped += 1",
+            "    def f(self):",
+            "        local = 1",
+            "        return self.read",
+            "def f():",
+            "    class Inner:",
+            "        local: int",
+        ]
+    )
+    readers = [source, "getattr(d, 'named')"]
+    assert unread_fields({"m": source}, readers) == ["m.D.dead", "m.C.set_only", "m.C.bumped"]
+
+    source = "\n".join(
+        [
+            "def f(a, by_position=1, by_keyword=2, by_string=3, *, kw_only=4, dead=5): pass",
+            "def g(a=1, b=2): pass",
+            "class C:",
+            "    def __init__(self, passed=1, dead=2): pass",
+            "    def m(self, a=1, dead=2): pass",
+            "    @staticmethod",
+            "    def s(a=1, dead=2): pass",
+            "def outer():",
+            "    def nested(local=1): pass",
+        ]
+    )
+    readers = [
+        source,
+        "f(0, 1, by_keyword=2, kw_only=4)\n_decode(**{'by_string': 3})",
+        "g(*args)\nC(1)\nc.m(1)\nC.s(1)",
+    ]
+    assert unset_parameters({"m": source}, readers) == [
+        "m.f.dead", "m.C.__init__.dead", "m.C.m.dead", "m.C.s.dead"
+    ]
