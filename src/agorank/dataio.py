@@ -482,13 +482,64 @@ def _expect_str_list(v: object, path: str) -> tuple[str, ...]:
     return tuple(items)
 
 
-def _expect_number(v: object, path: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"{path}: expected a number")
-    try:
-        return float(v)
-    except OverflowError:
-        raise SchemaError(f"{path}: integer too large for a float") from None
+# the largest float: a range that ends here holds every finite number
+_MAX = sys.float_info.max
+
+
+def _number(
+    expected: str = "", lo: float = -_MAX, hi: float = _MAX, null: bool = False
+) -> Callable[[object, str], float | None]:
+    """The check for a JSON number in [lo, hi], read as a float: an integer
+    reads as the float of equal value, in scenarios and saved outcomes alike.
+
+    A value that is no number (a boolean, string, container, or null unless
+    ``null`` lets it pass as None) fails as ``<path>: expected a number``
+    (``... or null``), an integer too large for a float as ``<path>: integer
+    too large for a float``, and a number outside [lo, hi], NaN included,
+    as ``<path>: expected <expected>``.  With no ``expected`` every number
+    passes, NaN and the infinities too: those fields' records bound them.
+    """
+    kind = "a number or null" if null else "a number"
+
+    def check(v: object, path: str) -> float | None:
+        if type(v) is not float:
+            if type(v) is not int:
+                if v is None and null:
+                    return None
+                raise SchemaError(f"{path}: expected {kind}")
+            try:
+                v = float(v)
+            except OverflowError:
+                raise SchemaError(f"{path}: integer too large for a float") from None
+        if expected and not lo <= v <= hi:
+            raise SchemaError(f"{path}: expected {expected}")
+        return v
+
+    return check
+
+
+def _number_map(
+    expected: str = "", lo: float = -_MAX, hi: float = _MAX, null: bool = False
+) -> Callable[[object, str], dict[str, float | None]]:
+    """The check for a JSON object whose values ``_number(expected, lo, hi,
+    null)`` each checks, key by key in the object's order: a copy whose
+    integers are read as floats.  Keys must be encodable as UTF-8, as
+    ``_expect_str`` checks.  A float in [lo, hi] costs no call and no
+    message, so an object of such floats costs one ``dict`` copy:
+    ``evaluate`` decodes several of these per outcome."""
+    number = _number(expected, lo, hi, null)
+
+    def check(raw: object, path: str) -> dict[str, float | None]:
+        numbers = dict(_expect_dict(raw, path))
+        for key, value in numbers.items():
+            if not key.isascii():
+                _expect_str(key, f"{path} key")
+            # NaN fails both comparisons
+            if type(value) is not float or not lo <= value <= hi:
+                numbers[key] = number(value, f"{path}.{key}")
+        return numbers
+
+    return check
 
 
 _REQUIRED = object()  # a ``_Field`` default: the key must be written
@@ -563,53 +614,10 @@ def _expect_endpoint(v: object, path: str) -> str:
     return endpoint
 
 
-def _expect_timeout(v: object, path: str) -> float:
-    timeout = _expect_number(v, path)
-    if not (math.isfinite(timeout) and timeout > 0):
-        raise SchemaError(f"{path}: expected a finite number of seconds > 0")
-    return timeout
-
-
-def _parse_number_map(raw: object, path: str) -> dict[str, float]:
-    """Decode a string-to-number object: query and persona weights, item
-    attributes.  A path is built only for a key or value that fails."""
-    out = {}
-    for key, value in _expect_dict(raw, path).items():
-        if not key.isascii():
-            _expect_str(key, f"{path} key")
-        out[key] = value if type(value) is float else _expect_number(value, f"{path}.{key}")
-    return out
-
-
-def _expect_finite(v: object, path: str) -> float:
-    number = _expect_number(v, path)
-    if not math.isfinite(number):
-        raise SchemaError(f"{path}: expected a finite number")
-    return number
-
-
-def _finite_map(raw: object, path: str) -> dict[str, float]:
-    """A number map whose values are finite."""
-    numbers = _parse_number_map(raw, path)
-    for key, number in numbers.items():
-        if not math.isfinite(number):
-            raise SchemaError(f"{path}.{key}: expected a finite number")
-    return numbers
-
-
-def _weight_map(raw: object, path: str) -> dict[str, float]:
-    """A number map whose values are finite and at least 0."""
-    weights = _parse_number_map(raw, path)
-    for key, weight in weights.items():
-        if not 0.0 <= weight < math.inf:
-            raise SchemaError(f"{path}.{key}: expected a finite number >= 0")
-    return weights
-
-
 _CONSTRAINT = (
     _Field("attribute", _expect_str),
     _Field("direction", _expect_str),
-    _Field("value", _expect_finite),
+    _Field("value", _number("a finite number")),
 )
 
 
@@ -642,7 +650,7 @@ _AGENT = (
     _Field("role", _member(StakeholderRole, "role")),
     _Field("objective", _member(AgentObjective, "objective")),
     _Field("objective_metric", _member(MetricId, "metric", UnknownMetricId)),
-    _Field("objective_target", _expect_number),
+    _Field("objective_target", _number()),
     _Field("params", _expect_dict, {}),
     _Field("compatibility_tags", _expect_str_list, []),
 )
@@ -651,14 +659,14 @@ _AGENT = (
 _EXTERNAL_PARAMS = (
     _Field("endpoint", _expect_endpoint, _ABSENT),
     _Field("persona", _expect_str, _ABSENT),
-    _Field("timeout_s", _expect_timeout, _ABSENT),
+    _Field("timeout_s", _number("a finite number of seconds > 0", math.ulp(0.0)), _ABSENT),
 )
 
 _POLICY = (
     _Field("mode", _member(ActivationMode, "mode"), "static"),
-    _Field("fairness_threshold", _expect_number, 0.1),
+    _Field("fairness_threshold", _number(), 0.1),
     _Field("window", _expect_int, 10),
-    _Field("compatibility_min", _expect_number, 0.0),
+    _Field("compatibility_min", _number(), 0.0),
 )
 
 # a rule object; its seed is the scenario seed unless written
@@ -673,7 +681,7 @@ _RULE = (
 _QUERY = (
     _Field("id", _expect_str),
     _Field("text", _expect_str, ""),
-    _Field("preference_weights", _parse_number_map, {}),
+    _Field("preference_weights", _number_map(), {}),
     _Field("constraints", _records(_CONSTRAINT, Constraint), []),
     _Field("user_history", _expect_str_list, []),
     _Field("top_n", _expect_int, 5),
@@ -681,7 +689,7 @@ _QUERY = (
 
 _PERSONA = (
     _Field("persona_text", _expect_str),
-    _Field("category_weights", _weight_map),
+    _Field("category_weights", _number_map("a finite number >= 0", 0.0)),
     _Field("constraint_templates", _records(_CONSTRAINT, Constraint), []),
     _Field("query_count", _expect_int),
     _Field("top_n", _expect_int, 5),
@@ -691,9 +699,9 @@ _ITEM = (
     _Field("id", _expect_str),
     _Field("provider_id", _expect_str),
     _Field("categories", _expect_str_list, []),
-    _Field("popularity", _expect_number, 0.5),
-    _Field("sustainability", _expect_number, 0.5),
-    _Field("attributes", _finite_map, {}),
+    _Field("popularity", _number(), 0.5),
+    _Field("sustainability", _number(), 0.5),
+    _Field("attributes", _number_map("a finite number"), {}),
     _Field("description", _expect_str, ""),
 )
 
@@ -1183,43 +1191,26 @@ def _hash_catalog(catalog: Catalog) -> str:
     return sha.hexdigest()
 
 
-def _map_of(
-    types: tuple[type, ...], expected: str, bounds: tuple[float, float] | None = None
-) -> Callable[[object, str], dict]:
-    """The check for an object whose values are each of one of ``types``,
-    compared exactly, so a JSON ``true`` is not an integer, and, with
-    ``bounds`` (lo, hi), each number in [lo, hi].  Keys, and values if
-    ``types`` is ``(str,)``, must be encodable as UTF-8, as ``_expect_str``
+def _map_of(kind: type, expected: str) -> Callable[[object, str], dict]:
+    """The check for an object whose values are each of type ``kind``
+    exactly, ``str`` or ``int``, so a JSON ``true`` is not an integer.  Keys,
+    and string values, must be encodable as UTF-8, as ``_expect_str``
     checks.  It returns a copy and builds no message unless a key or value
-    fails: ``evaluate`` decodes a dozen of these per outcome."""
-    strings = types == (str,)
-    lo, hi = bounds or (None, None)
+    fails."""
+    strings = kind is str
 
     def check(raw: object, path: str) -> dict:
         obj = _expect_dict(raw, path)
         for key, value in obj.items():
             if not key.isascii():
                 _expect_str(key, f"{path} key")
-            # NaN fails both comparisons
-            if type(value) not in types or (
-                bounds and value is not None and not lo <= value <= hi
-            ):
+            if type(value) is not kind:
                 raise SchemaError(f"{path}.{key}: expected {expected}")
             if strings and not value.isascii():
                 _expect_str(value, f"{path}.{key}")
         return dict(obj)
 
     return check
-
-
-# bounds that hold every finite number and refuse NaN and the infinities
-_FINITE = (-sys.float_info.max, sys.float_info.max)
-
-
-def _unit(v: object, path: str) -> float:
-    if type(v) not in (float, int) or not 0.0 <= v <= 1.0:
-        raise SchemaError(f"{path}: expected a number in [0, 1]")
-    return v
 
 
 def _optional_str(v: object, path: str) -> str | None:
@@ -1247,7 +1238,7 @@ _BALLOT = (
     _Field("agent_id", _expect_str),
     _Field("ranking", _ranking),
     _Field("justification", _optional_str, None),
-    _Field("weight", _unit),
+    _Field("weight", _number("a number in [0, 1]", 0.0, 1.0)),
 )
 
 _TIE = (
@@ -1260,9 +1251,9 @@ _TIE = (
 _AGGREGATE = (
     _Field("rule", _rule_label),
     _Field("consensus", _expect_list),
-    _Field("influence", _map_of((float, int), "a number in [0, 1]", (0.0, 1.0))),
+    _Field("influence", _number_map("a number in [0, 1]", 0.0, 1.0)),
     _Field("tiebreak_trace", _expect_list, []),
-    _Field("scores", _map_of((float, int), "a finite number", _FINITE), {}),
+    _Field("scores", _number_map("a finite number"), {}),
 )
 
 _OUTCOME = (
@@ -1270,17 +1261,11 @@ _OUTCOME = (
     _Field("final_list", _expect_str_list),
     _Field("ballots", _records(_BALLOT, Ballot), _REQUIRED, "per_agent_ballots"),
     _Field("aggregate", _record(_AGGREGATE, None)),
-    _Field("skipped_agents", _map_of((str,), "a string"), {}),
-    _Field("justifications", _map_of((str,), "a string"), {}),
-    _Field(
-        "per_agent_achieved",
-        _map_of((float, int, type(None)), "a finite number or null", _FINITE),
-        {},
-    ),
-    _Field(
-        "per_agent_regret", _map_of((float, int), "a finite number >= 0", (0.0, _FINITE[1])), {}
-    ),
-    _Field("stage_calls", _map_of((int,), "an integer"), {}),
+    _Field("skipped_agents", _map_of(str, "a string"), {}),
+    _Field("justifications", _map_of(str, "a string"), {}),
+    _Field("per_agent_achieved", _number_map("a finite number or null", null=True), {}),
+    _Field("per_agent_regret", _number_map("a finite number >= 0", 0.0), {}),
+    _Field("stage_calls", _map_of(int, "an integer"), {}),
 )
 
 # the saved-outcomes document; ``load_outcomes`` checks the hash, then

@@ -131,22 +131,20 @@ def gini_exposure(exposures: Sequence[float]) -> float:
         raise ValueError("exposures must be non-empty")
     if any(x < 0 for x in exposures):
         raise ValueError("exposures must be >= 0")
-    x = np.sort(np.asarray(exposures, dtype=float))
-    n = x.size
-    total = float(x.sum())
-    if total == 0.0:
+    x = np.asarray(exposures, dtype=float)
+    if float(x.sum()) == 0.0:
         raise ZeroMass("exposure vector sums to zero")
-    i = np.arange(1, n + 1)
-    return float(((2 * i - n - 1) * x).sum() / (n * total))
+    return _gini_rows(x[np.newaxis])[0]
 
 
 def _gini_rows(exposures: np.ndarray) -> list[float]:
-    """``gini_exposure`` of each row of a 2-D array whose rows are
-    non-negative and not all zero, float for float."""
+    """The Gini coefficient of each row of a 2-D array whose rows are
+    non-negative and not all zero, unchecked: the one Gini kernel, which
+    ``gini_exposure``, the monitor and the report each call."""
     x = np.sort(exposures, axis=1)
     n = x.shape[1]
-    i = np.arange(1, n + 1)
-    return (((2 * i - n - 1) * x).sum(axis=1) / (n * x.sum(axis=1))).tolist()
+    # the weights 2i - n - 1 for ranks i = 1..n, as exact integers
+    return ((np.arange(1 - n, n, 2) * x).sum(axis=1) / (n * x.sum(axis=1))).tolist()
 
 
 def normalized_entropy(p: Sequence[float]) -> float:
@@ -155,19 +153,18 @@ def normalized_entropy(p: Sequence[float]) -> float:
     if p.size < 2:
         raise ValueError("distribution needs at least 2 entries")
     _check_distribution(p, "p")
-    nz = p[p > 0]
-    h = max(0.0, float(-(nz * np.log2(nz)).sum()))
-    return h / math.log2(p.size)
+    return _entropy_rows(p[np.newaxis])[0]
 
 
 def _entropy_rows(p: np.ndarray) -> list[float]:
-    """``normalized_entropy`` of each row of a 2-D array of distributions
-    with at least 2 entries each, float for float, unchecked.
+    """The normalized entropy of each row of a 2-D array of distributions
+    with at least 2 entries each, unchecked: the one entropy kernel, which
+    ``normalized_entropy``, the monitor and the report each call.
 
     The terms p * log2(p) of the positive entries are computed as one
-    array; each row's are then gathered and summed on their own, as the
-    one-dimensional sum ``normalized_entropy`` takes (a sum over the whole
-    row, zeros included, would group the pairwise additions differently).
+    array; each row's are then gathered and summed on their own (a sum over
+    the whole row, zeros included, would group the pairwise additions
+    differently, and so change the floats).
     """
     positive = p > 0
     terms = p * np.log2(p, out=np.zeros_like(p), where=positive)
@@ -371,8 +368,8 @@ def evaluate_metric(
 
     This is the scalar reference for every metric and the path the
     orchestrator's monitor takes; ``build_report`` gets the same nDCG and
-    recall floats from ``_accuracy_at_k``, and the same Gini and entropy
-    floats from the row kernels ``_gini_rows`` and ``_entropy_rows``.
+    recall floats from ``_accuracy_at_k``.  Gini and entropy come from the
+    row kernels ``_gini_rows`` and ``_entropy_rows`` on both paths.
     Returns None when the metric's inputs do not exist (no history for the
     divergence/popularity metrics, no exposure mass yet, degenerate
     support).
@@ -385,17 +382,18 @@ def evaluate_metric(
     if metric is MetricId.RECALL:
         relevant = {i for i, r in relevance_map(query, catalog).items() if r > 0}
         return recall_at_k(final_list, relevant, query.top_n)
-    if metric is MetricId.GINI_EXPOSURE:
-        values = [exposure_counts.get(p, 0.0) for p in catalog.providers]
-        if not values or left_sum(values) == 0.0:
-            return None
-        return gini_exposure(values)
-    if metric is MetricId.NORM_ENTROPY:
+    if metric in (MetricId.GINI_EXPOSURE, MetricId.NORM_ENTROPY):
         values = [exposure_counts.get(p, 0.0) for p in catalog.providers]
         total = left_sum(values)
-        if len(values) < 2 or total == 0.0:
+        gini = metric is MetricId.GINI_EXPOSURE
+        if total == 0.0 or (not gini and len(values) < 2):
             return None
-        return normalized_entropy([v / total for v in values])
+        x = np.array([values if gini else [v / total for v in values]], dtype=float)
+        if (x < 0).any():
+            if gini:
+                raise ValueError("exposures must be >= 0")
+            raise NotNormalized("p has negative entries")
+        return _gini_rows(x)[0] if gini else _entropy_rows(x)[0]
     if metric in (MetricId.KL_DIV, MetricId.JS_DIV):
         if not query.user_history:
             return None

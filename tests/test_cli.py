@@ -198,6 +198,37 @@ class TestEvaluate:
             tmp_path / "replay.report.json"
         ).read_bytes()
 
+    def test_integers_in_saved_outcomes_write_the_same_report(self, tourism_dir, tmp_path):
+        """A saved file may hold ``0`` where ``save_outcomes`` wrote ``0.0``:
+        every number reads as a float, so ``evaluate`` writes the same bytes."""
+        original = tourism_dir / "base" / "outcomes.json"
+        doc = json.loads(original.read_text(encoding="utf-8"))
+        edited = {"regret": 0, "influence": 0, "weight": 0}
+
+        def as_integers(numbers, kind, whole):
+            for key, value in numbers.items():
+                if value in whole:
+                    numbers[key] = int(value)
+                    edited[kind] += 1
+
+        for outcome in doc["outcomes"]:
+            as_integers(outcome["per_agent_regret"], "regret", (0.0,))
+            as_integers(outcome["aggregate"]["influence"], "influence", (0.0, 1.0))
+            for ballot in outcome["ballots"]:
+                as_integers(ballot, "weight", (1.0,))
+        assert min(edited.values()) > 0, edited
+        saved = tmp_path / "outcomes.json"
+        saved.write_text(json.dumps(doc), encoding="utf-8")
+        for out, outcomes in (("floats", original), ("integers", saved)):
+            code = cli.main([
+                "evaluate", "--scenario", str(tourism_dir / "scenario.json"),
+                "--out", str(tmp_path / out), "--outcomes", str(outcomes),
+            ])
+            assert code == 0
+        for suffix in (".report.json", ".metrics.csv", ".summary.md"):
+            floats = (tmp_path / f"floats{suffix}").read_bytes()
+            assert (tmp_path / f"integers{suffix}").read_bytes() == floats, suffix
+
     def test_wrong_catalog_exits_2(self, tmp_path):
         saved = tmp_path / "outcomes.json"
         agorank(
@@ -654,8 +685,9 @@ class TestSavedBallotsAndTies:
              "ballots[0].ranking[0]: unknown item 'no-such-item'"),
             (_set_ballot(ranking=[5]), "ballots[0].ranking[0]: expected a string"),
             (_repeat_first_item, "ballots[0].ranking: an item is ranked twice"),
-            (_set_ballot(weight="heavy"), "ballots[0].weight: expected a number in [0, 1]"),
-            (_set_ballot(weight=True), "ballots[0].weight: expected a number in [0, 1]"),
+            # the whole line: "expected a number in [0, 1]" begins the same way
+            (_set_ballot(weight="heavy"), "ballots[0].weight: expected a number\n"),
+            (_set_ballot(weight=True), "ballots[0].weight: expected a number\n"),
             (_set_ballot(weight=1.5), "ballots[0].weight: expected a number in [0, 1]"),
             (_set_ballot(agent_id=5), "ballots[0].agent_id: expected a string"),
             (_set_ballot(justification=5), "ballots[0].justification: expected a string"),
@@ -743,15 +775,15 @@ class TestSavedAggregate:
             (_edit_aggregate("scores", lambda sc: sc.update({"no-such-item": 1.0})), SCORES),
             (lambda outcome: outcome["aggregate"].pop("scores"), SCORES),
             (_edit_aggregate("scores", lambda sc: sc.update({"beach-promenade": True})),
-             "aggregate.scores.beach-promenade: expected a finite number"),
+             "aggregate.scores.beach-promenade: expected a number"),
             (_edit_aggregate("scores", lambda sc: sc.update({"beach-promenade": "6"})),
-             "aggregate.scores.beach-promenade: expected a finite number"),
+             "aggregate.scores.beach-promenade: expected a number"),
             (lambda outcome: outcome["per_agent_achieved"].pop("traveler"), ACHIEVED),
             (lambda outcome: outcome["per_agent_achieved"].update(ghost=0.5), ACHIEVED),
             (lambda outcome: outcome["per_agent_achieved"].update(traveler="high"),
-             "per_agent_achieved.traveler: expected a finite number or null"),
+             "per_agent_achieved.traveler: expected a number or null"),
             (lambda outcome: outcome["per_agent_achieved"].update(traveler=False),
-             "per_agent_achieved.traveler: expected a finite number or null"),
+             "per_agent_achieved.traveler: expected a number or null"),
             # NaN used to load, and evaluate wrote it into the report JSON
             (_edit_aggregate("scores", lambda sc: sc.update({"beach-promenade": NAN})),
              "aggregate.scores.beach-promenade: expected a finite number"),

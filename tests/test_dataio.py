@@ -3,6 +3,7 @@ import json
 import math
 import re
 import string
+import sys
 import time
 import tracemalloc
 from unittest import mock
@@ -1079,7 +1080,7 @@ class TestSavedOutcomes:
              r"outcomes\[0\]\.final_list\[0\]: unknown item 'ghost'"),
             (lambda o: o[0].update(final_list=[1]), r"final_list\[0\]: expected a string"),
             (lambda o: o[0]["per_agent_regret"].update(traveler="x"),
-             r"per_agent_regret\.traveler: expected a finite number >= 0"),
+             r"per_agent_regret\.traveler: expected a number$"),
             (lambda o: o[0]["aggregate"]["influence"].update(traveler=None),
              r"aggregate\.influence\.traveler: expected a number"),
             (lambda o: o[0]["stage_calls"].update(aggregate=1.5),
@@ -1153,6 +1154,103 @@ class TestSavedOutcomes:
                   for e in o.aggregate.tiebreak_trace]
         assert loaded[0] == TieEvent("égalité", "par id")
         assert all(e is loaded[0] for e in loaded)
+
+
+# the ranges that the field tables give ``_number`` and ``_number_map``, each
+# with the numbers that it holds
+_RANGES = [
+    # agent targets, policy numbers, item scores, query weights: their records bound them
+    ({}, lambda x: True),
+    # constraint values, item attributes, aggregate scores
+    ({"expected": "a finite number"}, math.isfinite),
+    # persona weights, regrets
+    ({"expected": "a finite number >= 0", "lo": 0.0}, lambda x: math.isfinite(x) and x >= 0),
+    ({"expected": "a finite number of seconds > 0", "lo": math.ulp(0.0)},
+     lambda x: math.isfinite(x) and x > 0),
+    # ballot weights, influence
+    ({"expected": "a number in [0, 1]", "lo": 0.0, "hi": 1.0}, lambda x: 0 <= x <= 1),
+    ({"expected": "a finite number or null", "null": True}, math.isfinite),
+]
+
+# every kind of JSON value, and the numbers at the edges of a float
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400), 2**1024, -(2**1024) + 2**970, 2**53 + 1, 0, 1]),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, sys.float_info.max]),
+)
+
+
+def _checked(kwargs, holds, v):
+    """What a number check over ``kwargs`` gives for ``v``: its float, None,
+    or the message it raises, as FORMATS.md states the rule."""
+    null = kwargs.get("null", False)
+    if v is None and null:
+        return None
+    if type(v) not in (int, float):
+        return "expected a number or null" if null else "expected a number"
+    try:
+        x = float(v)
+    except OverflowError:
+        return "integer too large for a float"
+    return x if holds(x) else f"expected {kwargs['expected']}"
+
+
+class TestNumberChecks:
+    """One rule reads every number of a scenario or a saved outcome: an
+    integer reads as the float of equal value, and a value fails with the
+    message for its kind of fault."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(at=st.sampled_from(range(len(_RANGES))), v=_JSON_VALUES)
+    def test_single_check(self, at, v):
+        kwargs, holds = _RANGES[at]
+        want = _checked(kwargs, holds, v)
+        if isinstance(want, str):
+            with pytest.raises(SchemaError) as err:
+                dataio._number(**kwargs)(v, "a.b")
+            assert str(err.value) == f"a.b: {want}"
+        elif want is None:
+            assert dataio._number(**kwargs)(v, "a.b") is None
+        else:
+            got = dataio._number(**kwargs)(v, "a.b")
+            assert type(got) is float and got.hex() == want.hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        at=st.sampled_from(range(len(_RANGES))),
+        obj=st.dictionaries(st.text("xyz", min_size=1, max_size=3), _JSON_VALUES, max_size=5),
+    )
+    def test_map_is_the_single_check_key_by_key(self, at, obj):
+        kwargs, _ = _RANGES[at]
+        number = dataio._number(**kwargs)
+        given_values = list(obj.values())
+        want, first_fault = {}, None
+        for key, value in obj.items():
+            try:
+                want[key] = number(value, f"m.{key}")
+            except SchemaError as exc:
+                first_fault = str(exc)
+                break
+        if first_fault is not None:
+            with pytest.raises(SchemaError) as err:
+                dataio._number_map(**kwargs)(obj, "m")
+            assert str(err.value) == first_fault
+        else:
+            got = dataio._number_map(**kwargs)(obj, "m")
+            assert got is not obj and list(got) == list(want)
+            assert [_hex(v) for v in got.values()] == [_hex(v) for v in want.values()]
+        # the object read is left as it was
+        assert all(a is b for a, b in zip(obj.values(), given_values))
+
+
+def _hex(v):
+    return v if v is None else (type(v), v.hex())
 
 
 class TestCatalogHash:

@@ -114,6 +114,58 @@ class TestGini:
             gini_exposure([-1.0, 2.0])
 
 
+# the scalar forms that ``gini_exposure`` and ``normalized_entropy`` computed
+# before both went through the row kernels: the kernels' float reference
+def _scalar_gini(exposures):
+    x = np.sort(np.asarray(exposures, dtype=float))
+    n = x.size
+    i = np.arange(1, n + 1)
+    return float(((2 * i - n - 1) * x).sum() / (n * float(x.sum())))
+
+
+def _scalar_entropy(p):
+    p = np.asarray(p, dtype=float)
+    nz = p[p > 0]
+    return max(0.0, float(-(nz * np.log2(nz)).sum())) / math.log2(p.size)
+
+
+_EXPOSURES = st.lists(
+    st.one_of(st.just(0.0), st.sampled_from([1.0, 0.5, 1 / 3, 5e-324]), st.floats(0.0, 1e6)),
+    min_size=1,
+    max_size=60,
+).filter(any)
+
+
+class TestOneKernel:
+    """Gini and entropy each have one row kernel, which the public
+    functions and the monitor call on one row: its floats are those of the
+    scalar forms, and negative exposure is still refused."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_EXPOSURES)
+    def test_floats_of_the_scalar_forms(self, values):
+        catalog = Catalog([Item(id=f"i{k}", provider_id=f"p{k:02d}") for k in range(len(values))])
+        exposure = dict(zip(catalog.providers, values))
+        shares = [v / left_sum(values) for v in values]
+        monitor = {m: evaluate_metric(m, Query("q"), [], catalog, exposure)
+                   for m in (MetricId.GINI_EXPOSURE, MetricId.NORM_ENTROPY)}
+        assert gini_exposure(values).hex() == _scalar_gini(values).hex()
+        assert monitor[MetricId.GINI_EXPOSURE].hex() == _scalar_gini(values).hex()
+        if len(values) < 2:
+            assert monitor[MetricId.NORM_ENTROPY] is None
+        else:
+            assert normalized_entropy(shares).hex() == _scalar_entropy(shares).hex()
+            assert monitor[MetricId.NORM_ENTROPY].hex() == _scalar_entropy(shares).hex()
+
+    def test_monitor_refuses_negative_exposure(self):
+        catalog = Catalog([Item(id="a", provider_id="p1"), Item(id="b", provider_id="p2")])
+        exposure = {"p1": -1.0, "p2": 2.0}
+        with pytest.raises(ValueError, match="exposures must be >= 0"):
+            evaluate_metric(MetricId.GINI_EXPOSURE, Query("q"), [], catalog, exposure)
+        with pytest.raises(NotNormalized, match="negative entries"):
+            evaluate_metric(MetricId.NORM_ENTROPY, Query("q"), [], catalog, exposure)
+
+
 class TestEntropy:
     def test_uniform_is_one(self):
         assert normalized_entropy([0.25] * 4) == pytest.approx(1.0, abs=TOL)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import logging
 from unittest import mock
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from agorank.agents import AgentObjective, AgentSpec
 from agorank.aggregation import Rule, RuleConfig, aggregate
 from agorank.errors import EmptyAfterGrounding, NoActiveAgents
-from agorank import adapter, orchestrator
-from agorank.metrics import MetricId, evaluate_metric, exposure_delta, fairness_regret
+from agorank import adapter, dataio, orchestrator
+from agorank.metrics import MetricId, build_report, evaluate_metric, exposure_delta, fairness_regret
 from agorank.model import Catalog, Constraint, Item, PreferenceProfile, Query, StakeholderRole
 from agorank.orchestrator import (
     ActivationMode,
@@ -267,6 +268,73 @@ class TestSharedObjectiveMonitoring:
             ndcg_values.add(achieved["traveler"])
         # the queries must score differently for a value reused across them to show
         assert len(ndcg_values) == len(self.QUERIES)
+
+
+# one agent per directional metric; the tags leave "traveler" compatible with
+# every query and each other agent with few, so the dynamic policy benches
+MONITORED = [
+    spec("traveler", AgentObjective.RELEVANCE, MetricId.NDCG, 0.9),
+    spec("finder", AgentObjective.RELEVANCE, MetricId.RECALL, 0.9, frozenset({"beach"})),
+    spec("providers", AgentObjective.PROVIDER_EXPOSURE, MetricId.GINI_EXPOSURE, 0.3,
+         frozenset({"market", "food"}), StakeholderRole.PROVIDER),
+    spec("spread", AgentObjective.PROVIDER_EXPOSURE, MetricId.NORM_ENTROPY, 0.9,
+         frozenset({"museum"}), StakeholderRole.PROVIDER),
+    spec("taste", AgentObjective.POPULARITY_MITIGATION, MetricId.KL_DIV, 0.2,
+         frozenset({"nature", "trail"}), StakeholderRole.THIRD_PARTY),
+    spec("drift", AgentObjective.POPULARITY_MITIGATION, MetricId.JS_DIV, 0.1,
+         frozenset({"art"}), StakeholderRole.THIRD_PARTY),
+    spec("ecology", AgentObjective.POPULARITY_MITIGATION, MetricId.POP_LIFT, 0.0,
+         frozenset({"culture"}), StakeholderRole.THIRD_PARTY),
+]
+
+
+@pytest.fixture(scope="module")
+def monitored_streams():
+    """(catalog, queries) of the tourism scenario, and of the first 40
+    synthetic-200 queries at seed 7, each given a 3-item history."""
+    tourism = dataio.load_scenario("builtin:tourism")
+    synthetic = dataio.load_scenario("builtin:synthetic-200", seed_override=7)
+    ids = synthetic.catalog.ids
+    queries = [
+        dataclasses.replace(q, user_history=tuple(ids[(7 * i + 61 * j) % 200] for j in range(3)))
+        for i, q in enumerate(synthetic.queries[:40])
+    ]
+    return [(tourism.catalog, tourism.queries), (synthetic.catalog, queries)]
+
+
+class TestMonitorAgreesWithReport:
+    """Each agent's value of its objective metric, as the monitor saved it
+    in ``per_agent_achieved``, is the report's value of that metric for the
+    same outcome, float for float, and None where the report has none: the
+    individual and the collective evaluation agree."""
+
+    POLICIES = [
+        ActivationPolicy(),
+        ActivationPolicy(ActivationMode.DYNAMIC, fairness_threshold=0.5, window=2,
+                         compatibility_min=0.5),
+    ]
+
+    @pytest.mark.parametrize("rule", list(Rule))
+    def test_per_agent_achieved_is_the_report_value(self, monitored_streams, rule):
+        scored = dict.fromkeys((s.objective_metric for s in MONITORED), 0)
+        benched = 0
+        for (catalog, queries), policy in itertools.product(monitored_streams, self.POLICIES):
+            outcomes, _ = run_stream(queries, MONITORED, catalog, policy, RuleConfig(rule=rule))
+            report = build_report(outcomes, MONITORED, catalog)
+            for outcome, evaluation in zip(outcomes, report.per_query):
+                benched += len(outcome.skipped_agents)
+                for s in MONITORED:
+                    got = outcome.per_agent_achieved[s.agent_id]
+                    want = evaluation.values.get(s.objective_metric.value)
+                    where = (outcome.query_id, s.agent_id, got, want)
+                    if want is None:
+                        assert got is None, where
+                    else:
+                        assert got is not None and got.hex() == want.hex(), where
+                        scored[s.objective_metric] += 1
+        # every metric was compared on a value, and the dynamic policy benched
+        assert min(scored.values()) > 0, scored
+        assert benched > 0
 
 
 class TestAdapterFailureHandling:
